@@ -1,4 +1,4 @@
-// E17 — transport backend comparison: the same RPC workload on the
+// EXT-4 — transport backend comparison: the same RPC workload on the
 // deterministic sim transport and on real epoll/TCP localhost sockets.
 //
 // The pluggable transport runtime (DESIGN.md §10) claims tier code runs
@@ -31,7 +31,7 @@ std::unique_ptr<net::Transport> MakeTransport(const std::string& mode) {
 }  // namespace
 
 int main() {
-  bench::Header("E17: sim vs TCP transport backends",
+  bench::Header("EXT-4: sim vs TCP transport backends",
                 "one Transport interface, two runtimes: deterministic "
                 "in-process dispatch vs epoll over localhost sockets");
   bench::Row("%5s | %10s | %12s | %12s | %10s", "mode", "payload B",
@@ -75,7 +75,7 @@ int main() {
 
       bench::Row("%5s | %10d | %12.0f | %12.1f | %10.1f", mode.c_str(),
                  payload_bytes, rate, mbps, p99);
-      bench::JsonRowAt("BENCH_net.json", "E17", {{"transport", mode}},
+      bench::JsonRowAt("BENCH_net.json", "EXT-4", {{"transport", mode}},
                        {{"payload_bytes", payload_bytes},
                         {"calls_per_s", rate},
                         {"fetch_mbps", mbps},

@@ -29,6 +29,12 @@
 #   3b. Open-loop overload smoke: bench_open_loop --smoke asserts the
 #      graceful-degradation shape (zero sheds at trivial load, nonzero at
 #      saturation) on the deterministic sim backend.
+#   3c. Repo benchmark self-test (perfbench/test_perfbench.py): the result
+#      summarizer and stamp contract, plus `run.py --smoke`, which builds
+#      lidi_perfbench from src/ in its own Release tree (.bench_build/) and
+#      runs every workload's correctness checks for a few hundred
+#      operations, so a src/ change that breaks a workload fails here.
+#      About 2 s with a warm build, a few minutes cold.
 #   4. ThreadSanitizer pass over the concurrency-sensitive suites (faultfs
 #      + every *concurrency*/sync test — which picks up
 #      group_commit_concurrency_test: many appenders, one group-commit
@@ -88,6 +94,13 @@ say "open-loop overload smoke (bench_open_loop --smoke)"
 # Overloaded rejections, EXPERIMENTS.md open-loop methodology). The binary
 # exits nonzero when the shed shape is wrong.
 build/bench/bench_open_loop --smoke
+
+say "repo benchmark self-test (perfbench, incl. run.py --smoke)"
+if command -v python3 >/dev/null 2>&1; then
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
+else
+  echo "check: no python3; skipping the perfbench self-test"
+fi
 
 say "thread-sanitizer (faultfs + concurrency + sync suites)"
 if printf 'int main(){return 0;}' | \

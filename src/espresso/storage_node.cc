@@ -238,6 +238,10 @@ Status StorageNode::MasterCommit(const std::string& database, int partition,
     return Status::Unavailable(name_ + " is not master of " + database + "/p" +
                                std::to_string(partition));
   }
+  // SCN allocation, relay append and apply form one step: two concurrent
+  // commits that both read AppliedScn()+1 would pick the same SCN, and the
+  // relay would fence the second as if this node were a stale master.
+  MutexLock commit(&commit_mu_);
   const int64_t scn = AppliedScn(database, partition) + 1;
   std::vector<databus::Event> events;
   for (size_t i = 0; i < updates.size(); ++i) {

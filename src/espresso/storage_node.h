@@ -83,7 +83,7 @@ class StorageNode {
   Result<std::string> HandleFetchPartition(Slice request) const;
 
   /// Commits updates to a master partition: assigns the next SCN, appends
-  /// to the relay (semi-sync), then applies locally.
+  /// to the relay (semi-sync), then applies locally, all under commit_mu_.
   Status MasterCommit(const std::string& database, int partition,
                       const std::vector<DocumentUpdate>& updates);
 
@@ -113,6 +113,12 @@ class StorageNode {
   // tsa-ok: sqlstore::Database is internally synchronized (its own
   // commit/table lock hierarchy); mu_ guards the replica-role state only.
   sqlstore::Database store_;
+
+  /// Serialises MasterCommit from SCN allocation through the relay append
+  /// to the local apply, so concurrent writes on this master take distinct,
+  /// dense SCNs. Held across the relay and the local store (both in-process)
+  /// and taken before mu_; never held across the network.
+  Mutex commit_mu_{"espresso.storage_node.commit"};
 
   /// Guards replica-role state and the index map. Never held across the
   /// relay, the network, or the local store (commits run on the sqlstore

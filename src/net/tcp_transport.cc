@@ -8,6 +8,7 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,6 +23,10 @@ namespace {
 constexpr int kSourceWake = 0;
 constexpr int kSourceListener = 1;
 constexpr int kSourceConn = 2;
+
+/// Most iovecs one sendmsg gathers: 21 whole frames of three segments each,
+/// far below IOV_MAX. A longer outbox drains over further sendmsg calls.
+constexpr size_t kMaxIovecs = 64;
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -104,55 +109,64 @@ struct TcpTransport::Connection : FdSource {
     cv.NotifyAll();
   }
 
-  /// Writes as much of the outbox as the socket accepts. Returns false on
-  /// a fatal socket error (the connection is CloseLocked'd); leftover
-  /// bytes arm EPOLLOUT via want_write.
+  /// Writes as much of the outbox as the socket accepts. One sendmsg
+  /// gathers the unsent bytes of every queued chunk (up to kMaxIovecs
+  /// segments), so a frame reaches the peer whole and its reactor wakes
+  /// once, not once per segment. Returns false on a fatal socket error (the
+  /// connection is CloseLocked'd); leftover bytes arm EPOLLOUT via
+  /// want_write.
   bool FlushLocked() LIDI_REQUIRES(mu) {
     while (!outbox.empty()) {
-      OutChunk& chunk = outbox.front();
-      // The chunk's three segments, addressed by a single running offset.
-      const struct {
-        const char* data;
-        size_t size;
-      } segments[3] = {{chunk.head.data(), chunk.head.size()},
-                       {chunk.payload.data(), chunk.payload.size()},
-                       {chunk.tail.data(), chunk.tail.size()}};
-      size_t base = 0;
-      bool chunk_done = true;
-      for (const auto& segment : segments) {
-        if (chunk.pos >= base + segment.size) {
-          base += segment.size;
-          continue;
-        }
-        const size_t off = chunk.pos - base;
-        const ssize_t n = ::send(fd, segment.data + off, segment.size - off,
-                                 MSG_NOSIGNAL);
-        if (n > 0) {
-          chunk.pos += static_cast<size_t>(n);
-          if (chunk.pos < base + segment.size) {
-            chunk_done = false;  // short write: socket buffer is full
-            break;
+      iovec iov[kMaxIovecs];
+      size_t n_iov = 0;
+      size_t gathered = 0;
+      for (const OutChunk& chunk : outbox) {
+        if (n_iov + 3 > kMaxIovecs) break;
+        // The chunk's three segments, addressed by a single running offset.
+        size_t skip = chunk.pos;
+        for (const Slice segment :
+             {Slice(chunk.head), chunk.payload.slice(), Slice(chunk.tail)}) {
+          if (skip >= segment.size()) {
+            skip -= segment.size();
+            continue;
           }
-          base += segment.size;
-          continue;
+          iov[n_iov].iov_base = const_cast<char*>(segment.data() + skip);
+          iov[n_iov].iov_len = segment.size() - skip;
+          gathered += iov[n_iov].iov_len;
+          ++n_iov;
+          skip = 0;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          chunk_done = false;
-          break;
+      }
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = n_iov;
+      const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+          ArmWriteLocked();  // retry on the next writable event
+          return true;
         }
-        if (n < 0 && errno == EINTR) {
-          chunk_done = false;
-          break;  // retry on the next writable event
-        }
-        CloseLocked(Status::Unavailable(Errno("send")));
+        CloseLocked(Status::Unavailable(Errno("sendmsg")));
         ::shutdown(fd, SHUT_RDWR);  // kick the reactor to reap the fd
         return false;
       }
-      if (!chunk_done) {
-        ArmWriteLocked();
+      // Retire what the kernel took: sent chunks pop, a partly sent one
+      // advances its offset.
+      size_t sent = static_cast<size_t>(n);
+      while (sent > 0) {
+        OutChunk& chunk = outbox.front();
+        const size_t left = chunk.size() - chunk.pos;
+        if (sent < left) {
+          chunk.pos += sent;
+          break;
+        }
+        sent -= left;
+        outbox.pop_front();
+      }
+      if (static_cast<size_t>(n) < gathered) {
+        ArmWriteLocked();  // short write: the socket buffer is full
         return true;
       }
-      outbox.pop_front();
     }
     return true;
   }
@@ -866,25 +880,36 @@ void TcpTransport::ReadConn(Reactor* reactor,
         SendFrame(conn, std::move(encoded), std::move(payload));
         continue;
       }
-      MutexLock lock(&queue_mu_);
-      queue_.push_back(Work{conn, std::move(frame)});
+      {
+        MutexLock lock(&queue_mu_);
+        queue_.push_back(Work{conn, std::move(frame)});
+      }
+      // Wake after unlock: a worker woken under queue_mu_ would preempt
+      // this reactor only to block on the mutex it still holds. Workers
+      // re-check the queue under the mutex, so the wakeup is not lost.
       queue_cv_.NotifyOne();
     } else {
-      MutexLock lock(&conn->mu);
-      auto it = conn->pending.find(frame.correlation_id);
-      if (it != conn->pending.end() && !it->second.done) {
-        it->second.done = true;
-        it->second.status =
-            StatusFromWire(frame.status_code,
-                           frame.status_code == Code::kOk
-                               ? std::string()
-                               : std::move(frame.payload));
-        if (frame.status_code == Code::kOk) {
-          it->second.payload = std::move(frame.payload);
+      bool completed = false;
+      {
+        MutexLock lock(&conn->mu);
+        auto it = conn->pending.find(frame.correlation_id);
+        if (it != conn->pending.end() && !it->second.done) {
+          it->second.done = true;
+          it->second.status =
+              StatusFromWire(frame.status_code,
+                             frame.status_code == Code::kOk
+                                 ? std::string()
+                                 : std::move(frame.payload));
+          if (frame.status_code == Code::kOk) {
+            it->second.payload = std::move(frame.payload);
+          }
+          completed = true;
         }
-        conn->cv.NotifyAll();
+        // else: the caller timed out and abandoned the call; drop the frame.
       }
-      // else: the caller timed out and abandoned the call; drop the frame.
+      // Wake after unlock, for the same reason; callers re-check their
+      // pending entry under conn->mu.
+      if (completed) conn->cv.NotifyAll();
     }
   }
   conn->inbuf.erase(0, off);

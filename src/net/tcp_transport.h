@@ -69,7 +69,7 @@ struct TcpTransportOptions {
 /// threads move bytes and match response frames to pending calls by
 /// correlation id. Server-side, complete request frames are handed to a
 /// worker pool that runs the registered handler and streams the response
-/// back (a pinned payload is written as its own iovec-style chunk — the
+/// back (a pinned payload is its own iovec in the gathered sendmsg — the
 /// zero-copy fetch path costs one deserialize copy per side, never more).
 ///
 /// What sim guarantees that this backend does not: determinism (kernel

@@ -18,6 +18,7 @@
 #include "kafka/producer.h"
 #include "net/address.h"
 #include "net/network.h"
+#include "net/tcp_transport.h"
 #include "voldemort/client.h"
 #include "voldemort/server.h"
 #include "zk/zookeeper.h"
@@ -246,6 +247,61 @@ TEST(CompressedMirrorTest, MirrorRecompressesAndDeliversExactly) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(received.count("event body " + std::to_string(i)), 1u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Espresso master commits under concurrent writers. Each commit allocates
+// AppliedScn()+1, appends to the relay, then applies; unless the three steps
+// are serialised, two handlers on one master pick the same SCN and the relay
+// fences the second ("fenced: partition timeline advanced past us") as if
+// the master were stale. Over TCP the handlers run on the worker pool, so
+// four clients writing one partition race on every commit.
+// ---------------------------------------------------------------------------
+
+TEST(ThreadStressTest, ConcurrentWritesToOnePartitionAreNotFenced) {
+  net::TcpTransport network;
+  zk::ZooKeeper zookeeper;
+  espresso::SchemaRegistry registry;
+  ASSERT_OK(registry.CreateDatabase(
+      {"db", espresso::DatabaseSchema::Partitioning::kHash, 1, 1}));
+  ASSERT_OK(registry.CreateTable("db", {"docs", 0}));
+  ASSERT_OK(registry.PostDocumentSchema("db", "docs", R"({
+    "type":"record","name":"D","fields":[{"name":"v","type":"string"}]})"));
+  espresso::EspressoRelay relay;
+  helix::HelixController controller("c", &zookeeper);
+  ASSERT_OK(controller.AddResource({"db", 1, 1}));
+  espresso::StorageNode node("esn-0", &registry, &relay, &network,
+                             SystemClock::Default());
+  ASSERT_OK(controller.ConnectParticipant(
+      node.name(),
+      [&node](const helix::Transition& t) { return node.HandleTransition(t); }));
+  controller.RebalanceToConvergence();
+  ASSERT_TRUE(node.IsMasterOf("db", 0));
+  espresso::Router router("router", &registry, &controller, &network);
+
+  constexpr int kWriters = 4;
+  constexpr int kWritesPerWriter = 500;
+  std::atomic<int> failed{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&router, &failed, w] {
+      for (int i = 0; i < kWritesPerWriter; ++i) {
+        auto doc = avro::Datum::Record("D");
+        doc->SetField("v", avro::Datum::String(std::to_string(i)));
+        const std::string uri =
+            "/db/docs/w" + std::to_string(w) + "-" + std::to_string(i);
+        if (!router.PutDocument(uri, *doc).ok()) failed.fetch_add(1);
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
+
+  constexpr int kWrites = kWriters * kWritesPerWriter;
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(node.DocumentCount("db", "docs"), kWrites);
+  // One SCN per commit, dense on the relay and applied on the master.
+  EXPECT_EQ(relay.MaxScn("db", 0), kWrites);
+  EXPECT_EQ(node.AppliedScn("db", 0), kWrites);
 }
 
 // ---------------------------------------------------------------------------

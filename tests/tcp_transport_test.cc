@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "common/sync.h"
 #include "net/address.h"
 #include "net/frame.h"
@@ -106,6 +107,41 @@ TEST(TcpTransportTest, ConcurrentCallersShareThePool) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(ok.load(), kThreads * kCallsPerThread);
   EXPECT_EQ(t.total_calls(), kThreads * kCallsPerThread);
+}
+
+TEST(TcpTransportTest, LargeFramesQueuedBehindAShortWriteArriveIntact) {
+  // One pooled connection, so every caller's frame shares one outbox. Each
+  // frame is larger than the loopback socket buffer: sendmsg returns short,
+  // and whole frames queue behind the half-sent one until EPOLLOUT drains
+  // them. The replies take the same path back from the worker side.
+  TcpTransportOptions options;
+  options.connections_per_peer = 1;
+  TcpTransport t(options);
+  t.RegisterPayload(kServer, "mirror", [](Slice req) -> Result<PinnedSlice> {
+    return PinnedSlice::Copy(req);
+  });
+
+  constexpr int kCallers = 4;
+  constexpr int kCallsPerCaller = 2;
+  constexpr size_t kFrameBytes = 4u << 20;
+  std::atomic<int> intact{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&t, &intact, i] {
+      // Distinct random bytes per call: a reply spliced from another
+      // caller's frame, or a misplaced segment, cannot compare equal.
+      Random rng(1000 + static_cast<uint64_t>(i));
+      for (int j = 0; j < kCallsPerCaller; ++j) {
+        const std::string body = rng.Bytes(kFrameBytes);
+        auto r = t.CallPayload("caller-" + std::to_string(i), kServer,
+                               "mirror", Slice(body));
+        if (r.ok() && r.value().slice() == Slice(body)) intact.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(intact.load(), kCallers * kCallsPerCaller);
 }
 
 TEST(TcpTransportTest, PeerDisconnectMidCallFailsUnavailable) {
