@@ -43,7 +43,9 @@
 #   5. AddressSanitizer pass over the simulation suites (ctest -L sim) in a
 #      separate build tree, when the toolchain supports -fsanitize=address —
 #      the chaos schedules crash/restart every tier, so this is where
-#      use-after-free on teardown paths would surface.
+#      use-after-free on teardown paths would surface — then over the
+#      transport (-L net), elasticity (-L rebalance) and crash/fault-injection
+#      (-L faultfs) suites.
 #
 # Nightly-style deep sweep (not part of the merge gate; run it before
 # release branches or after touching crash/recovery paths):
@@ -140,6 +142,11 @@ if printf 'int main(){return 0;}' | \
   # the dangling-server/broker pointers an elastic topology could leak
   # surface here.
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L rebalance
+  say "address-sanitizer (crash/fault-injection suite, ctest -L faultfs)"
+  # The durable logs write slices of sealed chunks and stop at the first
+  # short write; the seeded torn-write schedules cut those slices at
+  # arbitrary offsets.
+  ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L faultfs
 else
   echo "check: toolchain lacks -fsanitize=address; skipping ASan stage"
 fi

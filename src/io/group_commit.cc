@@ -1,21 +1,21 @@
 #include "io/group_commit.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace lidi::io {
 
-GroupCommitter::GroupCommitter(SyncFn sync_fn, GroupCommitOptions options)
-    : sync_fn_(std::move(sync_fn)), options_(std::move(options)) {
-  if (options_.metrics != nullptr) {
-    const obs::Labels labels{{"layer", options_.layer}};
+GroupCommitter::GroupCommitter(SyncFn sync_fn,
+                               const GroupCommitOptions& options)
+    : sync_fn_(std::move(sync_fn)) {
+  if (options.metrics != nullptr) {
+    const obs::Labels labels{{"layer", options.layer}};
     leader_syncs_ =
-        options_.metrics->GetCounter("io.group_commit.leader_syncs", labels);
+        options.metrics->GetCounter("io.group_commit.leader_syncs", labels);
     piggybacked_ =
-        options_.metrics->GetCounter("io.group_commit.piggybacked", labels);
+        options.metrics->GetCounter("io.group_commit.piggybacked", labels);
     batch_msgs_ =
-        options_.metrics->GetHistogram("io.sync.batch_msgs", labels);
+        options.metrics->GetHistogram("io.sync.batch_msgs", labels);
   }
 }
 
@@ -53,23 +53,13 @@ Status GroupCommitter::SyncTo(int64_t target, uint64_t staged_epoch) {
       return Status::IOError("group sync did not cover this append");
     }
     if (leader_active_) {
-      max_requested_ = std::max(max_requested_, target);
       ++waiting_;
-      // Wake the lingering leader early once a full batch is pending.
-      if (max_requested_ - frontier_ >= options_.max_batch_bytes) {
-        cv_.NotifyAll();
-      }
       cv_.Wait(&mu_);
       --waiting_;
       continue;
     }
     // Become the leader for everything staged so far.
     leader_active_ = true;
-    max_requested_ = std::max(max_requested_, target);
-    if (options_.max_wait_ms > 0 &&
-        max_requested_ - frontier_ < options_.max_batch_bytes) {
-      cv_.WaitFor(&mu_, std::chrono::milliseconds(options_.max_wait_ms));
-    }
     const int batch = 1 + waiting_;
     lock.Unlock();
     Result<int64_t> synced = sync_fn_();

@@ -11,17 +11,9 @@
 
 namespace lidi::io {
 
-/// Knobs for one GroupCommitter (see DESIGN.md §7, group-commit protocol).
+/// Instrumentation for one GroupCommitter (see DESIGN.md §7.1,
+/// group-commit protocol).
 struct GroupCommitOptions {
-  /// Once this many bytes are pending behind the frontier, a lingering
-  /// leader syncs immediately instead of waiting out max_wait_ms.
-  int64_t max_batch_bytes = 1 << 20;
-  /// How long a freshly elected leader lingers (committer lock released via
-  /// the condvar) for more appenders to join its batch before syncing.
-  /// 0 = sync immediately: the batch is whatever arrived while the previous
-  /// sync was in flight, which is latency-neutral and already amortizes
-  /// under concurrency (the classic group-commit shape).
-  int64_t max_wait_ms = 0;
   /// Registry for the batching instruments ("io.group_commit.leader_syncs",
   /// "io.group_commit.piggybacked", "io.sync.batch_msgs", labeled
   /// layer=<layer>). Null = not instrumented.
@@ -35,7 +27,9 @@ struct GroupCommitOptions {
 /// every appender whose bytes were staged before that sync started parks on
 /// a condvar and is acknowledged by the same fdatasync ("piggybacked").
 /// This is how real MySQL/Kafka close the sync-per-commit throughput cliff:
-/// N concurrent committers share one disk flush instead of paying N.
+/// N concurrent committers share one disk flush instead of paying N. A
+/// leader never lingers: its batch is whatever arrived while the previous
+/// sync was in flight, so batch size follows sync latency with no timer.
 ///
 /// Coverage rule: targets and the frontier live on one monotone int64 axis
 /// chosen by the owner (byte offset of the durable frontier). A SyncTo(t)
@@ -64,7 +58,8 @@ class GroupCommitter {
   /// the owner's writer lock.
   using SyncFn = std::function<Result<int64_t>()>;
 
-  explicit GroupCommitter(SyncFn sync_fn, GroupCommitOptions options = {});
+  explicit GroupCommitter(SyncFn sync_fn,
+                          const GroupCommitOptions& options = {});
 
   GroupCommitter(const GroupCommitter&) = delete;
   GroupCommitter& operator=(const GroupCommitter&) = delete;
@@ -85,7 +80,6 @@ class GroupCommitter {
 
  private:
   const SyncFn sync_fn_;
-  const GroupCommitOptions options_;
   obs::Counter* leader_syncs_ = nullptr;
   obs::Counter* piggybacked_ = nullptr;
   obs::LatencyHistogram* batch_msgs_ = nullptr;
@@ -95,8 +89,6 @@ class GroupCommitter {
   mutable Mutex mu_{"io.group_commit"};
   CondVar cv_;
   int64_t frontier_ LIDI_GUARDED_BY(mu_) = 0;
-  /// Highest target any appender has asked for (drives max_batch_bytes).
-  int64_t max_requested_ LIDI_GUARDED_BY(mu_) = 0;
   bool leader_active_ LIDI_GUARDED_BY(mu_) = false;
   int waiting_ LIDI_GUARDED_BY(mu_) = 0;
   /// Bumped on every failed sync attempt; frontier comparisons are only

@@ -165,57 +165,44 @@ void PartitionLog::PersistSealedLocked() {
       Inc(write_failed_);
       break;  // keep the durable prefix contiguous; retry next flush
     }
-    // Stage the segment's pending writes (and, inline modes, its sync) as
-    // one linked chain: the first failure — including a short write —
-    // aborts every later link, so a later chunk can never land after an
-    // earlier hole.
-    if (needs_write) {
-      int64_t chunk_base = 0;
-      int64_t staged_from = segment.persisted_bytes;
-      for (const BufferRef& chunk : segment.sealed) {
-        const int64_t chunk_size = static_cast<int64_t>(chunk->size());
-        if (staged_from < chunk_base + chunk_size) {
-          const int64_t from = staged_from - chunk_base;
-          if (!sq_.StageAppend(
-                  file,
-                  Slice(chunk->data() + from,
-                        static_cast<size_t>(chunk_size - from)),
-                  /*user_data=*/0)) {
-            break;  // ring full; the unstaged suffix retries next flush
-          }
-          staged_from = chunk_base + chunk_size;
-        }
-        chunk_base += chunk_size;
-      }
-    }
-    const bool sync_staged =
-        sync_due && segment.synced_bytes < segment.sealed_bytes &&
-        sq_.StageSync(file, /*user_data=*/1);
-    sq_.Submit();
+    // Write the segment's unpersisted chunks in order, stopping at the
+    // first error or short write: a later chunk must never land in the file
+    // behind an earlier one that fell short.
     bool failed = false;
-    io::Cqe cqe;
-    while (sq_.Reap(&cqe)) {
-      if (cqe.op == io::SqOp::kAppend) {
+    int64_t chunk_base = 0;
+    for (const BufferRef& chunk : segment.sealed) {
+      const int64_t chunk_end =
+          chunk_base + static_cast<int64_t>(chunk->size());
+      if (segment.persisted_bytes < chunk_end) {
+        const Slice piece(
+            chunk->data() + (segment.persisted_bytes - chunk_base),
+            static_cast<size_t>(chunk_end - segment.persisted_bytes));
+        int64_t accepted = 0;
+        const Status s = file->Append(piece, &accepted);
         // Advance only past bytes the fs actually took: a short write or
         // ENOSPC must not mark lost bytes durable. The next flush resumes
         // from the honest boundary.
-        segment.persisted_bytes += cqe.accepted;
-        if (!cqe.status.ok()) {
-          // Aborted links were never attempted; count only the real failure.
-          if (cqe.status.code() != Code::kAborted) Inc(write_failed_);
+        segment.persisted_bytes += accepted;
+        if (!s.ok() || accepted < static_cast<int64_t>(piece.size())) {
+          Inc(write_failed_);
           failed = true;
-        }
-      } else if (sync_staged) {
-        if (cqe.status.ok()) {
-          Inc(sync_count_);
-          segment.synced_bytes = segment.persisted_bytes;
-        } else {
-          if (cqe.status.code() != Code::kAborted) Inc(write_failed_);
-          failed = true;
+          break;
         }
       }
+      chunk_base = chunk_end;
     }
     if (failed) break;
+    if (needs_sync) {
+      // sync-choke-point: the inline per-flush fdatasync (kAlways without
+      // group commit, and kInterval once its threshold is crossed).
+      const Status s = file->Sync();
+      if (!s.ok()) {
+        Inc(write_failed_);
+        break;
+      }
+      Inc(sync_count_);
+      segment.synced_bytes = segment.persisted_bytes;
+    }
   }
   int64_t unsynced = 0;
   for (const Segment& segment : segments_) {
@@ -267,12 +254,10 @@ PartitionLog::PartitionLog(LogOptions options, const Clock* clock)
   if (fs_ != nullptr && options_.sync == io::SyncPolicy::kAlways &&
       options_.group_commit) {
     io::GroupCommitOptions group_options;
-    group_options.max_batch_bytes = options_.group_max_batch_bytes;
-    group_options.max_wait_ms = options_.group_max_wait_ms;
     group_options.metrics = options_.metrics;
     group_options.layer = "kafka.log";
     group_ = std::make_unique<io::GroupCommitter>(
-        [this] { return GroupSyncNow(); }, std::move(group_options));
+        [this] { return GroupSyncNow(); }, group_options);
   }
   // No concurrent access yet, but the *Locked() helpers require mu_ — and
   // taking it keeps the thread-safety analysis airtight for free.
@@ -297,23 +282,16 @@ void PartitionLog::SealTailLocked(Segment* segment) {
   if (segment->tail.empty()) return;
   std::string chunk_data = std::move(segment->tail);
   segment->tail.clear();
-  if (!segment->sealed.empty() &&
-      segment->sealed.back()->size() <= chunk_data.size()) {
-    // The merge staging buffer comes from the slab arena: flush-per-append
-    // workloads run this chain on every message, and leasing (instead of
-    // allocating) the scratch keeps the merge's staging copies off the heap.
-    io::RecordArena::Scratch scratch(&arena_);
-    while (!segment->sealed.empty() &&
-           segment->sealed.back()->size() <= chunk_data.size()) {
-      const BufferRef& prev = segment->sealed.back();
-      scratch->clear();
-      scratch->reserve(prev->size() + chunk_data.size());
-      scratch->append(prev->data(), prev->size());
-      scratch->append(chunk_data);
-      chunk_data.swap(*scratch);  // old chunk_data buffer becomes the next
-                                  // iteration's (and next seal's) scratch
-      segment->sealed.pop_back();
-    }
+  while (!segment->sealed.empty() &&
+         segment->sealed.back()->size() <= chunk_data.size()) {
+    const BufferRef& prev = segment->sealed.back();
+    merge_scratch_.clear();
+    merge_scratch_.reserve(prev->size() + chunk_data.size());
+    merge_scratch_.append(prev->data(), prev->size());
+    merge_scratch_.append(chunk_data);
+    chunk_data.swap(merge_scratch_);  // old chunk_data buffer becomes the
+                                      // next merge's scratch
+    segment->sealed.pop_back();
   }
   segment->sealed.push_back(WrapBuffer(std::move(chunk_data)));
   int64_t total = 0;

@@ -13,10 +13,8 @@
 #include "common/clock.h"
 #include "common/slice.h"
 #include "common/status.h"
-#include "io/arena.h"
 #include "io/file.h"
 #include "io/group_commit.h"
-#include "io/submission_queue.h"
 #include "obs/metrics.h"
 
 namespace lidi::kafka {
@@ -60,10 +58,6 @@ struct LogOptions {
   /// fdatasync per batch instead of N. Off = every flush pays its own sync
   /// inline (the historical behavior).
   bool group_commit = false;
-  /// Pending bytes that make a lingering group leader sync immediately.
-  int64_t group_max_batch_bytes = 1 << 20;
-  /// How long a group leader lingers for joiners (0 = sync immediately).
-  int64_t group_max_wait_ms = 0;
 };
 
 /// The log of one topic partition (paper Section V.B, Simple storage): a
@@ -248,13 +242,10 @@ class PartitionLog {
   int64_t first_unflushed_ms_ LIDI_GUARDED_BY(mu_) = 0;
   /// Accepted-but-unsynced bytes across all segments (drives kInterval).
   int64_t unsynced_bytes_ LIDI_GUARDED_BY(mu_) = 0;
-  /// Scratch slab for the seal-merge path (chunk coalescing re-copies bytes
-  /// O(log segment) times; the arena keeps those staging buffers off the
-  /// allocator on the flush-per-append hot path).
-  io::RecordArena arena_ LIDI_GUARDED_BY(mu_);
-  /// Staging rings for persist writes (deterministic simulated backend;
-  /// linked-chain semantics keep multi-chunk persists hole-free).
-  io::SubmissionQueue sq_ LIDI_GUARDED_BY(mu_);
+  /// Staging buffer the seal-merge path swaps with its merged chunk, so the
+  /// flush-per-append hot path reuses one buffer's capacity instead of
+  /// allocating a fresh one per merge.
+  std::string merge_scratch_ LIDI_GUARDED_BY(mu_);
 
   /// Reader-visible state. Writers publish the snapshot before advancing
   /// flushed_end_ (release), and readers load flushed_end_ (acquire) before

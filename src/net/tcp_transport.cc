@@ -764,6 +764,11 @@ void TcpTransport::HandleRequest(const std::shared_ptr<Connection>& conn,
       s = result.status();
     }
   }
+  // The admission slot the reactor took covers queue wait plus the
+  // handler's whole run (nested calls and all), as on the sim backend.
+  // Release it before the reply goes out: a caller woken by the reply may
+  // call again at once and must find the slot free.
+  dispatch_limiter_.Exit();
 
   Frame reply;
   reply.type = Frame::kResponse;
@@ -789,9 +794,6 @@ void TcpTransport::WorkerLoop() {
       queue_.pop_front();
     }
     HandleRequest(work.conn, std::move(work.frame));
-    // The admission slot taken by the reactor covers queue wait plus the
-    // handler's whole run; release it only once the response is on its way.
-    dispatch_limiter_.Exit();
   }
 }
 

@@ -168,6 +168,8 @@ class TcpTransport final : public Transport {
 
   void ReactorLoop(Reactor* reactor);
   void WorkerLoop();
+  /// Runs one admitted request frame and sends its reply; releases the
+  /// dispatch slot the reactor took for it.
   void HandleRequest(const std::shared_ptr<Connection>& conn, Frame frame);
   void ReadConn(Reactor* reactor, const std::shared_ptr<Connection>& conn);
   void ReapConn(Reactor* reactor, const std::shared_ptr<Connection>& conn,
@@ -218,7 +220,7 @@ class TcpTransport final : public Transport {
 
   /// Bounded request dispatch (options_.max_dispatch_inflight): a reactor
   /// takes a slot before enqueueing a request frame; the worker releases it
-  /// after the handler's response is sent. Lock-free.
+  /// once the handler returns, before the reply is sent. Lock-free.
   InflightLimiter dispatch_limiter_;
 };
 

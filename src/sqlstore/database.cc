@@ -106,12 +106,10 @@ Binlog::Binlog(BinlogOptions options)
   if (fs_ != nullptr && options_.sync == io::SyncPolicy::kAlways &&
       options_.group_commit && !options_.legacy_advance_on_failed_write) {
     io::GroupCommitOptions group_options;
-    group_options.max_batch_bytes = options_.group_max_batch_bytes;
-    group_options.max_wait_ms = options_.group_max_wait_ms;
     group_options.metrics = options_.metrics;
     group_options.layer = "sqlstore.binlog";
     group_ = std::make_unique<io::GroupCommitter>(
-        [this] { return GroupSyncNow(); }, std::move(group_options));
+        [this] { return GroupSyncNow(); }, group_options);
   }
 }
 
@@ -166,19 +164,18 @@ void Binlog::RecoverLocked() {
   durable_scn_ = next_scn_ - 1;  // everything replayed is on stable storage
 }
 
-/// Write-only half of the persist: encodes into an arena-leased scratch,
-/// stages the record through the submission ring, and advances
-/// persisted_bytes_ on full acceptance. On failure the file is rolled back
-/// to the last acknowledged byte (or, if even that fails, the binlog
-/// declares itself damaged and refuses all further appends — the loud
-/// alternative to silently burying an unacknowledged record).
+/// Write-only half of the persist: encodes the record, appends it, and
+/// advances persisted_bytes_ on full acceptance. On failure the file is
+/// rolled back to the last acknowledged byte (or, if even that fails, the
+/// binlog declares itself damaged and refuses all further appends — the
+/// loud alternative to silently burying an unacknowledged record).
 Status Binlog::StageLocked(const CommittedTransaction& txn) {
   if (damaged_) {
     return Status::IOError("binlog damaged (unacked bytes on disk): " +
                            recovery_status_.message());
   }
-  io::RecordArena::Scratch record(&arena_);
-  EncodeTransaction(txn, record.get());
+  std::string record;
+  EncodeTransaction(txn, &record);
   if (file_ == nullptr) {
     auto file = fs_->OpenAppend(FilePath());
     if (!file.ok()) {
@@ -187,18 +184,9 @@ Status Binlog::StageLocked(const CommittedTransaction& txn) {
     }
     file_ = std::move(file.value());
   }
-  // One-record chain through the ring today; the shape a real io_uring
-  // backend (and multi-record batches) plugs into.
-  sq_.StageAppend(file_.get(), Slice(*record), static_cast<uint64_t>(txn.scn));
-  sq_.Submit();
-  io::Cqe cqe;
   int64_t accepted = 0;
-  Status s;
-  while (sq_.Reap(&cqe)) {
-    accepted += cqe.accepted;
-    if (!cqe.status.ok() && s.ok()) s = cqe.status;
-  }
-  if (s.ok() && accepted < static_cast<int64_t>(record->size())) {
+  Status s = file_->Append(record, &accepted);
+  if (s.ok() && accepted < static_cast<int64_t>(record.size())) {
     s = Status::IOError("short binlog write");
   }
   if (!s.ok()) {
@@ -206,11 +194,10 @@ Status Binlog::StageLocked(const CommittedTransaction& txn) {
     if (options_.legacy_advance_on_failed_write) {
       // The re-introduced bug: pretend the record landed. The file holds a
       // torn prefix that the next append will bury; recovery stops there.
-      persisted_bytes_ += static_cast<int64_t>(record->size());
+      persisted_bytes_ += static_cast<int64_t>(record.size());
       return s;
     }
     file_.reset();
-    unsynced_bytes_ = std::max<int64_t>(0, unsynced_bytes_ - accepted);
     Status t = fs_->TruncateFile(FilePath(), persisted_bytes_);
     if (!t.ok()) {
       damaged_ = true;
@@ -218,8 +205,7 @@ Status Binlog::StageLocked(const CommittedTransaction& txn) {
     }
     return s;
   }
-  unsynced_bytes_ += static_cast<int64_t>(record->size());
-  persisted_bytes_ += static_cast<int64_t>(record->size());
+  persisted_bytes_ += static_cast<int64_t>(record.size());
   return Status::OK();
 }
 
@@ -232,18 +218,16 @@ Status Binlog::PersistLocked(const CommittedTransaction& txn) {
   const int64_t record_start = persisted_bytes_;
   Status s = StageLocked(txn);
   if (!s.ok()) return s;
-  const int64_t record_bytes = persisted_bytes_ - record_start;
   const bool sync_due =
       options_.sync == io::SyncPolicy::kAlways ||
       (options_.sync == io::SyncPolicy::kInterval &&
-       unsynced_bytes_ >= options_.sync_interval_bytes);
+       persisted_bytes_ - synced_bytes_ >= options_.sync_interval_bytes);
   if (!sync_due) return Status::OK();
   // sync-choke-point: inline per-commit fdatasync (non-group kAlways, and
   // interval-policy threshold syncs).
   s = file_->Sync();
   if (s.ok()) {
     if (sync_count_ != nullptr) sync_count_->Increment();
-    unsynced_bytes_ = 0;
     synced_bytes_ = persisted_bytes_;
     durable_scn_ = txn.scn;
     return Status::OK();
@@ -252,7 +236,6 @@ Status Binlog::PersistLocked(const CommittedTransaction& txn) {
   if (options_.legacy_advance_on_failed_write) return s;
   file_.reset();
   persisted_bytes_ = record_start;
-  unsynced_bytes_ = std::max<int64_t>(0, unsynced_bytes_ - record_bytes);
   Status t = fs_->TruncateFile(FilePath(), persisted_bytes_);
   if (!t.ok()) {
     damaged_ = true;
@@ -318,7 +301,6 @@ Result<int64_t> Binlog::GroupSyncNow() {
   if (s.ok()) {
     if (sync_count_ != nullptr) sync_count_->Increment();
     synced_bytes_ = std::max(synced_bytes_, covered);
-    unsynced_bytes_ = std::max<int64_t>(0, persisted_bytes_ - synced_bytes_);
     // Promote covered pending transactions, in stage order — log_ stays
     // dense and holds only durable commits.
     size_t promoted = 0;
@@ -346,7 +328,6 @@ Result<int64_t> Binlog::GroupSyncNow() {
     if (recovery_status_.ok()) recovery_status_ = t;
   }
   persisted_bytes_ = synced_bytes_;
-  unsynced_bytes_ = 0;
   pending_.clear();
   next_scn_ = log_.empty() ? 1 : log_.back().scn + 1;
   return s;

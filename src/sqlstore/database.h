@@ -11,10 +11,8 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "io/arena.h"
 #include "io/file.h"
 #include "io/group_commit.h"
-#include "io/submission_queue.h"
 #include "obs/metrics.h"
 
 namespace lidi::sqlstore {
@@ -73,12 +71,6 @@ struct BinlogOptions {
   /// unless sync == kAlways; incompatible with (and disabled by)
   /// legacy_advance_on_failed_write.
   bool group_commit = false;
-  /// A leader syncs as soon as this many staged-but-unsynced bytes are
-  /// waiting (or immediately, when it is the only committer).
-  int64_t group_max_batch_bytes = 1 << 20;
-  /// > 0: a leader without a full batch parks up to this long for
-  /// piggybackers before syncing. 0 (default) = never wait on the clock.
-  int64_t group_max_wait_ms = 0;
   /// Registry for the durability instruments ("io.sync.count",
   /// "io.write.failed", "io.recovery.torn_truncations", labeled
   /// layer=sqlstore.binlog). Null = not instrumented.
@@ -178,9 +170,10 @@ class Binlog {
   /// Bytes of acknowledged records in the file (rollback target).
   int64_t persisted_bytes_ LIDI_GUARDED_BY(mu_) = 0;
   /// Bytes covered by a successful fdatasync (group-mode rollback target:
-  /// everything past it is indeterminate after a failed sync).
+  /// everything past it is indeterminate after a failed sync). The
+  /// interval policy syncs once persisted_bytes_ - synced_bytes_ reaches
+  /// sync_interval_bytes.
   int64_t synced_bytes_ LIDI_GUARDED_BY(mu_) = 0;
-  int64_t unsynced_bytes_ LIDI_GUARDED_BY(mu_) = 0;
   /// Set when the file holds bytes we could not take back (failed rollback
   /// truncate) — appending past them would bury unacknowledged data.
   bool damaged_ LIDI_GUARDED_BY(mu_) = false;
@@ -188,10 +181,6 @@ class Binlog {
   /// shared_ptr: the group leader copies the handle under mu_ and syncs it
   /// with mu_ released, racing rollback paths that file_.reset().
   std::shared_ptr<io::WritableFile> file_ LIDI_GUARDED_BY(mu_);
-  /// Slab for record-encode scratch buffers (append hot path).
-  io::RecordArena arena_ LIDI_GUARDED_BY(mu_);
-  /// Staging ring for record writes (io_uring shape; see io/submission_queue.h).
-  io::SubmissionQueue sq_ LIDI_GUARDED_BY(mu_);
   mutable int64_t read_calls_ LIDI_GUARDED_BY(mu_) = 0;
 };
 

@@ -331,7 +331,8 @@ class LogEngineImpl : public LogStructuredEngine {
     }
     int64_t accepted = 0;
     Status s = active_file_->Append(record, &accepted);
-    if (s.ok()) {
+    const bool appended = s.ok();
+    if (appended) {
       unsynced_bytes_ += static_cast<int64_t>(record.size());
       const bool sync_due =
           options_.sync == io::SyncPolicy::kAlways ||
@@ -351,7 +352,9 @@ class LogEngineImpl : public LogStructuredEngine {
       // The write (or the sync acknowledging it) failed: the caller will
       // not apply the record in memory, so take it back off the disk too.
       active_file_.reset();
-      unsynced_bytes_ = std::max<int64_t>(0, unsynced_bytes_ - accepted);
+      // Take back only what this call counted: a failed Append counted
+      // nothing, a failed sync counted the whole record.
+      if (appended) unsynced_bytes_ -= static_cast<int64_t>(record.size());
       Status t = fs_->TruncateFile(SegmentPath(segment_index),
                                    persisted_bytes_[segment_index]);
       if (!t.ok()) {

@@ -28,11 +28,9 @@
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/sync.h"
-#include "io/arena.h"
 #include "io/fault_fs.h"
 #include "io/file.h"
 #include "io/group_commit.h"
-#include "io/submission_queue.h"
 #include "kafka/log.h"
 #include "kafka/message.h"
 #include "obs/metrics.h"
@@ -420,6 +418,42 @@ TEST(FaultFsRegressionTest, KafkaShortWritesResumeFromHonestBoundary) {
   EXPECT_EQ(ReadAllPayloads(&recovered), std::vector<std::string>{payload});
 }
 
+// A flush with several pending chunks writes them in order and stops at the
+// first short write, so no later chunk lands in the file behind the hole.
+// Each payload is smaller than the one before: the three failed flushes
+// seal three chunks that never merge.
+TEST(FaultFsRegressionTest, KafkaPersistStopsAtTheFirstShortChunk) {
+  auto mem = io::NewMemFs();
+  io::FaultFsOptions fopts;
+  fopts.seed = 29;
+  fopts.write_error_probability = 1.0;  // nothing lands: chunks pile up
+  io::FaultFs fs(mem.get(), fopts);
+  kafka::LogOptions opts;
+  opts.data_dir = "/p0";
+  opts.fs = &fs;
+  ManualClock clock;
+  const std::vector<std::string> payloads{
+      std::string(300, 'a'), std::string(200, 'b'), std::string(100, 'c')};
+  {
+    kafka::PartitionLog log(opts, &clock);
+    for (const std::string& payload : payloads) {
+      log.Append(OneSet(payload), 1);
+    }
+    fs.SetFaultProbabilities(0, 1.0, 0);  // every write now tears
+    log.Flush();
+    auto size = fs.FileSize("/p0/00000000000000000000.log");
+    ASSERT_TRUE(size.ok());
+    EXPECT_LT(size.value(), static_cast<int64_t>(OneSet(payloads[0]).size()))
+        << "only a prefix of the first chunk may reach the file";
+    EXPECT_EQ(log.flushed_end_offset(), 0);
+    fs.SetFaultProbabilities(0, 0, 0);
+    log.Flush();
+    EXPECT_EQ(log.flushed_end_offset(), log.end_offset());
+  }
+  kafka::PartitionLog recovered(opts, &clock);
+  EXPECT_EQ(ReadAllPayloads(&recovered), payloads);
+}
+
 // Pre-PR, LogEngine::PersistAppendLocked advanced persisted_bytes_ whether
 // or not the stream took the record; a full disk silently produced an
 // engine whose in-memory state no restart could reproduce.
@@ -553,6 +587,94 @@ TEST(FaultFsRegressionTest, KafkaPlausibleLengthGarbageIsTruncated) {
 }
 
 // ---------------------------------------------------------------------------
+// Regression: the interval sync stays on time after a failed append
+// ---------------------------------------------------------------------------
+
+// A rolled-back short write must leave the interval policy's unsynced count
+// alone: it never added its bytes, and subtracting them would make the next
+// fdatasync come that many bytes late. Here the interval is three records,
+// so the third accepted record must sync.
+TEST(FaultFsRegressionTest, BinlogFailedAppendKeepsTheIntervalSyncOnTime) {
+  auto txn = [] {
+    sqlstore::Change change;
+    change.table = "t";
+    change.primary_key = "k";
+    change.row = {{"v", std::string(40, 'v')}};
+    return std::vector<sqlstore::Change>{change};
+  };
+  sqlstore::BinlogOptions bopts;
+  bopts.data_dir = "/db";
+  bopts.sync = io::SyncPolicy::kInterval;
+  int64_t record_bytes = 0;
+  {
+    auto probe_fs = io::NewMemFs();
+    sqlstore::BinlogOptions probe = bopts;
+    probe.fs = probe_fs.get();
+    sqlstore::Binlog binlog(probe);
+    ASSERT_OK(binlog.Append(txn()));
+    auto size = probe_fs->FileSize("/db/binlog.seg");
+    ASSERT_TRUE(size.ok());
+    record_bytes = size.value();
+  }
+  auto mem = io::NewMemFs();
+  io::FaultFsOptions fopts;
+  fopts.seed = 31;
+  io::FaultFs fs(mem.get(), fopts);
+  bopts.fs = &fs;
+  bopts.sync_interval_bytes = 3 * record_bytes;
+  sqlstore::Binlog binlog(bopts);
+  ASSERT_OK(binlog.Append(txn()));
+  ASSERT_OK(binlog.Append(txn()));
+  fs.SetFaultProbabilities(0, 1.0, 0);
+  const int64_t written = fs.total_bytes_written();
+  EXPECT_FALSE(binlog.Append(txn()).ok());
+  ASSERT_GT(fs.total_bytes_written(), written)
+      << "the short write must leave bytes for the rollback to remove";
+  fs.SetFaultProbabilities(0, 0, 0);
+  ASSERT_OK(binlog.Append(txn()));
+  EXPECT_EQ(binlog.LastScn(), 3);
+  EXPECT_EQ(binlog.DurableScn(), 3);
+}
+
+// The same accounting slip in LogEngine::PersistAppendLocked.
+TEST(FaultFsRegressionTest, EngineFailedAppendKeepsTheIntervalSyncOnTime) {
+  const std::string value(40, 'v');
+  storage::LogEngineOptions opts;
+  opts.data_dir = "/kv";
+  opts.sync = io::SyncPolicy::kInterval;
+  int64_t record_bytes = 0;
+  {
+    auto probe_fs = io::NewMemFs();
+    storage::LogEngineOptions probe = opts;
+    probe.fs = probe_fs.get();
+    auto engine = storage::NewLogStructuredEngine(probe);
+    ASSERT_OK(engine->Put("k0", value));
+    record_bytes = engine->GetStats().total_bytes;
+  }
+  auto mem = io::NewMemFs();
+  io::FaultFsOptions fopts;
+  fopts.seed = 37;
+  io::FaultFs fs(mem.get(), fopts);
+  opts.fs = &fs;
+  opts.sync_interval_bytes = 3 * record_bytes;
+  auto engine = storage::NewLogStructuredEngine(opts);
+  ASSERT_OK(engine->Put("k0", value));
+  ASSERT_OK(engine->Put("k1", value));
+  fs.SetFaultProbabilities(0, 1.0, 0);
+  const int64_t written = fs.total_bytes_written();
+  EXPECT_FALSE(engine->Put("k2", value).ok());
+  ASSERT_GT(fs.total_bytes_written(), written)
+      << "the short write must leave bytes for the rollback to remove";
+  fs.SetFaultProbabilities(0, 0, 0);
+  ASSERT_OK(engine->Put("k3", value));
+  EXPECT_EQ(engine->metrics()
+                ->GetCounter("io.sync.count",
+                             {{"layer", "storage.log_engine"}})
+                ->Value(),
+            1);
+}
+
+// ---------------------------------------------------------------------------
 // sqlstore::Binlog persistence basics
 // ---------------------------------------------------------------------------
 
@@ -662,7 +784,7 @@ TEST(SyncPolicyTest, DurableFrontierFollowsThePolicy) {
 }
 
 // ---------------------------------------------------------------------------
-// Group-commit building blocks: GroupCommitter, SubmissionQueue, RecordArena
+// GroupCommitter
 // ---------------------------------------------------------------------------
 
 TEST(GroupCommitterTest, LeaderSyncsCoverAndPiggybackersSkipTheDisk) {
@@ -764,104 +886,6 @@ TEST(GroupCommitterTest, ConcurrentWaitersShareOneCoveringSync) {
   // case is one sync per append; any batching at all pulls it below.
   EXPECT_LE(syncs.load(), kThreads * kAppendsPerThread);
   EXPECT_GE(syncs.load(), 1);
-}
-
-TEST(SubmissionQueueTest, LinkedChainAbortsEverythingAfterAFailure) {
-  auto mem = io::NewMemFs();
-  io::FaultFsOptions fopts;
-  fopts.seed = 11;
-  fopts.write_error_probability = 1.0;  // first link fails
-  io::FaultFs fs(mem.get(), fopts);
-  auto file = fs.OpenAppend("/f");
-  ASSERT_TRUE(file.ok());
-
-  io::SubmissionQueue sq(8);
-  ASSERT_TRUE(sq.StageAppend(file.value().get(), "aaaa", 1));
-  ASSERT_TRUE(sq.StageAppend(file.value().get(), "bbbb", 2));
-  ASSERT_TRUE(sq.StageSync(file.value().get(), 3));
-  EXPECT_EQ(sq.Submit(), 3u);
-
-  io::Cqe cqe;
-  ASSERT_TRUE(sq.Reap(&cqe));
-  EXPECT_EQ(cqe.user_data, 1u);
-  EXPECT_FALSE(cqe.status.ok());
-  ASSERT_TRUE(sq.Reap(&cqe));
-  EXPECT_EQ(cqe.user_data, 2u);
-  EXPECT_EQ(cqe.status.code(), Code::kAborted);  // never executed
-  EXPECT_EQ(cqe.accepted, 0);
-  ASSERT_TRUE(sq.Reap(&cqe));
-  EXPECT_EQ(cqe.user_data, 3u);
-  EXPECT_EQ(cqe.status.code(), Code::kAborted);
-  EXPECT_FALSE(sq.Reap(&cqe));
-  EXPECT_EQ(sq.aborted_links(), 2);
-  // Nothing after the failed link reached the file.
-  auto size = fs.FileSize("/f");
-  ASSERT_TRUE(size.ok());
-  EXPECT_LT(size.value(), 4);
-}
-
-TEST(SubmissionQueueTest, ShortWriteBreaksTheChainWithHonestAccepted) {
-  auto mem = io::NewMemFs();
-  io::FaultFsOptions fopts;
-  fopts.seed = 13;
-  fopts.short_write_probability = 1.0;  // every append is torn
-  io::FaultFs fs(mem.get(), fopts);
-  auto file = fs.OpenAppend("/f");
-  ASSERT_TRUE(file.ok());
-
-  io::SubmissionQueue sq;
-  ASSERT_TRUE(sq.StageAppend(file.value().get(), "0123456789", 1));
-  ASSERT_TRUE(sq.StageAppend(file.value().get(), "abcdefghij", 2));
-  sq.Submit();
-
-  io::Cqe first, second;
-  ASSERT_TRUE(sq.Reap(&first));
-  ASSERT_TRUE(sq.Reap(&second));
-  EXPECT_LT(first.accepted, 10);  // strict prefix, honestly reported
-  EXPECT_EQ(second.status.code(), Code::kAborted);
-  auto size = fs.FileSize("/f");
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(size.value(), first.accepted);  // the later link never ran
-}
-
-TEST(SubmissionQueueTest, FullRingRefusesToStage) {
-  auto mem = io::NewMemFs();
-  auto file = mem->OpenAppend("/f");
-  ASSERT_TRUE(file.ok());
-  io::SubmissionQueue sq(2);
-  EXPECT_TRUE(sq.StageAppend(file.value().get(), "a", 1));
-  EXPECT_TRUE(sq.StageAppend(file.value().get(), "b", 2));
-  EXPECT_FALSE(sq.StageAppend(file.value().get(), "c", 3));  // ring full
-  EXPECT_EQ(sq.Submit(), 2u);
-  EXPECT_TRUE(sq.StageAppend(file.value().get(), "c", 3));  // slots freed
-  EXPECT_EQ(sq.Submit(), 1u);
-  std::string content;
-  ASSERT_TRUE(mem->ReadFile("/f", &content).ok());
-  EXPECT_EQ(content, "abc");
-}
-
-TEST(RecordArenaTest, ReusesRetiredBuffersAndCapsThePool) {
-  io::RecordArena arena(/*max_pooled=*/2);
-  {
-    io::RecordArena::Scratch a(&arena);
-    a->assign(1000, 'x');
-  }
-  EXPECT_EQ(arena.created(), 1);
-  EXPECT_EQ(arena.pooled(), 1u);
-  {
-    io::RecordArena::Scratch b(&arena);
-    EXPECT_TRUE(b->empty());             // cleared...
-    EXPECT_GE(b->capacity(), 1000u);     // ...but capacity retained
-  }
-  EXPECT_EQ(arena.reused(), 1);
-  // Three concurrent leases: pool can only keep two back.
-  std::string* s1 = arena.Acquire();
-  std::string* s2 = arena.Acquire();
-  std::string* s3 = arena.Acquire();
-  arena.Release(s1);
-  arena.Release(s2);
-  arena.Release(s3);
-  EXPECT_EQ(arena.pooled(), 2u);
 }
 
 // ---------------------------------------------------------------------------
