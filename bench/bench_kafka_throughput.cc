@@ -55,11 +55,7 @@ std::string TransportMode(int argc, char** argv) {
 }
 
 std::unique_ptr<net::Transport> MakeTransport(const std::string& mode) {
-  if (mode == "tcp") {
-    net::TcpTransportOptions options;
-    options.worker_threads = 4;
-    return std::make_unique<net::TcpTransport>(options);
-  }
+  if (mode == "tcp") return std::make_unique<net::TcpTransport>();
   return std::make_unique<net::Network>();
 }
 

@@ -49,7 +49,7 @@
 #
 # Nightly-style deep sweep (not part of the merge gate; run it before
 # release branches or after touching crash/recovery paths):
-#   scripts/check.sh sweep        # 500-seed x 50-event simulation sweep
+#   scripts/check.sh sweep        # 5000-seed x 50-event simulation sweep
 set -eu
 
 JOBS="${1:-$(nproc 2>/dev/null || echo 4)}"
@@ -58,15 +58,15 @@ cd "$ROOT"
 
 say() { printf '\n==== check: %s ====\n' "$*"; }
 
-# Deep simulation sweep: 500 seeded random chaos schedules against the full
+# Deep simulation sweep: 5000 seeded random chaos schedules against the full
 # invariant catalogue. Failures print a ddmin-shrunk reproducer; replay with
 # LIDI_SIM_SEED=<seed>.
 if [ "${1:-}" = "sweep" ]; then
   JOBS="$(nproc 2>/dev/null || echo 4)"
-  say "simulation sweep (LIDI_SIM_SEEDS=${LIDI_SIM_SEEDS:-500})"
+  say "simulation sweep (LIDI_SIM_SEEDS=${LIDI_SIM_SEEDS:-5000})"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j"$JOBS"
-  LIDI_SIM_SEEDS="${LIDI_SIM_SEEDS:-500}" \
+  LIDI_SIM_SEEDS="${LIDI_SIM_SEEDS:-5000}" \
     ctest --test-dir build --output-on-failure -L sim
   say "sweep OK"
   exit 0

@@ -86,16 +86,19 @@ namespace lidi {
 /// unranked locks (-1) rely on the observed-order graph instead. Mirrored in
 /// DESIGN.md §8 — keep the two in sync.
 namespace lockrank {
-// net/network: endpoint registry; never held across a handler call.
+// net/network: the sim's fault and virtual-time state; a leaf.
 inline constexpr int kNetEndpoints = 10;
-// net/tcp_transport: transport state (handlers/listeners/pools) ->
-// per-reactor source map -> per-connection outbox/pending -> worker queue.
+// net/tcp_transport: transport state (listeners/pools) -> reactor source
+// map -> per-connection outbox/pending -> worker queue.
+// net/transport: the endpoint table both backends share (handlers, endpoint
+// counters); taken under the TCP state lock when an endpoint registers.
 // All sit below the subsystem locks (>= 20) because handlers run with none
 // of them held, and callers must not hold subsystem locks across a Call.
 inline constexpr int kNetTcpState = 12;
 inline constexpr int kNetTcpReactor = 13;
 inline constexpr int kNetTcpConn = 14;
 inline constexpr int kNetTcpQueue = 16;
+inline constexpr int kNetTable = 17;
 // kafka: broker partition map -> per-partition log writer -> snapshot
 // micro-mutex. Readers take only the snapshot micro-mutex.
 inline constexpr int kKafkaBrokerPartitions = 20;

@@ -280,15 +280,6 @@ int Broker::EnforceRetention() {
   return deleted;
 }
 
-TransferStats Broker::transfer_stats() const {
-  TransferStats stats;
-  stats.bytes_copied = fetch_bytes_copied_->Value();
-  stats.bytes_avoided = fetch_bytes_avoided_->Value();
-  stats.syscalls = fetch_syscalls_->Value();
-  stats.fetches = fetch_count_->Value();
-  return stats;
-}
-
 void Broker::SetQuotaEnforcing(bool enforcing) {
   produce_quota_.set_enforcing(enforcing);
   fetch_quota_.set_enforcing(enforcing);

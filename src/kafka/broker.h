@@ -23,21 +23,10 @@ namespace lidi::kafka {
 /// measures actual memory bandwidth. kSendfile models the sendfile API
 /// (direct file channel -> socket channel): the broker hands out a pinned
 /// view of the log's segment buffer and the CPU copies nothing — the two
-/// remaining transfers of real sendfile are DMA, not memcpy, so they appear
-/// in bytes_avoided rather than bytes_copied.
+/// remaining transfers of real sendfile are DMA, not memcpy, so they count
+/// in the registry's "kafka.fetch.bytes_avoided{broker=...}" rather than
+/// "kafka.fetch.bytes_copied".
 enum class TransferMode { kFourCopy, kSendfile };
-
-/// Copy accounting for the fetch path. A *view* over the broker's registry
-/// instruments ("kafka.fetch.bytes_copied{broker=...}" et al.):
-/// transfer_stats() materializes it, and the identical numbers appear in
-/// the registry's Snapshot().
-struct TransferStats {
-  int64_t bytes_copied = 0;   // real memcpy traffic incurred serving fetches
-  int64_t bytes_avoided = 0;  // copy traffic the four-copy path would have
-                              // incurred that the zero-copy path skipped
-  int64_t syscalls = 0;       // simulated syscall count
-  int64_t fetches = 0;
-};
 
 struct BrokerOptions {
   LogOptions log;
@@ -108,8 +97,6 @@ class Broker {
   /// Runs the retention janitor over all logs. Returns segments deleted.
   int EnforceRetention();
 
-  TransferStats transfer_stats() const;
-
   /// Quota kill switch (the sim harness ends admission pressure before
   /// settling; see PerClientQuota::set_enforcing).
   void SetQuotaEnforcing(bool enforcing);
@@ -141,9 +128,10 @@ class Broker {
 
   /// Registry instruments (from network->metrics()); the stats hot path is
   /// relaxed atomics, no broker mutex.
-  obs::Counter* fetch_bytes_copied_;
-  obs::Counter* fetch_bytes_avoided_;
-  obs::Counter* fetch_syscalls_;
+  obs::Counter* fetch_bytes_copied_;   // real memcpy traffic serving fetches
+  obs::Counter* fetch_bytes_avoided_;  // four-copy traffic the zero-copy
+                                       // path skipped
+  obs::Counter* fetch_syscalls_;       // simulated syscall count
   obs::Counter* fetch_count_;
   obs::Counter* produce_count_;
   obs::Counter* produce_messages_;

@@ -1,65 +1,18 @@
 #include "net/network.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace lidi::net {
 
 Network::Network(uint64_t fault_seed, obs::MetricsRegistry* metrics,
                  const Clock* clock, int64_t max_dispatch_inflight)
     : clock_(clock != nullptr ? clock : SystemClock::Default()),
-      rng_(fault_seed),
-      dispatch_limiter_(max_dispatch_inflight) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>(clock_);
-    metrics_ = owned_metrics_.get();
-  } else {
-    metrics_ = metrics;
-  }
-}
-
-void Network::RegisterPayload(const Address& addr, const std::string& method,
-                              PayloadHandler handler) {
-  MutexLock lock(&mu_);
-  handlers_[addr][method] = std::move(handler);
-}
-
-void Network::Unregister(const Address& addr) {
-  MutexLock lock(&mu_);
-  handlers_.erase(addr);
-}
-
-void Network::Shutdown() {
-  MutexLock lock(&mu_);
-  shutdown_ = true;
-}
-
-Network::EndpointInstruments* Network::InstrumentsLocked(const Address& addr) {
-  auto it = stats_.find(addr);
-  if (it != stats_.end()) return &it->second;
-  EndpointInstruments inst;
-  const obs::Labels labels{{"endpoint", addr}};
-  inst.calls_received = metrics_->GetCounter("net.calls_received", labels);
-  inst.calls_sent = metrics_->GetCounter("net.calls_sent", labels);
-  inst.bytes_received = metrics_->GetCounter("net.bytes_received", labels);
-  inst.bytes_sent = metrics_->GetCounter("net.bytes_sent", labels);
-  inst.dispatch_shed = metrics_->GetCounter("net.dispatch.shed", labels);
-  return &stats_.emplace(addr, inst).first->second;
-}
+      table_(metrics, clock_, max_dispatch_inflight),
+      rng_(fault_seed) {}
 
 Status Network::Route(const Address& from, const Address& to,
-                      const std::string& method, Slice request,
-                      int64_t deadline_micros, PayloadHandler* out,
-                      bool* admitted) {
-  *admitted = false;
+                      int64_t deadline_micros) {
   MutexLock lock(&mu_);
-  if (shutdown_) {
-    return Status::Unavailable("transport shut down");
-  }
-  total_calls_.fetch_add(1, std::memory_order_relaxed);
-  EndpointInstruments* sender = InstrumentsLocked(from);
-  sender->calls_sent->Increment();
-  sender->bytes_sent->Add(static_cast<int64_t>(request.size()));
-
   // Virtual time: the message in flight is what moves the clock. Stepping
   // before the deadline check means a delay burst can time calls out, which
   // is exactly the failure mode the burst models.
@@ -72,9 +25,8 @@ Status Network::Route(const Address& from, const Address& to,
     step_clock_->AdvanceMicros(step);
   }
 
-  if (deadline_micros != 0 && clock_->NowMicros() > deadline_micros) {
-    return Status::Timeout("deadline budget exhausted calling " + to);
-  }
+  Status s = table_.CheckDeadline(deadline_micros, to);
+  if (!s.ok()) return s;
   if (down_.count(to) > 0) {
     return Status::Unavailable("node down: " + to);
   }
@@ -89,26 +41,6 @@ Status Network::Route(const Address& from, const Address& to,
   if (drop_probability_ > 0 && rng_.Bernoulli(drop_probability_)) {
     return Status::Timeout("message dropped by fault injector");
   }
-  // Bounded dispatch: admission is checked before endpoint lookup — same
-  // shed point as the TCP backend's reactor, which rejects before handing
-  // the frame to a worker. A shed request never touches receiver stats.
-  if (!dispatch_limiter_.TryEnter()) {
-    InstrumentsLocked(to)->dispatch_shed->Increment();
-    return Status::Overloaded("dispatch queue full at " + to);
-  }
-  *admitted = true;
-  auto node_it = handlers_.find(to);
-  if (node_it == handlers_.end()) {
-    return Status::NotFound("no endpoint: " + to);
-  }
-  auto method_it = node_it->second.find(method);
-  if (method_it == node_it->second.end()) {
-    return Status::NotFound("no method " + method + " at " + to);
-  }
-  *out = method_it->second;
-  EndpointInstruments* receiver = InstrumentsLocked(to);
-  receiver->calls_received->Increment();
-  receiver->bytes_received->Add(static_cast<int64_t>(request.size()));
   return Status::OK();
 }
 
@@ -120,24 +52,19 @@ Result<PinnedSlice> Network::CallPayload(const Address& from,
   internal::CallSpan call = internal::CallSpan::Begin(
       options, to, method, request.size(), clock_->NowMicros());
 
-  obs::LatencyHistogram* latency;
+  obs::LatencyHistogram* latency = nullptr;
+  Status s = table_.BeginCall(from, method, request.size(), &latency);
+  if (s.ok()) s = Route(from, to, call.deadline_micros);
+  // Bounded dispatch: admission is checked before endpoint lookup, the same
+  // shed point as the TCP backend's reactor.
+  if (s.ok()) s = table_.Admit(to);
+  const bool admitted = s.ok();
   PayloadHandler handler;
-  bool admitted = false;
-  Status s = Route(from, to, method, request, call.deadline_micros, &handler,
-                   &admitted);
-  {
-    MutexLock lock(&mu_);
-    auto [it, inserted] = method_latency_.try_emplace(method, nullptr);
-    if (inserted) {
-      it->second =
-          metrics_->GetHistogram("net.call_micros", {{"method", method}});
-    }
-    latency = it->second;
-  }
+  if (s.ok()) s = table_.Lookup(to, method, request.size(), &handler);
 
   PinnedSlice response;
   if (s.ok()) {
-    // Invoke outside the lock so handlers can place nested calls; those
+    // Invoke outside every lock so handlers can place nested calls; those
     // calls pick up this span as their parent via the ambient context.
     internal::AmbientTraceScope ambient(call.ChildContext());
     internal::CallerScope caller(from);
@@ -150,12 +77,9 @@ Result<PinnedSlice> Network::CallPayload(const Address& from,
   }
   // The admission slot covers the handler's whole run (nested calls and
   // all) — that is what makes the in-flight count a queue-depth signal.
-  if (admitted) dispatch_limiter_.Exit();
+  if (admitted) table_.Release();
 
-  const int64_t end_micros = clock_->NowMicros();
-  latency->Record(end_micros - call.span.start_micros);
-  call.Finish(s, response.size(), end_micros, metrics_);
-
+  call.Finish(s, response.size(), clock_->NowMicros(), latency, metrics());
   if (!s.ok()) return s;
   return response;
 }
@@ -223,29 +147,6 @@ void Network::EnableVirtualTimeStepping(ManualClock* clock,
 void Network::SetDelayBurst(int64_t extra_micros) {
   MutexLock lock(&mu_);
   delay_burst_micros_ = extra_micros;
-}
-
-EndpointStats Network::GetStats(const Address& addr) const {
-  MutexLock lock(&mu_);
-  auto it = stats_.find(addr);
-  if (it == stats_.end()) return EndpointStats{};
-  EndpointStats out;
-  out.calls_received = it->second.calls_received->Value();
-  out.calls_sent = it->second.calls_sent->Value();
-  out.bytes_received = it->second.bytes_received->Value();
-  out.bytes_sent = it->second.bytes_sent->Value();
-  return out;
-}
-
-void Network::ResetStats() {
-  MutexLock lock(&mu_);
-  for (auto& [addr, inst] : stats_) {
-    inst.calls_received->Reset();
-    inst.calls_sent->Reset();
-    inst.bytes_received->Reset();
-    inst.bytes_sent->Reset();
-  }
-  total_calls_ = 0;
 }
 
 }  // namespace lidi::net

@@ -1,17 +1,14 @@
 #ifndef LIDI_NET_NETWORK_H_
 #define LIDI_NET_NETWORK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
-#include "common/overload.h"
 #include "common/random.h"
 #include "common/sync.h"
 #include "net/transport.h"
@@ -41,8 +38,8 @@ class Network final : public Transport {
   /// placed by handlers hold slots too, so the bound must exceed the
   /// deepest call chain times expected concurrency). 0 = unbounded. A call
   /// refused admission fails Overloaded("dispatch queue full at <to>") and
-  /// increments "net.dispatch.shed{endpoint=<to>}" — byte-identical to the
-  /// TCP backend (transport_parity_test).
+  /// increments "net.dispatch.shed{endpoint=<to>}", through the same
+  /// internal::EndpointTable the TCP backend admits with.
   explicit Network(uint64_t fault_seed = 42,
                    obs::MetricsRegistry* metrics = nullptr,
                    const Clock* clock = nullptr,
@@ -51,12 +48,14 @@ class Network final : public Transport {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  obs::MetricsRegistry* metrics() const override { return metrics_; }
+  obs::MetricsRegistry* metrics() const override { return table_.metrics(); }
 
   void RegisterPayload(const Address& addr, const std::string& method,
-                       PayloadHandler handler) override;
+                       PayloadHandler handler) override {
+    table_.Register(addr, method, std::move(handler));
+  }
 
-  void Unregister(const Address& addr) override;
+  void Unregister(const Address& addr) override { table_.Unregister(addr); }
 
   using Transport::Call;
   using Transport::CallPayload;
@@ -69,7 +68,7 @@ class Network final : public Transport {
                                   const std::string& method, Slice request,
                                   const CallOptions& options) override;
 
-  void Shutdown() override;
+  void Shutdown() override { table_.Shutdown(); }
 
   // --- fault injection ---
 
@@ -112,45 +111,28 @@ class Network final : public Transport {
   /// stepping enabled.
   void SetDelayBurst(int64_t extra_micros);
 
-  EndpointStats GetStats(const Address& addr) const override;
-  void ResetStats() override;
+  EndpointStats GetStats(const Address& addr) const override {
+    return table_.GetStats(addr);
+  }
+  void ResetStats() override { table_.ResetStats(); }
 
-  int64_t total_calls() const override { return total_calls_.load(); }
+  int64_t total_calls() const override { return table_.total_calls(); }
 
  private:
-  /// Cached per-endpoint registry counters (the backing store of
-  /// EndpointStats).
-  struct EndpointInstruments {
-    obs::Counter* calls_received = nullptr;
-    obs::Counter* calls_sent = nullptr;
-    obs::Counter* bytes_received = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* dispatch_shed = nullptr;
-  };
-
-  /// Fault-injection and stats bookkeeping (under mu_). Returns a non-OK
-  /// status if the call must fail, otherwise copies the method's handler
-  /// into *out. On success *admitted is true and the caller owns one
-  /// dispatch_limiter_ slot (released after the handler returns).
+  /// Fault injection (under mu_), after the table has counted the sender:
+  /// steps virtual time, then fails the call if its deadline has passed or
+  /// `to` is down, partitioned off from `from`, or drawn for a drop.
   Status Route(const Address& from, const Address& to,
-               const std::string& method, Slice request,
-               int64_t deadline_micros, PayloadHandler* out, bool* admitted);
+               int64_t deadline_micros);
 
-  EndpointInstruments* InstrumentsLocked(const Address& addr)
-      LIDI_REQUIRES(mu_);
-
-  obs::MetricsRegistry* metrics_;                    // never null
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   const Clock* const clock_;
+  // tsa-ok: internally synchronized; its net.table lock is never taken
+  // under mu_.
+  internal::EndpointTable table_;
 
-  /// Outermost lock in the system (rank kNetEndpoints): handlers run with
-  /// it released, but registry instruments are created under it, so it
-  /// orders before the obs locks and every subsystem lock taken by a
-  /// handler must rank above it.
+  /// Sim fault and virtual-time state (rank kNetEndpoints): a leaf, never
+  /// held across a handler call.
   mutable Mutex mu_{"net.endpoints", lockrank::kNetEndpoints};
-  std::map<Address, std::map<std::string, PayloadHandler>> handlers_
-      LIDI_GUARDED_BY(mu_);
-  bool shutdown_ LIDI_GUARDED_BY(mu_) = false;
   std::set<Address> down_ LIDI_GUARDED_BY(mu_);
   std::set<Address> partition_a_ LIDI_GUARDED_BY(mu_);
   bool partitioned_ LIDI_GUARDED_BY(mu_) = false;
@@ -160,16 +142,7 @@ class Network final : public Transport {
   int64_t delay_burst_micros_ LIDI_GUARDED_BY(mu_) = 0;
   std::vector<std::function<void()>> heal_listeners_ LIDI_GUARDED_BY(mu_);
   Random rng_ LIDI_GUARDED_BY(mu_);
-  std::map<Address, EndpointInstruments> stats_ LIDI_GUARDED_BY(mu_);
-  std::map<std::string, obs::LatencyHistogram*> method_latency_
-      LIDI_GUARDED_BY(mu_);  // cache
-  std::atomic<int64_t> total_calls_{0};
-  InflightLimiter dispatch_limiter_;  // lock-free; checked inside Route
 };
-
-/// The interface-era name for the deterministic backend; `Network` remains
-/// the primary spelling across the sim harness and tests.
-using SimTransport = Network;
 
 }  // namespace lidi::net
 

@@ -28,6 +28,23 @@ constexpr int kSourceConn = 2;
 /// far below IOV_MAX. A longer outbox drains over further sendmsg calls.
 constexpr size_t kMaxIovecs = 64;
 
+/// Handler worker threads. Request frames run here, never on the reactor,
+/// so a handler that places nested calls cannot deadlock the event loop
+/// that must deliver its responses.
+constexpr int kWorkerThreads = 4;
+
+/// Synchronous connect budget per dial attempt.
+constexpr int64_t kConnectTimeoutMillis = 1000;
+
+/// Calls with no deadline still complete or fail within this bound.
+constexpr int64_t kDefaultCallTimeoutMillis = 10'000;
+
+/// Reconnect backoff after a failed dial: doubles per consecutive failure
+/// from the initial value up to the max; calls inside the window fast-fail
+/// Unavailable.
+constexpr int64_t kReconnectBackoffInitialMillis = 5;
+constexpr int64_t kReconnectBackoffMaxMillis = 500;
+
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -40,9 +57,8 @@ void SetNoDelay(int fd) {
 }  // namespace
 
 /// One registered epoll interest: a wake eventfd, a listener, or a
-/// connection. epoll_event.data.ptr points here; the owning reactor's
-/// sources map holds the shared_ptr that keeps it alive until the fd is
-/// deregistered.
+/// connection. epoll_event.data.ptr points here; the reactor's sources map
+/// holds the shared_ptr that keeps it alive until the fd is deregistered.
 struct TcpTransport::FdSource {
   int kind;
   int fd = -1;
@@ -52,7 +68,6 @@ struct TcpTransport::FdSource {
 struct TcpTransport::Listener : FdSource {
   Address addr;
   uint16_t port = 0;
-  Reactor* reactor = nullptr;
 };
 
 /// A parked synchronous call: filled in by the reactor when the matching
@@ -79,7 +94,6 @@ struct TcpTransport::OutChunk {
 };
 
 struct TcpTransport::Connection : FdSource {
-  Reactor* reactor = nullptr;
   Address peer;           // destination address (client conns only)
   bool is_client = false;
 
@@ -95,8 +109,8 @@ struct TcpTransport::Connection : FdSource {
   std::string inbuf;
 
   /// Fails every parked call and marks the connection dead. The fd itself
-  /// is closed only by the owning reactor (or final teardown), so the fd
-  /// number cannot be reused while epoll events for it are in flight.
+  /// is closed only by the reactor (or final teardown), so the fd number
+  /// cannot be reused while epoll events for it are in flight.
   void CloseLocked(const Status& status) LIDI_REQUIRES(mu) {
     if (closed) return;
     closed = true;
@@ -113,9 +127,9 @@ struct TcpTransport::Connection : FdSource {
   /// gathers the unsent bytes of every queued chunk (up to kMaxIovecs
   /// segments), so a frame reaches the peer whole and its reactor wakes
   /// once, not once per segment. Returns false on a fatal socket error (the
-  /// connection is CloseLocked'd); leftover bytes arm EPOLLOUT via
-  /// want_write.
-  bool FlushLocked() LIDI_REQUIRES(mu) {
+  /// connection is CloseLocked'd); leftover bytes arm EPOLLOUT on `epfd`
+  /// via want_write.
+  bool FlushLocked(int epfd) LIDI_REQUIRES(mu) {
     while (!outbox.empty()) {
       iovec iov[kMaxIovecs];
       size_t n_iov = 0;
@@ -143,7 +157,7 @@ struct TcpTransport::Connection : FdSource {
       const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          ArmWriteLocked();  // retry on the next writable event
+          ArmWriteLocked(epfd);  // retry on the next writable event
           return true;
         }
         CloseLocked(Status::Unavailable(Errno("sendmsg")));
@@ -164,17 +178,17 @@ struct TcpTransport::Connection : FdSource {
         outbox.pop_front();
       }
       if (static_cast<size_t>(n) < gathered) {
-        ArmWriteLocked();  // short write: the socket buffer is full
+        ArmWriteLocked(epfd);  // short write: the socket buffer is full
         return true;
       }
     }
     return true;
   }
 
-  void ArmWriteLocked() LIDI_REQUIRES(mu);
+  void ArmWriteLocked(int epfd) LIDI_REQUIRES(mu);
 };
 
-/// One epoll loop: owns an epoll instance, a wake eventfd, and the sources
+/// The epoll loop: owns an epoll instance, a wake eventfd, and the sources
 /// registered with it. Other threads may epoll_ctl fds in (kernel-safe) but
 /// only the reactor thread (or final single-threaded teardown) closes them.
 struct TcpTransport::Reactor {
@@ -222,13 +236,13 @@ struct TcpTransport::Reactor {
   }
 };
 
-void TcpTransport::Connection::ArmWriteLocked() {
+void TcpTransport::Connection::ArmWriteLocked(int epfd) {
   if (want_write || closed) return;
   want_write = true;
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLOUT;
   ev.data.ptr = static_cast<FdSource*>(this);
-  ::epoll_ctl(reactor->epfd, EPOLL_CTL_MOD, fd, &ev);
+  ::epoll_ctl(epfd, EPOLL_CTL_MOD, fd, &ev);
 }
 
 struct TcpTransport::PeerPool {
@@ -247,33 +261,17 @@ TcpTransport::TcpTransport(TcpTransportOptions options,
                            obs::MetricsRegistry* metrics, const Clock* clock)
     : options_(options),
       clock_(clock != nullptr ? clock : SystemClock::Default()),
-      dispatch_limiter_(options.max_dispatch_inflight) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>(clock_);
-    metrics_ = owned_metrics_.get();
-  } else {
-    metrics_ = metrics;
-  }
-
-  const int n_reactors = std::max(1, options_.reactor_threads);
-  reactors_.reserve(static_cast<size_t>(n_reactors));
-  for (int i = 0; i < n_reactors; ++i) {
-    auto reactor = std::make_unique<Reactor>();
-    reactor->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    auto wake = std::make_shared<FdSource>();
-    wake->kind = kSourceWake;
-    wake->fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    reactor->wake = wake;
-    reactor->AddSource(wake, EPOLLIN);
-    reactors_.push_back(std::move(reactor));
-  }
-  for (auto& reactor : reactors_) {
-    Reactor* r = reactor.get();
-    r->thread = std::thread([this, r] { ReactorLoop(r); });
-  }
-  const int n_workers = std::max(1, options_.worker_threads);
-  workers_.reserve(static_cast<size_t>(n_workers));
-  for (int i = 0; i < n_workers; ++i) {
+      table_(metrics, clock_, options.max_dispatch_inflight),
+      reactor_(std::make_unique<Reactor>()) {
+  reactor_->epfd = ::epoll_create1(EPOLL_CLOEXEC);
+  auto wake = std::make_shared<FdSource>();
+  wake->kind = kSourceWake;
+  wake->fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  reactor_->wake = wake;
+  reactor_->AddSource(wake, EPOLLIN);
+  reactor_->thread = std::thread([this] { ReactorLoop(); });
+  workers_.reserve(kWorkerThreads);
+  for (int i = 0; i < kWorkerThreads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -281,11 +279,6 @@ TcpTransport::TcpTransport(TcpTransportOptions options,
 TcpTransport::~TcpTransport() {
   Shutdown();
   StopThreads();
-}
-
-void TcpTransport::Shutdown() {
-  MutexLock lock(&state_mu_);
-  shutdown_ = true;
 }
 
 void TcpTransport::StopThreads() {
@@ -296,31 +289,27 @@ void TcpTransport::StopThreads() {
     queue_cv_.NotifyAll();
   }
   for (auto& worker : workers_) worker.join();
-  for (auto& reactor : reactors_) {
-    reactor->stop.store(true);
-    reactor->Wake();
-    reactor->thread.join();
-  }
+  reactor_->stop.store(true);
+  reactor_->Wake();
+  reactor_->thread.join();
   // Single-threaded from here: fail every parked call, then close every fd.
-  for (auto& reactor : reactors_) {
-    std::vector<std::shared_ptr<FdSource>> sources;
-    {
-      MutexLock lock(&reactor->mu);
-      for (auto& [ptr, source] : reactor->sources) sources.push_back(source);
-      reactor->sources.clear();
-      reactor->to_close.clear();
-    }
-    for (auto& source : sources) {
-      if (source->kind == kSourceConn) {
-        auto* conn = static_cast<Connection*>(source.get());
-        MutexLock lock(&conn->mu);
-        conn->CloseLocked(Status::Unavailable("transport shut down"));
-      }
-      if (source->fd >= 0) ::close(source->fd);
-      source->fd = -1;
-    }
-    ::close(reactor->epfd);
+  std::vector<std::shared_ptr<FdSource>> sources;
+  {
+    MutexLock lock(&reactor_->mu);
+    for (auto& [ptr, source] : reactor_->sources) sources.push_back(source);
+    reactor_->sources.clear();
+    reactor_->to_close.clear();
   }
+  for (auto& source : sources) {
+    if (source->kind == kSourceConn) {
+      auto* conn = static_cast<Connection*>(source.get());
+      MutexLock lock(&conn->mu);
+      conn->CloseLocked(internal::EndpointTable::ShutDownError());
+    }
+    if (source->fd >= 0) ::close(source->fd);
+    source->fd = -1;
+  }
+  ::close(reactor_->epfd);
   MutexLock lock(&state_mu_);
   listeners_.clear();
   pools_.clear();
@@ -331,8 +320,10 @@ void TcpTransport::StopThreads() {
 void TcpTransport::RegisterPayload(const Address& addr,
                                    const std::string& method,
                                    PayloadHandler handler) {
+  // Under state_mu_, so an endpoint's handlers and its listener change
+  // together.
   MutexLock lock(&state_mu_);
-  handlers_[addr][method] = std::move(handler);
+  table_.Register(addr, method, std::move(handler));
   if (listeners_.count(addr) > 0) return;
 
   auto listener = std::make_shared<Listener>();
@@ -357,10 +348,7 @@ void TcpTransport::RegisterPayload(const Address& addr,
   ::getsockname(listener->fd, reinterpret_cast<sockaddr*>(&sin), &len);
   listener->port = ntohs(sin.sin_port);
 
-  Reactor* reactor =
-      reactors_[next_reactor_.fetch_add(1) % reactors_.size()].get();
-  listener->reactor = reactor;
-  reactor->AddSource(listener, EPOLLIN);
+  reactor_->AddSource(listener, EPOLLIN);
   listeners_[addr] = std::move(listener);
 }
 
@@ -368,7 +356,7 @@ void TcpTransport::Unregister(const Address& addr) {
   std::shared_ptr<Listener> listener;
   {
     MutexLock lock(&state_mu_);
-    handlers_.erase(addr);
+    table_.Unregister(addr);
     auto it = listeners_.find(addr);
     if (it != listeners_.end()) {
       listener = it->second;
@@ -377,7 +365,7 @@ void TcpTransport::Unregister(const Address& addr) {
   }
   // The reactor owns the fd close so in-flight epoll events can't touch a
   // reused descriptor.
-  if (listener != nullptr) listener->reactor->RequestClose(listener);
+  if (listener != nullptr) reactor_->RequestClose(listener);
 }
 
 uint16_t TcpTransport::ListenPort(const Address& addr) const {
@@ -406,57 +394,8 @@ void TcpTransport::DropConnections(const Address& peer) {
       MutexLock lock(&conn->mu);
       conn->CloseLocked(Status::Unavailable("connection dropped"));
     }
-    conn->reactor->RequestClose(conn);
+    reactor_->RequestClose(conn);
   }
-}
-
-// --- stats -----------------------------------------------------------------
-
-TcpTransport::EndpointInstruments* TcpTransport::InstrumentsLocked(
-    const Address& addr) {
-  auto it = stats_.find(addr);
-  if (it != stats_.end()) return &it->second;
-  EndpointInstruments inst;
-  const obs::Labels labels{{"endpoint", addr}};
-  inst.calls_received = metrics_->GetCounter("net.calls_received", labels);
-  inst.calls_sent = metrics_->GetCounter("net.calls_sent", labels);
-  inst.bytes_received = metrics_->GetCounter("net.bytes_received", labels);
-  inst.bytes_sent = metrics_->GetCounter("net.bytes_sent", labels);
-  inst.dispatch_shed = metrics_->GetCounter("net.dispatch.shed", labels);
-  return &stats_.emplace(addr, inst).first->second;
-}
-
-obs::LatencyHistogram* TcpTransport::MethodLatency(const std::string& method) {
-  MutexLock lock(&state_mu_);
-  auto [it, inserted] = method_latency_.try_emplace(method, nullptr);
-  if (inserted) {
-    it->second =
-        metrics_->GetHistogram("net.call_micros", {{"method", method}});
-  }
-  return it->second;
-}
-
-EndpointStats TcpTransport::GetStats(const Address& addr) const {
-  MutexLock lock(&state_mu_);
-  auto it = stats_.find(addr);
-  if (it == stats_.end()) return EndpointStats{};
-  EndpointStats out;
-  out.calls_received = it->second.calls_received->Value();
-  out.calls_sent = it->second.calls_sent->Value();
-  out.bytes_received = it->second.bytes_received->Value();
-  out.bytes_sent = it->second.bytes_sent->Value();
-  return out;
-}
-
-void TcpTransport::ResetStats() {
-  MutexLock lock(&state_mu_);
-  for (auto& [addr, inst] : stats_) {
-    inst.calls_received->Reset();
-    inst.calls_sent->Reset();
-    inst.bytes_received->Reset();
-    inst.bytes_sent->Reset();
-  }
-  total_calls_ = 0;
 }
 
 // --- client path -----------------------------------------------------------
@@ -476,7 +415,7 @@ Status TcpTransport::Resolve(const Address& to, std::string* host,
     *port = peer->second.second;
     return Status::OK();
   }
-  return Status::NotFound("no endpoint: " + to);
+  return internal::EndpointTable::NoEndpointError(to);
 }
 
 std::shared_ptr<TcpTransport::Connection> TcpTransport::DialLocked(
@@ -501,7 +440,7 @@ std::shared_ptr<TcpTransport::Connection> TcpTransport::DialLocked(
   }
   int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&sin), sizeof(sin));
   if (rc < 0 && errno == EINPROGRESS) {
-    int64_t budget_millis = options_.connect_timeout_millis;
+    int64_t budget_millis = kConnectTimeoutMillis;
     if (deadline_micros != 0) {
       const int64_t remaining =
           (deadline_micros - clock_->NowMicros()) / 1000;
@@ -532,9 +471,7 @@ std::shared_ptr<TcpTransport::Connection> TcpTransport::DialLocked(
   conn->fd = fd;
   conn->peer = to;
   conn->is_client = true;
-  conn->reactor =
-      reactors_[next_reactor_.fetch_add(1) % reactors_.size()].get();
-  conn->reactor->AddSource(conn, EPOLLIN);
+  reactor_->AddSource(conn, EPOLLIN);
   return conn;
 }
 
@@ -580,9 +517,9 @@ Result<std::shared_ptr<TcpTransport::Connection>> TcpTransport::GetConnection(
   if (conn == nullptr) {
     pool.consecutive_failures++;
     const int64_t backoff = std::min(
-        options_.reconnect_backoff_initial_millis
+        kReconnectBackoffInitialMillis
             << std::min(pool.consecutive_failures - 1, 10),
-        options_.reconnect_backoff_max_millis);
+        kReconnectBackoffMaxMillis);
     pool.not_before_micros = clock_->NowMicros() + backoff * 1000;
     return dial_error;
   }
@@ -599,27 +536,14 @@ Result<PinnedSlice> TcpTransport::CallPayload(const Address& from,
                                               const CallOptions& options) {
   internal::CallSpan call = internal::CallSpan::Begin(
       options, to, method, request.size(), clock_->NowMicros());
-  obs::LatencyHistogram* latency = MethodLatency(method);
-
+  obs::LatencyHistogram* latency = nullptr;
   Status s = Status::OK();
   std::string payload;
   do {
-    {
-      MutexLock lock(&state_mu_);
-      if (shutdown_) {
-        s = Status::Unavailable("transport shut down");
-        break;
-      }
-      total_calls_.fetch_add(1, std::memory_order_relaxed);
-      EndpointInstruments* sender = InstrumentsLocked(from);
-      sender->calls_sent->Increment();
-      sender->bytes_sent->Add(static_cast<int64_t>(request.size()));
-    }
-    if (call.deadline_micros != 0 &&
-        clock_->NowMicros() > call.deadline_micros) {
-      s = Status::Timeout("deadline budget exhausted calling " + to);
-      break;
-    }
+    s = table_.BeginCall(from, method, request.size(), &latency);
+    if (!s.ok()) break;
+    s = table_.CheckDeadline(call.deadline_micros, to);
+    if (!s.ok()) break;
 
     auto conn_result = GetConnection(to, call.deadline_micros);
     if (!conn_result.ok()) {
@@ -644,7 +568,7 @@ Result<PinnedSlice> TcpTransport::CallPayload(const Address& from,
     // deadline — a dead peer must not park the caller forever.
     const int64_t effective_deadline = internal::MinDeadline(
         call.deadline_micros,
-        call.span.start_micros + options_.default_call_timeout_millis * 1000);
+        call.span.start_micros + kDefaultCallTimeoutMillis * 1000);
 
     {
       MutexLock lock(&conn->mu);
@@ -661,7 +585,7 @@ Result<PinnedSlice> TcpTransport::CallPayload(const Address& from,
       chunk.payload = PinnedSlice::Copy(request);
       chunk.tail = std::move(encoded.tail);
       conn->outbox.push_back(std::move(chunk));
-      if (!conn->FlushLocked()) {
+      if (!conn->FlushLocked(reactor_->epfd)) {
         auto it = conn->pending.find(frame.correlation_id);
         s = it != conn->pending.end() && it->second.done
                 ? it->second.status
@@ -686,7 +610,7 @@ Result<PinnedSlice> TcpTransport::CallPayload(const Address& from,
             (effective_deadline - clock_->NowMicros()) / 1000;
         if (remaining_millis <= 0) {
           conn->pending.erase(it);
-          s = Status::Timeout("deadline budget exhausted calling " + to);
+          s = internal::EndpointTable::DeadlineError(to);
           break;
         }
         conn->cv.WaitFor(&conn->mu,
@@ -695,61 +619,45 @@ Result<PinnedSlice> TcpTransport::CallPayload(const Address& from,
     }
   } while (false);
 
-  const int64_t end_micros = clock_->NowMicros();
-  latency->Record(end_micros - call.span.start_micros);
-  const size_t response_bytes = payload.size();
-  call.Finish(s, response_bytes, end_micros, metrics_);
+  call.Finish(s, payload.size(), clock_->NowMicros(), latency, metrics());
   if (!s.ok()) return s;
   return PinnedSlice::Own(std::move(payload));
 }
 
 // --- server path -----------------------------------------------------------
 
-void TcpTransport::SendFrame(const std::shared_ptr<Connection>& conn,
-                             EncodedFrame frame, PinnedSlice payload) {
+void TcpTransport::SendResponse(const std::shared_ptr<Connection>& conn,
+                                const Frame& request, const Status& status,
+                                PinnedSlice response) {
+  Frame reply;
+  reply.type = Frame::kResponse;
+  reply.correlation_id = request.correlation_id;
+  reply.trace_id = request.trace_id;
+  reply.span_id = request.span_id;
+  reply.status_code = status.code();
+  OutChunk chunk;
+  chunk.payload =
+      status.ok() ? std::move(response) : PinnedSlice::Own(status.message());
+  EncodedFrame encoded = EncodeFrame(reply, chunk.payload.slice());
+  chunk.head = std::move(encoded.head);
+  chunk.tail = std::move(encoded.tail);
   MutexLock lock(&conn->mu);
   if (conn->closed) return;
-  OutChunk chunk;
-  chunk.head = std::move(frame.head);
-  chunk.payload = std::move(payload);
-  chunk.tail = std::move(frame.tail);
   conn->outbox.push_back(std::move(chunk));
-  conn->FlushLocked();
+  conn->FlushLocked(reactor_->epfd);
 }
 
 void TcpTransport::HandleRequest(const std::shared_ptr<Connection>& conn,
                                  Frame request) {
-  Status s = Status::OK();
-  PinnedSlice response;
-
   PayloadHandler handler;
-  {
-    MutexLock lock(&state_mu_);
-    if (shutdown_) {
-      s = Status::Unavailable("transport shut down");
-    } else if (request.deadline_micros != 0 &&
-               clock_->NowMicros() > request.deadline_micros) {
-      s = Status::Timeout("deadline budget exhausted calling " + request.to);
-    } else {
-      auto node_it = handlers_.find(request.to);
-      if (node_it == handlers_.end()) {
-        s = Status::NotFound("no endpoint: " + request.to);
-      } else {
-        auto method_it = node_it->second.find(request.method);
-        if (method_it == node_it->second.end()) {
-          s = Status::NotFound("no method " + request.method + " at " +
-                               request.to);
-        } else {
-          handler = method_it->second;
-          EndpointInstruments* receiver = InstrumentsLocked(request.to);
-          receiver->calls_received->Increment();
-          receiver->bytes_received->Add(
-              static_cast<int64_t>(request.payload.size()));
-        }
-      }
-    }
+  Status s = table_.CheckOpen();
+  if (s.ok()) s = table_.CheckDeadline(request.deadline_micros, request.to);
+  if (s.ok()) {
+    s = table_.Lookup(request.to, request.method, request.payload.size(),
+                      &handler);
   }
 
+  PinnedSlice response;
   if (s.ok() && handler) {
     // The handler runs on this worker with the caller's trace ambient, so
     // nested calls it places parent under the caller's span and inherit
@@ -768,19 +676,8 @@ void TcpTransport::HandleRequest(const std::shared_ptr<Connection>& conn,
   // handler's whole run (nested calls and all), as on the sim backend.
   // Release it before the reply goes out: a caller woken by the reply may
   // call again at once and must find the slot free.
-  dispatch_limiter_.Exit();
-
-  Frame reply;
-  reply.type = Frame::kResponse;
-  reply.correlation_id = request.correlation_id;
-  reply.trace_id = request.trace_id;
-  reply.span_id = request.span_id;
-  reply.status_code = s.code();
-  // Error responses carry the message in the payload (StatusFromWire).
-  PinnedSlice payload =
-      s.ok() ? std::move(response) : PinnedSlice::Own(s.message());
-  EncodedFrame encoded = EncodeFrame(reply, payload.slice());
-  SendFrame(conn, std::move(encoded), std::move(payload));
+  table_.Release();
+  SendResponse(conn, request, s, std::move(response));
 }
 
 void TcpTransport::WorkerLoop() {
@@ -799,8 +696,7 @@ void TcpTransport::WorkerLoop() {
 
 // --- reactor ---------------------------------------------------------------
 
-void TcpTransport::AcceptAll(Reactor* reactor,
-                             const std::shared_ptr<Listener>& listener) {
+void TcpTransport::AcceptAll(const std::shared_ptr<Listener>& listener) {
   while (true) {
     const int fd = ::accept4(listener->fd, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -810,23 +706,20 @@ void TcpTransport::AcceptAll(Reactor* reactor,
     conn->kind = kSourceConn;
     conn->fd = fd;
     conn->is_client = false;
-    conn->reactor = reactor;
-    reactor->AddSource(conn, EPOLLIN);
+    reactor_->AddSource(conn, EPOLLIN);
   }
 }
 
-void TcpTransport::ReapConn(Reactor* reactor,
-                            const std::shared_ptr<Connection>& conn,
+void TcpTransport::ReapConn(const std::shared_ptr<Connection>& conn,
                             const Status& status) {
   {
     MutexLock lock(&conn->mu);
     conn->CloseLocked(status);
   }
-  reactor->RemoveAndClose(conn.get());
+  reactor_->RemoveAndClose(conn.get());
 }
 
-void TcpTransport::ReadConn(Reactor* reactor,
-                            const std::shared_ptr<Connection>& conn) {
+void TcpTransport::ReadConn(const std::shared_ptr<Connection>& conn) {
   char buf[64 << 10];
   while (true) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
@@ -836,12 +729,12 @@ void TcpTransport::ReadConn(Reactor* reactor,
       continue;
     }
     if (n == 0) {
-      ReapConn(reactor, conn, Status::Unavailable("peer disconnected"));
+      ReapConn(conn, Status::Unavailable("peer disconnected"));
       return;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    ReapConn(reactor, conn, Status::Unavailable(Errno("recv")));
+    ReapConn(conn, Status::Unavailable(Errno("recv")));
     return;
   }
 
@@ -855,7 +748,7 @@ void TcpTransport::ReadConn(Reactor* reactor,
                     options_.max_frame_bytes, &frame, &consumed, &error);
     if (ds == DecodeStatus::kNeedMore) break;
     if (ds == DecodeStatus::kError) {
-      ReapConn(reactor, conn, Status::Corruption("protocol error: " + error));
+      ReapConn(conn, Status::Corruption("protocol error: " + error));
       return;
     }
     off += consumed;
@@ -864,22 +757,9 @@ void TcpTransport::ReadConn(Reactor* reactor,
       // admission slot never reaches the worker queue — the reactor replies
       // Overloaded right here, so the queue depth stays bounded no matter
       // how fast clients push.
-      if (!dispatch_limiter_.TryEnter()) {
-        {
-          MutexLock lock(&state_mu_);
-          InstrumentsLocked(frame.to)->dispatch_shed->Increment();
-        }
-        const Status shed = Status::Overloaded("dispatch queue full at " +
-                                               frame.to);
-        Frame reply;
-        reply.type = Frame::kResponse;
-        reply.correlation_id = frame.correlation_id;
-        reply.trace_id = frame.trace_id;
-        reply.span_id = frame.span_id;
-        reply.status_code = shed.code();
-        PinnedSlice payload = PinnedSlice::Own(shed.message());
-        EncodedFrame encoded = EncodeFrame(reply, payload.slice());
-        SendFrame(conn, std::move(encoded), std::move(payload));
+      const Status admitted = table_.Admit(frame.to);
+      if (!admitted.ok()) {
+        SendResponse(conn, frame, admitted, PinnedSlice());
         continue;
       }
       {
@@ -917,10 +797,10 @@ void TcpTransport::ReadConn(Reactor* reactor,
   conn->inbuf.erase(0, off);
 }
 
-void TcpTransport::ReactorLoop(Reactor* reactor) {
+void TcpTransport::ReactorLoop() {
   epoll_event events[64];
-  while (!reactor->stop.load()) {
-    const int n = ::epoll_wait(reactor->epfd, events, 64, -1);
+  while (!reactor_->stop.load()) {
+    const int n = ::epoll_wait(reactor_->epfd, events, 64, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       return;
@@ -929,9 +809,9 @@ void TcpTransport::ReactorLoop(Reactor* reactor) {
       auto* source = static_cast<FdSource*>(events[i].data.ptr);
       std::shared_ptr<FdSource> pinned;
       {
-        MutexLock lock(&reactor->mu);
-        auto it = reactor->sources.find(source);
-        if (it == reactor->sources.end()) continue;  // already reaped
+        MutexLock lock(&reactor_->mu);
+        auto it = reactor_->sources.find(source);
+        if (it == reactor_->sources.end()) continue;  // already reaped
         pinned = it->second;
       }
       if (source->kind == kSourceWake) {
@@ -941,38 +821,38 @@ void TcpTransport::ReactorLoop(Reactor* reactor) {
         continue;
       }
       if (source->kind == kSourceListener) {
-        AcceptAll(reactor,
-                  std::static_pointer_cast<Listener>(pinned));
+        AcceptAll(std::static_pointer_cast<Listener>(pinned));
         continue;
       }
       auto conn = std::static_pointer_cast<Connection>(pinned);
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        ReapConn(reactor, conn, Status::Unavailable("peer disconnected"));
+        ReapConn(conn, Status::Unavailable("peer disconnected"));
         continue;
       }
       if ((events[i].events & EPOLLOUT) != 0) {
         MutexLock lock(&conn->mu);
-        if (!conn->closed && conn->FlushLocked() && conn->outbox.empty() &&
+        if (!conn->closed && conn->FlushLocked(reactor_->epfd) &&
+            conn->outbox.empty() &&
             conn->want_write) {
           conn->want_write = false;
           epoll_event ev{};
           ev.events = EPOLLIN;
           ev.data.ptr = source;
-          ::epoll_ctl(reactor->epfd, EPOLL_CTL_MOD, conn->fd, &ev);
+          ::epoll_ctl(reactor_->epfd, EPOLL_CTL_MOD, conn->fd, &ev);
         }
       }
       if ((events[i].events & EPOLLIN) != 0) {
-        ReadConn(reactor, conn);
+        ReadConn(conn);
       }
     }
     // Drain deferred closes (listener teardown, dropped pools).
     std::vector<std::shared_ptr<FdSource>> to_close;
     {
-      MutexLock lock(&reactor->mu);
-      to_close.swap(reactor->to_close);
+      MutexLock lock(&reactor_->mu);
+      to_close.swap(reactor_->to_close);
     }
     for (auto& source : to_close) {
-      if (source->fd >= 0) reactor->RemoveAndClose(source.get());
+      if (source->fd >= 0) reactor_->RemoveAndClose(source.get());
     }
   }
 }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/overload.h"
 #include "common/sync.h"
 #include "net/frame.h"
 #include "net/transport.h"
@@ -24,53 +23,33 @@ struct TcpTransportOptions {
   /// kernel sockets.
   std::string bind_host = "127.0.0.1";
 
-  /// Epoll reactor threads. Each owns one epoll instance; listeners and
-  /// connections are sharded across them round-robin.
-  int reactor_threads = 1;
-
-  /// Handler worker threads. Request frames are executed here, never on a
-  /// reactor thread, so a handler that places nested calls cannot deadlock
-  /// the event loop that must deliver its responses.
-  int worker_threads = 4;
-
   /// Client-side pooled connections per destination address.
   int connections_per_peer = 2;
 
   /// Frames above this are a protocol error (connection poisoned).
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
-  /// Synchronous connect budget per attempt.
-  int64_t connect_timeout_millis = 1000;
-
-  /// Calls with no deadline still complete or fail within this bound.
-  int64_t default_call_timeout_millis = 10'000;
-
-  /// Reconnect backoff after a failed dial: initial doubles per consecutive
-  /// failure up to max; attempts inside the window fast-fail Unavailable.
-  int64_t reconnect_backoff_initial_millis = 5;
-  int64_t reconnect_backoff_max_millis = 500;
-
   /// Bounded request dispatch: maximum admitted request frames in flight
   /// (queued for a worker or executing in one). When the budget is
   /// exhausted the reactor replies Overloaded("dispatch queue full at
   /// <to>") immediately — reject-before-work, the worker queue stays
-  /// bounded — and increments "net.dispatch.shed{endpoint=<to>}".
-  /// Byte-identical behavior to the sim backend's max_dispatch_inflight
-  /// (transport_parity_test). 0 = unbounded.
+  /// bounded — and increments "net.dispatch.shed{endpoint=<to>}", through
+  /// the same internal::EndpointTable as the sim backend's
+  /// max_dispatch_inflight. 0 = unbounded.
   int64_t max_dispatch_inflight = 0;
 };
 
-/// Real-socket backend of net::Transport (DESIGN.md §10): an epoll reactor
-/// pool over nonblocking localhost TCP with the net/frame.h codec.
+/// Real-socket backend of net::Transport (DESIGN.md §10): one epoll reactor
+/// thread over nonblocking localhost TCP with the net/frame.h codec.
 ///
 /// Shape (the synkafka broker/connection state machine, sync-call-over-
 /// async): callers serialize a request frame, enqueue it on a pooled
-/// per-peer connection, and park on the connection's CondVar; reactor
-/// threads move bytes and match response frames to pending calls by
-/// correlation id. Server-side, complete request frames are handed to a
-/// worker pool that runs the registered handler and streams the response
-/// back (a pinned payload is its own iovec in the gathered sendmsg — the
-/// zero-copy fetch path costs one deserialize copy per side, never more).
+/// per-peer connection, and park on the connection's CondVar; the reactor
+/// moves bytes and matches response frames to pending calls by correlation
+/// id. Server-side, complete request frames are handed to a pool of worker
+/// threads that run the registered handler and stream the response back (a
+/// pinned payload is its own iovec in the gathered sendmsg — the zero-copy
+/// fetch path costs one deserialize copy per side, never more).
 ///
 /// What sim guarantees that this backend does not: determinism (kernel
 /// scheduling and socket readiness order are real), virtual time, and
@@ -92,7 +71,7 @@ class TcpTransport final : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  obs::MetricsRegistry* metrics() const override { return metrics_; }
+  obs::MetricsRegistry* metrics() const override { return table_.metrics(); }
 
   void RegisterPayload(const Address& addr, const std::string& method,
                        PayloadHandler handler) override;
@@ -106,11 +85,13 @@ class TcpTransport final : public Transport {
                                   const std::string& method, Slice request,
                                   const CallOptions& options) override;
 
-  void Shutdown() override;
+  void Shutdown() override { table_.Shutdown(); }
 
-  EndpointStats GetStats(const Address& addr) const override;
-  void ResetStats() override;
-  int64_t total_calls() const override { return total_calls_.load(); }
+  EndpointStats GetStats(const Address& addr) const override {
+    return table_.GetStats(addr);
+  }
+  void ResetStats() override { table_.ResetStats(); }
+  int64_t total_calls() const override { return table_.total_calls(); }
 
   /// The kernel-assigned port `addr`'s listener accepts on (0 if `addr` has
   /// no registered handlers). Lets a second process — or a raw test socket —
@@ -137,20 +118,6 @@ class TcpTransport final : public Transport {
   struct PeerPool;
   struct Work;
 
-  /// Cached per-endpoint registry counters (same backing scheme as the sim
-  /// backend: EndpointStats is a view over the registry).
-  struct EndpointInstruments {
-    obs::Counter* calls_received = nullptr;
-    obs::Counter* calls_sent = nullptr;
-    obs::Counter* bytes_received = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* dispatch_shed = nullptr;
-  };
-
-  EndpointInstruments* InstrumentsLocked(const Address& addr)
-      LIDI_REQUIRES(state_mu_);
-  obs::LatencyHistogram* MethodLatency(const std::string& method);
-
   /// Resolves `to` to host:port — local listener first, then static peers.
   Status Resolve(const Address& to, std::string* host, uint16_t* port) const;
 
@@ -166,44 +133,39 @@ class TcpTransport final : public Transport {
                                          int64_t deadline_micros,
                                          Status* error);
 
-  void ReactorLoop(Reactor* reactor);
+  void ReactorLoop();
   void WorkerLoop();
   /// Runs one admitted request frame and sends its reply; releases the
   /// dispatch slot the reactor took for it.
   void HandleRequest(const std::shared_ptr<Connection>& conn, Frame frame);
-  void ReadConn(Reactor* reactor, const std::shared_ptr<Connection>& conn);
-  void ReapConn(Reactor* reactor, const std::shared_ptr<Connection>& conn,
-                const Status& status);
-  void AcceptAll(Reactor* reactor, const std::shared_ptr<Listener>& listener);
-  void SendFrame(const std::shared_ptr<Connection>& conn, EncodedFrame frame,
-                 PinnedSlice payload);
+  void ReadConn(const std::shared_ptr<Connection>& conn);
+  void ReapConn(const std::shared_ptr<Connection>& conn, const Status& status);
+  void AcceptAll(const std::shared_ptr<Listener>& listener);
+  /// Queues and flushes the response frame to `request`: `response` on
+  /// success, else the status message (StatusFromWire on the caller side).
+  void SendResponse(const std::shared_ptr<Connection>& conn,
+                    const Frame& request, const Status& status,
+                    PinnedSlice response);
   void StopThreads();
 
   const TcpTransportOptions options_;
-  obs::MetricsRegistry* metrics_;  // never null
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   const Clock* const clock_;
+  // tsa-ok: internally synchronized; its net.table lock is taken under
+  // state_mu_ only to keep handlers and listeners in step.
+  internal::EndpointTable table_;
 
-  /// Transport state: handler table, listeners, peer pools, stats caches.
-  /// Never held across a handler invocation or a blocking socket op (dial
-  /// happens with it released).
+  /// Listeners, static peers and peer pools. Never held across a handler
+  /// invocation or a blocking socket op (dial happens with it released).
   mutable Mutex state_mu_{"net.tcp.state", lockrank::kNetTcpState};
-  std::map<Address, std::map<std::string, PayloadHandler>> handlers_
-      LIDI_GUARDED_BY(state_mu_);
   std::map<Address, std::shared_ptr<Listener>> listeners_
       LIDI_GUARDED_BY(state_mu_);
   std::map<Address, std::pair<std::string, uint16_t>> static_peers_
       LIDI_GUARDED_BY(state_mu_);
   std::map<Address, PeerPool> pools_ LIDI_GUARDED_BY(state_mu_);
-  std::map<Address, EndpointInstruments> stats_ LIDI_GUARDED_BY(state_mu_);
-  std::map<std::string, obs::LatencyHistogram*> method_latency_
-      LIDI_GUARDED_BY(state_mu_);  // cache
-  bool shutdown_ LIDI_GUARDED_BY(state_mu_) = false;
 
-  // tsa-ok: populated once during construction; each Reactor has its own
-  // mutex for the state its thread shares with callers.
-  std::vector<std::unique_ptr<Reactor>> reactors_;
-  std::atomic<size_t> next_reactor_{0};
+  /// The one reactor; it has its own mutex for the state its thread shares
+  /// with callers.
+  const std::unique_ptr<Reactor> reactor_;
 
   /// Worker queue: request frames waiting for a handler thread.
   Mutex queue_mu_{"net.tcp.queue", lockrank::kNetTcpQueue};
@@ -215,13 +177,7 @@ class TcpTransport final : public Transport {
   std::vector<std::thread> workers_;
 
   std::atomic<uint64_t> next_correlation_{1};
-  std::atomic<int64_t> total_calls_{0};
   std::atomic<bool> threads_stopped_{false};
-
-  /// Bounded request dispatch (options_.max_dispatch_inflight): a reactor
-  /// takes a slot before enqueueing a request frame; the worker releases it
-  /// once the handler returns, before the reply is sent. Lock-free.
-  InflightLimiter dispatch_limiter_;
 };
 
 }  // namespace lidi::net

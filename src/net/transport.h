@@ -1,13 +1,19 @@
 #ifndef LIDI_NET_TRANSPORT_H_
 #define LIDI_NET_TRANSPORT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 
 #include "common/buffer.h"
+#include "common/clock.h"
+#include "common/overload.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "obs/metrics.h"
 
 namespace lidi::net {
@@ -46,7 +52,8 @@ struct CallOptions {
 ///
 /// This struct is a *view*: the counters live in the transport's
 /// obs::MetricsRegistry ("net.calls_sent{endpoint=...}" et al.) and
-/// GetStats materializes them, so the same numbers appear in
+/// internal::EndpointTable::GetStats, the one implementation both backends
+/// forward to, materializes them, so the same numbers appear in
 /// MetricsRegistry::Snapshot() and here.
 struct EndpointStats {
   int64_t calls_received = 0;
@@ -69,8 +76,9 @@ struct EndpointStats {
 /// API shape: the payload-view path (CallPayload/RegisterPayload, moving
 /// PinnedSlices) is the primary surface and the only virtual dispatch
 /// path; the owned-string path (Call/Register) is a thin non-virtual
-/// wrapper over it, so fault injection, stats, deadline enforcement, and
-/// span recording exist exactly once per backend.
+/// wrapper over it. Handler table, stats, shutdown, dispatch limit and the
+/// error messages below live once, in internal::EndpointTable; a backend
+/// adds only how a request travels.
 ///
 /// Error contract, identical on both Call paths and both backends:
 ///  - Unavailable — destination down/unreachable/disconnected, or the
@@ -106,7 +114,7 @@ class Transport {
                                           const CallOptions& options) = 0;
 
   /// Stops dispatch: every subsequent Call/CallPayload (string or payload
-  /// route, either backend) fails Unavailable("transport shut down").
+  /// route, either backend) fails Unavailable (EndpointTable::ShutDownError).
   /// Idempotent. Handlers stay registered; there is no Restart.
   virtual void Shutdown() = 0;
 
@@ -204,9 +212,93 @@ struct CallSpan {
     return obs::TraceContext{span.trace_id, span.span_id, deadline_micros};
   }
 
-  /// Stamps outcome/bytes/duration and records the span.
+  /// Records the call's duration into `latency`, stamps outcome/bytes/
+  /// duration and records the span.
   void Finish(const Status& status, size_t response_bytes, int64_t now_micros,
-              obs::MetricsRegistry* metrics);
+              obs::LatencyHistogram* latency, obs::MetricsRegistry* metrics);
+};
+
+/// Everything the two backends share about endpoints (DESIGN.md §10.1): the
+/// metrics registry, the handler table, the shutdown flag, per-endpoint
+/// counters and total_calls, the per-method latency cache, the bounded
+/// dispatch limiter, and the one builder of each error-contract message. A
+/// backend adds only how a request travels (fault injection and virtual
+/// time in-sim, sockets over TCP), so both count and fail alike by
+/// construction. Thread-safe.
+class EndpointTable {
+ public:
+  /// `metrics` null = a table-owned registry on `clock` (never null).
+  /// `max_dispatch_inflight` bounds admitted dispatches; 0 = unbounded.
+  EndpointTable(obs::MetricsRegistry* metrics, const Clock* clock,
+                int64_t max_dispatch_inflight);
+
+  EndpointTable(const EndpointTable&) = delete;
+  EndpointTable& operator=(const EndpointTable&) = delete;
+
+  obs::MetricsRegistry* metrics() const { return metrics_; }
+
+  void Register(const Address& addr, const std::string& method,
+                PayloadHandler handler);
+  void Unregister(const Address& addr);
+  void Shutdown();
+
+  /// The caller side's first step: resolves the method's histogram
+  /// net.call_micros{method} into *latency (recorded whatever the outcome),
+  /// fails after Shutdown, else counts the call and its bytes against
+  /// `from`.
+  Status BeginCall(const Address& from, const std::string& method,
+                   size_t request_bytes, obs::LatencyHistogram** latency);
+
+  /// Fails after Shutdown.
+  Status CheckOpen() const;
+
+  /// Fails Timeout once `deadline_micros` (0 = none) has passed.
+  Status CheckDeadline(int64_t deadline_micros, const Address& to) const;
+
+  /// Takes a dispatch slot, or counts net.dispatch.shed{endpoint=<to>} and
+  /// fails Overloaded, before any handler work. Release returns the slot.
+  Status Admit(const Address& to);
+  void Release() { dispatch_limiter_.Exit(); }
+
+  /// The receiving side: copies the handler for (to, method) into *handler
+  /// and counts the call and its bytes against `to`, or fails NotFound.
+  Status Lookup(const Address& to, const std::string& method,
+                size_t request_bytes, PayloadHandler* handler);
+
+  EndpointStats GetStats(const Address& addr) const;
+  void ResetStats();
+  int64_t total_calls() const { return total_calls_.load(); }
+
+  static Status ShutDownError();
+  static Status DeadlineError(const Address& to);
+  static Status NoEndpointError(const Address& to);
+
+ private:
+  struct Instruments {
+    obs::Counter* calls_received = nullptr;
+    obs::Counter* calls_sent = nullptr;
+    obs::Counter* bytes_received = nullptr;
+    obs::Counter* bytes_sent = nullptr;
+    obs::Counter* dispatch_shed = nullptr;
+  };
+
+  Instruments* InstrumentsLocked(const Address& addr) LIDI_REQUIRES(mu_);
+
+  obs::MetricsRegistry* metrics_;  // never null
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  const Clock* const clock_;
+  std::atomic<bool> shutdown_{false};
+  std::atomic<int64_t> total_calls_{0};
+  InflightLimiter dispatch_limiter_;  // lock-free
+
+  /// Never held across a handler call; registry instruments are created
+  /// under it (it orders before the obs locks).
+  mutable Mutex mu_{"net.table", lockrank::kNetTable};
+  std::map<Address, std::map<std::string, PayloadHandler>> handlers_
+      LIDI_GUARDED_BY(mu_);
+  std::map<Address, Instruments> stats_ LIDI_GUARDED_BY(mu_);
+  std::map<std::string, obs::LatencyHistogram*> method_latency_
+      LIDI_GUARDED_BY(mu_);  // cache
 };
 
 }  // namespace internal

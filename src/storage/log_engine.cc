@@ -115,19 +115,6 @@ class LogEngineImpl : public LogStructuredEngine {
     }
   }
 
-  LogEngineStats GetStats() const override {
-    // The registry instruments are the source of truth; this struct is the
-    // legacy-shaped view of them.
-    MutexLock lock(&mu_);
-    LogEngineStats stats;
-    stats.live_keys = live_keys_->Value();
-    stats.segments = segment_count_->Value();
-    stats.total_bytes = total_bytes_gauge_->Value();
-    stats.dead_bytes = dead_bytes_gauge_->Value();
-    stats.compactions = compactions_counter_->Value();
-    return stats;
-  }
-
   void CompactNow() override {
     MutexLock lock(&mu_);
     CompactLocked();
@@ -446,7 +433,7 @@ class LogEngineImpl : public LogStructuredEngine {
 
   /// Mirrors the engine's state into its registry gauges (counters for
   /// monotone events are incremented at the event site). Called after every
-  /// mutation, so Snapshot() and GetStats never disagree.
+  /// mutation, so Snapshot() always shows the engine's current state.
   void UpdateGaugesLocked() LIDI_REQUIRES(mu_) {
     live_keys_->Set(static_cast<int64_t>(index_.size()));
     segment_count_->Set(static_cast<int64_t>(segments_.size()));

@@ -37,18 +37,6 @@ struct LogEngineOptions {
   std::string metrics_scope;
 };
 
-/// Statistics exposed for tests and the ablation benches. A *view* over the
-/// engine's registry instruments (gauges "storage.live_keys", ...,
-/// counter "storage.compactions"): GetStats materializes it, and the same
-/// numbers appear in the registry's Snapshot().
-struct LogEngineStats {
-  int64_t live_keys = 0;
-  int64_t segments = 0;
-  int64_t total_bytes = 0;
-  int64_t dead_bytes = 0;
-  int64_t compactions = 0;
-};
-
 class LogStructuredEngine;
 
 std::unique_ptr<LogStructuredEngine> NewLogStructuredEngine(
@@ -66,10 +54,10 @@ class LogStructuredEngine : public StorageEngine {
  public:
   ~LogStructuredEngine() override = default;
 
-  virtual LogEngineStats GetStats() const = 0;
-
   /// The registry the engine's instruments live in (injected or
-  /// engine-owned); GetStats is a view over it.
+  /// engine-owned): gauges "storage.live_keys", "storage.segments",
+  /// "storage.total_bytes", "storage.dead_bytes" and the counter
+  /// "storage.compactions", labelled {store=<metrics_scope>} when set.
   virtual obs::MetricsRegistry* metrics() const = 0;
 
   /// Forces a compaction regardless of the garbage ratio (for tests).

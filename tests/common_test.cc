@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -14,7 +13,6 @@
 #include "common/random.h"
 #include "common/slice.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 namespace lidi {
 namespace {
@@ -337,27 +335,6 @@ TEST(ClockTest, SystemClockMonotonic) {
   const int64_t a = clock->NowMicros();
   const int64_t b = clock->NowMicros();
   EXPECT_GE(b, a);
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count++; });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitBlocksUntilDone) {
-  ThreadPool pool(2);
-  std::atomic<bool> done{false};
-  pool.Submit([&done] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    done = true;
-  });
-  pool.Wait();
-  EXPECT_TRUE(done.load());
 }
 
 TEST(HistogramTest, Percentiles) {

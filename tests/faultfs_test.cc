@@ -507,7 +507,7 @@ TEST(FaultFsRegressionTest, EngineMissingSegmentKeepsIndexFileMapping) {
       ASSERT_TRUE(engine->Put(key, value).ok());
       model[key] = value;
     }
-    ASSERT_GT(engine->GetStats().segments, 3);
+    ASSERT_GT(engine->metrics()->Snapshot().Value("storage.segments"), 3);
   }
   // Lose a middle segment file (disk corruption, operator error, ...).
   ASSERT_TRUE(mem->RemoveFile("/kv/0000000001.seg").ok());
@@ -649,7 +649,7 @@ TEST(FaultFsRegressionTest, EngineFailedAppendKeepsTheIntervalSyncOnTime) {
     probe.fs = probe_fs.get();
     auto engine = storage::NewLogStructuredEngine(probe);
     ASSERT_OK(engine->Put("k0", value));
-    record_bytes = engine->GetStats().total_bytes;
+    record_bytes = engine->metrics()->Snapshot().Value("storage.total_bytes");
   }
   auto mem = io::NewMemFs();
   io::FaultFsOptions fopts;

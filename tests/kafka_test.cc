@@ -603,8 +603,9 @@ TEST_F(KafkaClusterTest, TransferModesProduceSameBytes) {
       ASSERT_TRUE(data.ok());
     }
   }
-  const TransferStats stats = brokers_[0]->transfer_stats();
-  EXPECT_GT(stats.fetches, 0);
+  EXPECT_GT(network_.metrics()->Snapshot().Value("kafka.fetch.count",
+                                                 {{"broker", "0"}}),
+            0);
 }
 
 TEST_F(KafkaClusterTest, AuditDetectsNoLossPipeline) {

@@ -397,34 +397,9 @@ TEST(RenderTest, JsonOneObjectPerLine) {
   }
 }
 
-// --- stats structs as views over the registry ---
+// --- component stats land in the registry ---
 
-TEST(StatsParityTest, EndpointStatsMatchRegistrySnapshot) {
-  net::Network nw;
-  nw.Register("s", "m",
-              [](Slice) -> Result<std::string> { return std::string("xyz"); });
-  ASSERT_TRUE(nw.Call("c", "s", "m", "12345").ok());
-
-  const net::EndpointStats server = nw.GetStats("s");
-  const net::EndpointStats client = nw.GetStats("c");
-  obs::RegistrySnapshot snap = nw.metrics()->Snapshot();
-  const Labels s_labels{{"endpoint", "s"}};
-  const Labels c_labels{{"endpoint", "c"}};
-  EXPECT_EQ(snap.Value("net.calls_received", s_labels),
-            server.calls_received);
-  EXPECT_EQ(snap.Value("net.bytes_received", s_labels),
-            server.bytes_received);
-  EXPECT_EQ(snap.Value("net.bytes_sent", s_labels), server.bytes_sent);
-  EXPECT_EQ(snap.Value("net.calls_sent", c_labels), client.calls_sent);
-  EXPECT_EQ(snap.Value("net.bytes_sent", c_labels), 5);
-  // The per-method latency histogram recorded the call.
-  const obs::InstrumentSnapshot* lat =
-      snap.Find("net.call_micros", {{"method", "m"}});
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->hist.count, 1);
-}
-
-TEST(StatsParityTest, TransferStatsMatchRegistrySnapshot) {
+TEST(RegistryStatsTest, BrokerCopyAccounting) {
   zk::ZooKeeper zk;
   net::Network nw;
   ManualClock clock;
@@ -439,22 +414,15 @@ TEST(StatsParityTest, TransferStatsMatchRegistrySnapshot) {
   broker.FlushAll();
   ASSERT_TRUE(broker.Fetch("t", 0, 0, 1 << 20).ok());
 
-  const kafka::TransferStats stats = broker.transfer_stats();
-  EXPECT_GT(stats.fetches, 0);
-  EXPECT_GT(stats.bytes_avoided, 0);
   obs::RegistrySnapshot snap = nw.metrics()->Snapshot();
   const Labels labels{{"broker", "0"}};
-  EXPECT_EQ(snap.Value("kafka.fetch.bytes_copied", labels),
-            stats.bytes_copied);
-  EXPECT_EQ(snap.Value("kafka.fetch.bytes_avoided", labels),
-            stats.bytes_avoided);
-  EXPECT_EQ(snap.Value("kafka.fetch.syscalls", labels), stats.syscalls);
-  EXPECT_EQ(snap.Value("kafka.fetch.count", labels), stats.fetches);
+  EXPECT_GT(snap.Value("kafka.fetch.count", labels), 0);
+  EXPECT_GT(snap.Value("kafka.fetch.bytes_avoided", labels), 0);
   EXPECT_EQ(snap.Value("kafka.produce.count", labels), 1);
   broker.Shutdown();
 }
 
-TEST(StatsParityTest, LogEngineStatsMatchRegistrySnapshot) {
+TEST(RegistryStatsTest, LogEngineGauges) {
   storage::LogEngineOptions options;
   options.compaction_garbage_ratio = 10.0;  // only compact on demand
   auto engine = storage::NewLogStructuredEngine(options);
@@ -463,15 +431,9 @@ TEST(StatsParityTest, LogEngineStatsMatchRegistrySnapshot) {
   }
   engine->CompactNow();
 
-  const storage::LogEngineStats stats = engine->GetStats();
-  EXPECT_EQ(stats.live_keys, 10);
-  EXPECT_EQ(stats.compactions, 1);
   obs::RegistrySnapshot snap = engine->metrics()->Snapshot();
-  EXPECT_EQ(snap.Value("storage.live_keys"), stats.live_keys);
-  EXPECT_EQ(snap.Value("storage.segments"), stats.segments);
-  EXPECT_EQ(snap.Value("storage.total_bytes"), stats.total_bytes);
-  EXPECT_EQ(snap.Value("storage.dead_bytes"), stats.dead_bytes);
-  EXPECT_EQ(snap.Value("storage.compactions"), stats.compactions);
+  EXPECT_EQ(snap.Value("storage.live_keys"), 10);
+  EXPECT_EQ(snap.Value("storage.compactions"), 1);
 }
 
 // --- RPC spans through the network ---

@@ -385,7 +385,8 @@ TEST_F(CompactionFaultTest, CompactionRemoveFailureCannotResurrectDeletedKeys) {
       ASSERT_OK(engine->Delete(key));
       model.erase(key);
     }
-    const int64_t segments_before = engine->GetStats().segments;
+    const int64_t segments_before =
+        engine->metrics()->Snapshot().Value("storage.segments");
 
     // Every surplus-segment RemoveFile fails; the engine must fall back to
     // truncating the stale files so recovery cannot replay them.
@@ -393,7 +394,8 @@ TEST_F(CompactionFaultTest, CompactionRemoveFailureCannotResurrectDeletedKeys) {
     engine->CompactNow();
     flaky_.fail_remove = false;
 
-    ASSERT_LT(engine->GetStats().segments, segments_before)
+    ASSERT_LT(engine->metrics()->Snapshot().Value("storage.segments"),
+              segments_before)
         << "compaction should have shrunk the segment count";
     // The truncate fallback defused every stale segment: not degraded.
     EXPECT_OK(engine->RecoveryStatus());

@@ -5,7 +5,7 @@
 // held to the standard invariant catalogue.
 //
 // Replay workflow (README "Simulation testing"):
-//   LIDI_SIM_SEEDS=500 ctest -R property_sim_test   # widen the sweep
+//   LIDI_SIM_SEEDS=5000 ctest -R property_sim_test  # widen the sweep
 //   LIDI_SIM_SEED=1234 ctest -R property_sim_test   # replay one failure
 //   LIDI_SIM_EVENTS=80 ...                          # longer schedules
 //
@@ -38,7 +38,7 @@ std::vector<uint64_t> SweepSeeds() {
   if (const char* env = std::getenv("LIDI_SIM_SEED")) {
     return {std::strtoull(env, nullptr, 10)};
   }
-  const int count = EnvInt("LIDI_SIM_SEEDS", 100);
+  const int count = EnvInt("LIDI_SIM_SEEDS", 1000);
   std::vector<uint64_t> seeds;
   for (int i = 1; i <= count; ++i) seeds.push_back(static_cast<uint64_t>(i));
   return seeds;

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "storage/engine.h"
 #include "storage/log_engine.h"
 
@@ -67,9 +68,10 @@ TEST_P(LogEnginePropertyTest, MatchesModelUnderRandomOps) {
   EXPECT_EQ(scanned, model);
   EXPECT_TRUE(engine->VerifyChecksums().ok());
 
-  const LogEngineStats stats = engine->GetStats();
-  EXPECT_EQ(stats.live_keys, static_cast<int64_t>(model.size()));
-  EXPECT_GE(stats.total_bytes, 0);
+  const obs::RegistrySnapshot stats = engine->metrics()->Snapshot();
+  EXPECT_EQ(stats.Value("storage.live_keys"),
+            static_cast<int64_t>(model.size()));
+  EXPECT_GE(stats.Value("storage.total_bytes"), 0);
 }
 
 TEST_P(LogEnginePropertyTest, CompactionPreservesDataAndReclaimsSpace) {
@@ -88,12 +90,13 @@ TEST_P(LogEnginePropertyTest, CompactionPreservesDataAndReclaimsSpace) {
     ASSERT_OK(engine->Put(key, value));
     model[key] = value;
   }
-  const int64_t before = engine->GetStats().total_bytes;
+  const int64_t before =
+      engine->metrics()->Snapshot().Value("storage.total_bytes");
   engine->CompactNow();
-  const LogEngineStats after = engine->GetStats();
-  EXPECT_LT(after.total_bytes, before / 4);
-  EXPECT_EQ(after.dead_bytes, 0);
-  EXPECT_EQ(after.compactions, 1);
+  const obs::RegistrySnapshot after = engine->metrics()->Snapshot();
+  EXPECT_LT(after.Value("storage.total_bytes"), before / 4);
+  EXPECT_EQ(after.Value("storage.dead_bytes"), 0);
+  EXPECT_EQ(after.Value("storage.compactions"), 1);
 
   std::map<std::string, std::string> scanned;
   engine->ForEach([&scanned](Slice k, Slice v) {

@@ -84,7 +84,6 @@ TEST(TcpTransportTest, CrossTransportCallViaStaticPeer) {
 
 TEST(TcpTransportTest, ConcurrentCallersShareThePool) {
   TcpTransportOptions options;
-  options.worker_threads = 4;
   options.connections_per_peer = 2;
   TcpTransport t(options);
   RegisterEcho(&t, kServer);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "net/network.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "voldemort/cluster.h"
 #include "voldemort/routing.h"
 #include "voldemort/server.h"
@@ -22,7 +24,8 @@ namespace lidi {
 namespace {
 
 /// Regression suite for the Transport error contract: unknown-method,
-/// unknown-endpoint, post-shutdown dispatch — and the overload contract
+/// unknown-endpoint, post-shutdown dispatch, expired deadline — and the
+/// overload contract
 /// (dispatch-queue shed, per-client quota, router admission) — must produce
 /// the SAME typed error with the SAME message on both Call paths
 /// (owned-string and payload) and on both backends (sim and TCP). Tier
@@ -84,6 +87,28 @@ TEST_P(TransportParityTest, PostShutdownDispatchIsUnavailableOnBothPaths) {
   EXPECT_EQ(t->Call("c", "s", "m", "").status().code(), Code::kUnavailable);
 }
 
+TEST_P(TransportParityTest, ExpiredDeadlineIsTimeoutAndCountsOnlyTheSender) {
+  auto t = Make();
+  std::atomic<bool> ran{false};
+  t->Register("s", "m", [&ran](Slice) -> Result<std::string> {
+    ran = true;
+    return std::string("late");
+  });
+  net::CallOptions options;
+  options.deadline_micros = 1;  // long past on either backend's clock
+  const Status via_string = t->Call("c", "s", "m", "", options).status();
+  const Status via_payload =
+      t->CallPayload("c", "s", "m", "", options).status();
+  EXPECT_EQ(via_string.code(), Code::kTimeout);
+  EXPECT_EQ(via_string.message(), "deadline budget exhausted calling s");
+  EXPECT_EQ(via_payload.code(), via_string.code());
+  EXPECT_EQ(via_payload.message(), via_string.message());
+  // The call was placed (the sender counts it) but never dispatched.
+  EXPECT_FALSE(ran.load());
+  EXPECT_EQ(t->GetStats("c").calls_sent, 2);
+  EXPECT_EQ(t->GetStats("s").calls_received, 0);
+}
+
 TEST_P(TransportParityTest, StringPathIsAThinWrapperOverPayloadPath) {
   auto t = Make();
   // A handler registered through the string surface serves the payload
@@ -122,6 +147,21 @@ TEST_P(TransportParityTest, StatsCountBothDirections) {
   EXPECT_EQ(t->GetStats("c").bytes_sent, 3);
   EXPECT_EQ(t->GetStats("s").calls_received, 1);
   EXPECT_EQ(t->total_calls(), 1);
+  // GetStats is a view over the registry: the snapshot holds the same
+  // numbers, and the call's latency landed under its method.
+  const obs::RegistrySnapshot snap = t->metrics()->Snapshot();
+  for (const char* endpoint : {"c", "s"}) {
+    const net::EndpointStats stats = t->GetStats(endpoint);
+    const obs::Labels labels{{"endpoint", endpoint}};
+    EXPECT_EQ(snap.Value("net.calls_sent", labels), stats.calls_sent);
+    EXPECT_EQ(snap.Value("net.calls_received", labels), stats.calls_received);
+    EXPECT_EQ(snap.Value("net.bytes_sent", labels), stats.bytes_sent);
+    EXPECT_EQ(snap.Value("net.bytes_received", labels), stats.bytes_received);
+  }
+  const obs::InstrumentSnapshot* latency =
+      snap.Find("net.call_micros", {{"method", "m"}});
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->hist.count, 1);
   t->ResetStats();
   EXPECT_EQ(t->GetStats("c").calls_sent, 0);
   EXPECT_EQ(t->total_calls(), 0);
@@ -145,6 +185,10 @@ TEST_P(TransportParityTest, BoundedDispatchShedsOverloadedBeforeAnyWork) {
   EXPECT_EQ(shed.code(), Code::kOverloaded);
   EXPECT_TRUE(shed.IsOverloaded());
   EXPECT_EQ(shed.message(), "dispatch queue full at s2");
+  EXPECT_EQ(t->metrics()->Snapshot().Value("net.dispatch.shed",
+                                           {{"endpoint", "s2"}}),
+            1);
+  EXPECT_EQ(t->GetStats("s2").calls_received, 0);
   // With the outer handler done, the slot is free again: no sticky state.
   auto ok = t->Call("c", "s2", "m", "");
   ASSERT_TRUE(ok.ok());
