@@ -10,7 +10,6 @@
 
 #include "bench_util.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/random.h"
 #include "net/address.h"
 #include "net/network.h"
@@ -51,7 +50,7 @@ int main() {
   mix_options.seed = 3;
   mix_options.prefix = "company:";
   workload::KeyMix mix(mix_options);
-  Histogram append_lat;
+  bench::Samples append_lat;
   std::string empty;
   EncodeStringList({}, &empty);
   for (int c = 0; c < kCompanies; ++c) {
@@ -71,7 +70,7 @@ int main() {
   bench::Row("follow (transformed append) us: %s", append_lat.Summary().c_str());
 
   // Retrieval latency across the size distribution.
-  Histogram get_lat, head_lat, tail_lat;
+  bench::Samples get_lat, head_lat, tail_lat;
   size_t max_list = 0;
   for (int i = 0; i < 20'000; ++i) {
     const uint64_t rank = mix.NextRank();
@@ -94,7 +93,7 @@ int main() {
   // The sub-list transform's win is bandwidth: the server ships only the
   // requested slice instead of the full follower list (Figure II.2, method
   // 3: "saving a client round trip and network bandwidth").
-  Histogram sublist_lat;
+  bench::Samples sublist_lat;
   int64_t full_bytes = 0, sublist_bytes = 0;
   const int kHotReads = 2000;
   for (int i = 0; i < kHotReads; ++i) {

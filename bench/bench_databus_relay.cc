@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "common/histogram.h"
 #include "common/random.h"
 #include "databus/relay.h"
 #include "net/network.h"
@@ -50,7 +49,7 @@ int main() {
                              .poll_batch_transactions = 1 << 20});
     LIDI_MUST_OK(relay.PollOnce());
 
-    Histogram lat;
+    bench::Samples lat;
     for (int i = 0; i < 20'000; ++i) {
       const int64_t since = static_cast<int64_t>(
           rng.Uniform(static_cast<uint64_t>(num_events / 5 - 25)));
@@ -80,7 +79,7 @@ int main() {
 
     Random rng(4);
     for (auto* relay : {&direct, &chained}) {
-      Histogram lat;
+      bench::Samples lat;
       for (int i = 0; i < 20'000; ++i) {
         const int64_t since =
             static_cast<int64_t>(rng.Uniform(50'000 - 200));

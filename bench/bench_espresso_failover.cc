@@ -10,7 +10,6 @@
 #include <set>
 
 #include "bench_util.h"
-#include "common/histogram.h"
 #include "common/random.h"
 #include "espresso_fixture.h"
 

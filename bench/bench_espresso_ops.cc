@@ -7,7 +7,6 @@
 // data store".
 
 #include "bench_util.h"
-#include "common/histogram.h"
 #include "common/random.h"
 #include "espresso_fixture.h"
 
@@ -25,7 +24,7 @@ int main() {
   const int kDocs = 4000;
   const int kCollections = 200;
 
-  Histogram put_lat;
+  bench::Samples put_lat;
   for (int i = 0; i < kDocs; ++i) {
     const std::string uri = "/db/docs/col" +
                             std::to_string(i % kCollections) + "/d" +
@@ -44,7 +43,7 @@ int main() {
   }
   bench::Row("PUT    us: %s", put_lat.Summary().c_str());
 
-  Histogram get_lat;
+  bench::Samples get_lat;
   for (int i = 0; i < 20'000; ++i) {
     const int d = static_cast<int>(rng.Uniform(kDocs));
     const std::string uri = "/db/docs/col" + std::to_string(d % kCollections) +
@@ -59,7 +58,7 @@ int main() {
   }
   bench::Row("GET    us: %s", get_lat.Summary().c_str());
 
-  Histogram query_lat;
+  bench::Samples query_lat;
   int64_t hits = 0;
   for (int i = 0; i < 5000; ++i) {
     const std::string uri = "/db/docs/col" +
@@ -73,7 +72,7 @@ int main() {
   bench::Row("QUERY  us: %s (total hits %lld)", query_lat.Summary().c_str(),
              static_cast<long long>(hits));
 
-  Histogram txn_lat;
+  bench::Samples txn_lat;
   for (int i = 0; i < 2000; ++i) {
     const std::string resource = "col" + std::to_string(rng.Uniform(kCollections));
     auto a = fx.MakeDoc("txn-a", "x", 1);

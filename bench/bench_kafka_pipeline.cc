@@ -73,7 +73,7 @@ int main() {
 
     // Drive 10 simulated minutes: ~100 events/s in 100 ms ticks; each stage
     // acts on its cadence. Event payload carries its production timestamp.
-    std::vector<double> latencies;
+    bench::Samples latencies;
     const int64_t kTickMs = 100;
     for (int64_t t = 0; t < 10 * 60 * 1000; t += kTickMs) {
       clock.AdvanceMillis(kTickMs);
@@ -97,20 +97,14 @@ int main() {
           if (!messages.ok() || messages.value().empty()) break;
           for (const Message& m : messages.value()) {
             const int64_t produced_at = std::atoll(m.payload.c_str());
-            latencies.push_back(
+            latencies.Record(
                 static_cast<double>(clock.NowMillis() - produced_at) / 1000.0);
           }
         }
       }
     }
-    double sum = 0, p95 = 0;
-    std::sort(latencies.begin(), latencies.end());
-    for (double l : latencies) sum += l;
-    if (!latencies.empty()) {
-      p95 = latencies[static_cast<size_t>(0.95 * (latencies.size() - 1))];
-    }
     bench::Row("%18s | %14d | %12.1f | %12.1f", cadence.label, cadence.batch,
-               latencies.empty() ? 0 : sum / latencies.size(), p95);
+               latencies.Average(), latencies.Percentile(95));
   }
   bench::Row("\nshape check: end-to-end latency is the sum of the stage\n"
              "cadences (batching + flush + mirror + load polling) — seconds,\n"

@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "common/random.h"
@@ -57,21 +56,19 @@ int main() {
         }
       }
 
-      std::vector<double> micros;
-      micros.reserve(kCalls);
+      bench::Samples micros;
       bench::Stopwatch total;
       for (int i = 0; i < kCalls; ++i) {
         bench::Stopwatch call;
         auto r = transport->CallPayload("client", "server", "fetch", "");
         if (!r.ok() || r.value().size() != blob.size()) return 1;
-        micros.push_back(call.ElapsedMicros());
+        micros.Record(call.ElapsedMicros());
       }
       const double seconds = total.ElapsedSeconds();
       const double rate = kCalls / seconds;
       const double mbps =
           static_cast<double>(kCalls) * payload_bytes / seconds / (1 << 20);
-      std::sort(micros.begin(), micros.end());
-      const double p99 = micros[static_cast<size_t>(0.99 * (kCalls - 1))];
+      const double p99 = micros.Percentile(99);
 
       bench::Row("%5s | %10d | %12.0f | %12.1f | %10.1f", mode.c_str(),
                  payload_bytes, rate, mbps, p99);

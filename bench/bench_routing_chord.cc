@@ -14,7 +14,6 @@
 
 #include "net/address.h"
 #include "bench_util.h"
-#include "common/histogram.h"
 #include "voldemort/cluster.h"
 #include "voldemort/routing.h"
 #include "voldemort/server.h"
@@ -46,7 +45,7 @@ int main() {
     benchmark::DoNotOptimize(sink);
     const double voldemort_ns = timer.ElapsedMicros() * 1000.0 / kLookups;
 
-    Histogram chord_hops;
+    bench::Samples chord_hops;
     for (int i = 0; i < kLookups; ++i) {
       chord_hops.Record(
           chord.LookupHops("key-" + std::to_string(i), i % num_nodes));

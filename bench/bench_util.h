@@ -1,7 +1,9 @@
 #ifndef LIDI_BENCH_BENCH_UTIL_H_
 #define LIDI_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +11,7 @@
 #include <initializer_list>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -30,6 +33,63 @@ class Stopwatch {
 
  private:
   std::chrono::steady_clock::time_point start_;
+};
+
+/// Exact-percentile recorder: keeps every raw sample (bench scales are small
+/// enough) and interpolates linearly between the two closest ranks.
+/// Production paths use the bounded obs::LatencyHistogram instead.
+///
+/// Contract: on an empty recorder, Average/Percentile/Max all return 0
+/// rather than reading past the sample vector.
+class Samples {
+ public:
+  void Record(double v) {
+    samples_.push_back(v);
+    sorted_ = false;
+  }
+  void Clear() {
+    samples_.clear();
+    sorted_ = false;
+  }
+
+  size_t count() const { return samples_.size(); }
+
+  double Average() const {
+    if (samples_.empty()) return 0;
+    double sum = 0;
+    for (double v : samples_) sum += v;
+    return sum / static_cast<double>(samples_.size());
+  }
+
+  /// p in [0, 100]; sorts lazily.
+  double Percentile(double p) {
+    if (samples_.empty()) return 0;
+    if (!sorted_) {
+      std::sort(samples_.begin(), samples_.end());
+      sorted_ = true;
+    }
+    const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(rank));
+    const size_t hi = std::min(lo + 1, samples_.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return samples_[lo] * (1 - frac) + samples_[hi] * frac;
+  }
+
+  double Max() { return Percentile(100); }
+
+  /// One-line summary, e.g. "n=1000 avg=2.130 p50=1.900 ... max=9.100".
+  std::string Summary() {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "n=%zu avg=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
+                  count(), Average(), Percentile(50), Percentile(95),
+                  Percentile(99), Max());
+    return buf;
+  }
+
+ private:
+  std::vector<double> samples_;
+  bool sorted_ = false;
 };
 
 /// Section header for a bench report.

@@ -10,7 +10,6 @@
 
 #include "bench_util.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/random.h"
 #include "net/address.h"
 #include "net/network.h"

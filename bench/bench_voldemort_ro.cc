@@ -13,7 +13,6 @@
 
 #include "bench_util.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/random.h"
 #include "net/address.h"
 #include "net/network.h"
@@ -65,7 +64,7 @@ int main() {
                        SystemClock::Default());
 
     const int kLookups = 30000;
-    Histogram lat;
+    bench::Samples lat;
     bench::Stopwatch total;
     for (int i = 0; i < kLookups; ++i) {
       const std::string key =
@@ -115,7 +114,7 @@ int main() {
                           SystemClock::Default());
     for (const auto& [k, v] : records) LIDI_MUST_OK(rw_client.PutValue(k, v));
 
-    Histogram ro_lat, rw_lat;
+    bench::Samples ro_lat, rw_lat;
     for (int i = 0; i < 20000; ++i) {
       const std::string key = "k" + std::to_string(rng.Uniform(kKeys));
       bench::Stopwatch a;

@@ -12,7 +12,6 @@
 
 #include "bench_util.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/random.h"
 #include "net/address.h"
 #include "net/network.h"
@@ -68,7 +67,7 @@ void RunMix(ClusterFixture& fx, int n, int r, int w, int num_keys, int ops,
     LIDI_MUST_OK(client.PutValue(mix.KeyAt(static_cast<uint64_t>(i)), rng.Bytes(256)));
   }
 
-  Histogram read_lat, write_lat;
+  bench::Samples read_lat, write_lat;
   bench::Stopwatch total;
   for (int i = 0; i < ops; ++i) {
     const std::string key = mix.NextKey();

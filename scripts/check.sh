@@ -3,44 +3,39 @@
 #   scripts/check.sh [jobs]
 #
 # Stages:
-#   0. lidi-check (scripts/lidi_check.py): AST-level static analysis —
-#      must-check, reactor-blocking, sim-determinism, tsa-coverage. Runs
-#      before any compilation because it needs no build tree and catches
-#      discarded Status / blocked reactors / unannotated shared state in
-#      seconds. Waiver policy: a deliberate discard is `(void)expr` plus a
-#      `discard-ok: <reason>` comment within the three preceding lines (or
-#      trailing on the same line); TSA exemptions use `tsa-ok: <reason>`;
-#      reactor-path blocking uses `reactor-ok: <reason>`. Waivers are
-#      counted and capped repo-wide (see scripts/lidi_check.py --help);
-#      raising a cap is a code-review decision.
-#   1. Configure + build with -DLIDI_THREAD_SAFETY=ON. Under Clang this
-#      promotes -Wthread-safety to an error across the tree; under GCC the
-#      attributes are no-ops and CMake prints a warning but the build (and
-#      the runtime lock-order registry, LIDI_LOCK_ORDER=ON by default)
-#      still gates.
-#   2. Lint (scripts/lint.sh): clang-tidy when available + the repo-local
-#      grep invariants (no raw std::mutex outside src/common/sync.{h,cc},
-#      no std::fstream outside src/io, justified+capped TSA escapes,
-#      justified+capped direct Sync() choke points outside src/io).
-#   3. Full ctest suite — includes the >=200-seed group-commit crash sweeps
+#   1. Configure with -DLIDI_THREAD_SAFETY=ON and -DLIDI_LOCK_ORDER=ON. Under
+#      Clang this promotes -Wthread-safety to an error across the tree;
+#      under GCC the attributes are no-ops and CMake prints a warning but
+#      the build (and the runtime lock-order registry) still gates.
+#   2. Lint, before anything compiles: scripts/lidi_check.py, the one lint
+#      entry point. Its nine checks (must-check, reactor-blocking,
+#      sim-determinism, tsa-coverage, raw-locks, stream-io, tsa-escape,
+#      sync-choke-point, raw-sockets) need no build tree; clang-tidy runs
+#      too when installed, reading the compile_commands.json stage 1
+#      exported. Waivers (`discard-ok:`, `tsa-ok:`, `reactor-ok:`,
+#      `sync-choke-point`) and the populations they cover are capped by
+#      constants in lidi_check.py; raising a cap is a code-review decision.
+#      DESIGN.md §12 is the contract.
+#   3. Build.
+#   4. Full ctest suite — includes the >=200-seed group-commit crash sweeps
 #      in faultfs_test (GroupCommitNeverLosesAnAcknowledgedAppend and the
 #      Binlog equivalent) and the `workload` label (open-loop driver, sim
 #      overload schedule).
-#   3b. Open-loop overload smoke: bench_open_loop --smoke asserts the
+#   4b. Open-loop overload smoke: bench_open_loop --smoke asserts the
 #      graceful-degradation shape (zero sheds at trivial load, nonzero at
 #      saturation) on the deterministic sim backend.
-#   3c. Repo benchmark self-test (perfbench/test_perfbench.py): the result
+#   4c. Repo benchmark self-test (perfbench/test_perfbench.py): the result
 #      summarizer and stamp contract, plus `run.py --smoke`, which builds
 #      lidi_perfbench from src/ in its own Release tree (.bench_build/) and
 #      runs every workload's correctness checks for a few hundred
 #      operations, so a src/ change that breaks a workload fails here.
 #      About 2 s with a warm build, a few minutes cold.
-#   4. ThreadSanitizer pass over the concurrency-sensitive suites (faultfs
+#   5. ThreadSanitizer pass over the concurrency-sensitive suites (faultfs
 #      + every *concurrency*/sync test — which picks up
 #      group_commit_concurrency_test: many appenders, one group-commit
 #      leader, crash armed mid-batch) in a separate build tree, when the
 #      toolchain supports -fsanitize=thread.
-#   5. AddressSanitizer pass over the simulation suites (ctest -L sim) in a
+#   6. AddressSanitizer pass over the simulation suites (ctest -L sim) in a
 #      separate build tree, when the toolchain supports -fsanitize=address —
 #      the chaos schedules crash/restart every tier, so this is where
 #      use-after-free on teardown paths would surface — then over the
@@ -72,20 +67,15 @@ if [ "${1:-}" = "sweep" ]; then
   exit 0
 fi
 
-say "lidi-check (static analysis, pre-build)"
-if command -v python3 >/dev/null 2>&1; then
-  python3 scripts/lidi_check.py
-else
-  echo "check: no python3; lidi-check deferred to lint.sh grep fallbacks"
-fi
-
-say "build (LIDI_THREAD_SAFETY=ON, LIDI_LOCK_ORDER=ON)"
+say "configure (LIDI_THREAD_SAFETY=ON, LIDI_LOCK_ORDER=ON)"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DLIDI_THREAD_SAFETY=ON -DLIDI_LOCK_ORDER=ON
-cmake --build build -j"$JOBS"
 
-say "lint"
-scripts/lint.sh build
+say "lint (lidi-check, pre-build)"
+python3 scripts/lidi_check.py --build-dir build
+
+say "build"
+cmake --build build -j"$JOBS"
 
 say "tests"
 ctest --test-dir build --output-on-failure -j"$JOBS"
@@ -98,11 +88,7 @@ say "open-loop overload smoke (bench_open_loop --smoke)"
 build/bench/bench_open_loop --smoke
 
 say "repo benchmark self-test (perfbench, incl. run.py --smoke)"
-if command -v python3 >/dev/null 2>&1; then
-  python3 -m unittest discover -s perfbench -p 'test_*.py'
-else
-  echo "check: no python3; skipping the perfbench self-test"
-fi
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 say "thread-sanitizer (faultfs + concurrency + sync suites)"
 if printf 'int main(){return 0;}' | \

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""lidi-check: AST-level static analysis for the lidi codebase.
+"""lidi-check: the repo's lint gate -- static analysis for the lidi codebase.
 
-Run as `cmake --build build --target lidi-check`, from scripts/lint.sh and
-scripts/check.sh, or directly:
+Run as `cmake --build build --target lidi-check`, from scripts/check.sh, or
+directly:
 
     python3 scripts/lidi_check.py [--root DIR] [--checks a,b,...]
+                                  [--build-dir DIR]
 
-Four checks, each encoding a repo contract that grep alone enforces only
-approximately (comments and string literals are stripped before any pattern
-runs, and the reactor check walks a call graph no grep can express):
+Every pattern runs on comment- and string-stripped text, so a mention in a
+comment or a string literal never trips a check; waiver and justification
+lookups read the original lines. Repo scans read C++ sources (.h, .cc, .cpp)
+and skip tests/lint_fixtures/, which holds each check's golden trees.
 
   must-check        Every discarded lidi::Status / lidi::Result must be a
                     deliberate decision. The compiler enforces the baseline
@@ -17,10 +19,9 @@ runs, and the reactor check walks a call graph no grep can express):
                     top: a `(void)` / `static_cast<void>` discard of a call
                     result in src/ must carry a `discard-ok:` justification
                     comment within the three preceding lines, and the total
-                    number of waivers in src/ is capped so each new one is a
-                    reviewed decision, not drift. Also verifies status.h
-                    still carries LIDI_NODISCARD on both types, so the
-                    compiler gate cannot silently rot.
+                    number of waivers in src/ is capped. Also verifies
+                    status.h still carries LIDI_NODISCARD on both types, so
+                    the compiler gate cannot silently rot.
 
   reactor-blocking  No path from an epoll reactor loop may reach a blocking
                     primitive. Roots are discovered, not hard-coded: any
@@ -36,40 +37,65 @@ runs, and the reactor check walks a call graph no grep can express):
                     be a pure function of (SimOptions, Schedule): wall-clock
                     reads and unseeded randomness break the same-seed =>
                     byte-identical-trace replay contract (DESIGN.md,
-                    "Simulation testing"). Banned outright -- no waivers --
-                    but unlike the legacy grep gate, a mention in a comment
-                    or string literal does not trip it.
+                    "Simulation testing"). Banned outright -- no waivers.
 
   tsa-coverage      A class that owns a lidi::Mutex / SharedMutex must say,
                     member by member, what that lock protects: every mutable
                     data member is either LIDI_GUARDED_BY / LIDI_PT_GUARDED_BY
                     annotated or waived with a `tsa-ok:` comment within the
-                    three preceding lines (e.g. "written once before threads
-                    exist", "owned by the reactor thread"). const members,
-                    atomics, and the sync primitives themselves are exempt.
-                    Waivers are capped.
+                    three preceding lines. const members, atomics, and the
+                    sync primitives themselves are exempt. Waivers are capped.
 
-Waiver policy (shared by all checks that accept waivers): the justification
-comment must appear on the flagged line or within the three lines above it,
-must start with the check's token (`discard-ok:` / `reactor-ok:` /
-`tsa-ok:`), and must state a reason. Waivers are counted and capped
-repo-wide; raising a cap is a code-review decision, not an edit the analyzer
-will make for you.
+  raw-locks         No raw std lock primitive (std::mutex, lock_guard,
+                    condition_variable, ...) in src/, tests/, bench/ or
+                    examples/ outside src/common/sync.{h,cc}: a raw lock is
+                    invisible to Thread Safety Analysis and to the lock-order
+                    registry.
+
+  stream-io         No std::fstream / ofstream / ifstream in src/ outside
+                    src/io: durable I/O goes through io::Fs so short writes,
+                    sync policy and fault injection stay honest.
+
+  tsa-escape        Every LIDI_NO_THREAD_SAFETY_ANALYSIS in src/, tests/ or
+                    bench/ (outside src/common/sync.h) carries a `//` comment
+                    on its line or the line above saying why; the total is
+                    capped.
+
+  sync-choke-point  Every `->Sync()` / `.Sync()` in src/ outside src/io is a
+                    counted fdatasync choke point: it carries a
+                    `sync-choke-point` justification within the three lines
+                    above it, and the total is capped. Databus may ship only
+                    commits the source has made durable, so a stray sync off
+                    the group-commit path is a design decision, not drift.
+
+  raw-sockets       No socket(2) / epoll / eventfd call in src/ outside
+                    src/net: every RPC flows through net::Transport so it runs
+                    on both backends and stays fault-injectable.
+
+Caps are constants below: a new waiver or site past its cap fails the build
+even when justified, so raising one is a reviewed change.
+
+A full run (no --checks) also runs clang-tidy over src/*.cc with the checks
+in .clang-tidy when a clang-tidy binary is found; it then needs
+<build-dir>/compile_commands.json (configure with CMake first). Without a
+binary the tidy step prints a skip notice.
 
 Backends: with python clang bindings installed (clang.cindex + libclang),
-checks run on the real AST; otherwise a token-level backend (comment/string
-stripping + brace-matched function extraction) runs the same checks with the
-same diagnostics. `--backend auto` (default) picks the best available.
-`--probe` exits 0 when the analyzer is functional in this environment, which
-lets scripts/lint.sh demote its legacy grep gates to fallback-only.
+must-check runs on the real AST; every other check, and must-check
+otherwise, runs on the token backend (comment/string stripping +
+brace-matched function extraction). `--backend auto` (default) picks the
+best available.
 
 Exit codes: 0 clean, 1 violations reported, 2 usage/internal error.
 Diagnostics are `path:line: [check] message`, paths relative to --root.
 """
 
 import argparse
+import glob
 import os
 import re
+import shutil
+import subprocess
 import sys
 from collections import deque
 
@@ -77,19 +103,18 @@ from collections import deque
 # Configuration
 # ---------------------------------------------------------------------------
 
-ALL_CHECKS = ("must-check", "reactor-blocking", "sim-determinism",
-              "tsa-coverage")
-
-# Caps: a new waiver past the cap fails the build even when justified, so
-# growth of the waiver population is itself a reviewed decision.
+# Caps: growth past a cap fails the build even when every site is justified.
 MAX_DISCARD_WAIVERS = 40
 MAX_TSA_WAIVERS = 60
+MAX_TSA_ESCAPES = 5
+MAX_SYNC_CHOKE_POINTS = 6
 
 # How many lines above a flagged site a waiver comment may sit (inclusive of
-# the flagged line itself). Mirrors lint.sh's sync-choke-point window.
+# the flagged line itself).
 WAIVER_WINDOW = 3
 
-SOURCE_EXTS = (".h", ".cc")
+SOURCE_EXTS = (".h", ".cc", ".cpp")
+FIXTURES_DIR = "tests/lint_fixtures"
 
 # Blocking leaf calls for the reactor walk: method names that park the
 # calling thread. `Call` is the synchronous RPC entry point (both backends);
@@ -117,10 +142,18 @@ class Diagnostics:
     def __init__(self, root):
         self.root = root
         self.items = []
+        self.usage = []  # (what, used, cap) per capped population
 
     def add(self, path, line, check, message):
         rel = os.path.relpath(path, self.root)
         self.items.append((rel, line, check, message))
+
+    def cap(self, scope, check, what, used, cap, advice):
+        """Records a capped population and fails when it exceeds its cap."""
+        self.usage.append((what, used, cap))
+        if used > cap:
+            self.add(os.path.join(self.root, scope), 1, check,
+                     f"{used} {what} (max {cap}) -- {advice}")
 
     def emit(self, out=sys.stdout):
         for rel, line, check, message in sorted(self.items):
@@ -131,8 +164,24 @@ class Diagnostics:
 
 
 # ---------------------------------------------------------------------------
-# Lexing: comment/string stripping (shared by the token backend)
+# Lexing: comment/string stripping
 # ---------------------------------------------------------------------------
+
+def _is_digit_separator(text, i):
+    """True when the `'` at text[i] separates two digits of a numeric literal
+    (C++14 `10'000`, `0xFF'FF`) rather than opening a character literal."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_'."):
+        j -= 1
+    token = text[j:i]
+    if not token or not token[0].isdigit():
+        return False
+    digits = "0123456789"
+    if token[:2].lower() == "0x":
+        digits += "abcdefABCDEF"
+    return (text[i - 1] in digits and i + 1 < len(text) and
+            text[i + 1] in digits)
+
 
 def strip_comments_and_strings(text):
     """Replaces comment bodies and string/char literal contents with spaces.
@@ -160,6 +209,8 @@ def strip_comments_and_strings(text):
             if i < n:
                 out[i] = out[i + 1] = " "
                 i += 2
+        elif c == "'" and _is_digit_separator(text, i):
+            i += 1
         elif c == '"' or c == "'":
             quote = c
             # Raw strings: R"delim(...)delim" -- handled as a plain scan for
@@ -212,11 +263,10 @@ def line_of(text, offset, _cache={}):
     return lo + 1
 
 
-def has_waiver(orig_lines, line, token):
-    """True when `token` appears on `line` or the WAIVER_WINDOW lines above
-    it (1-indexed), in the ORIGINAL text (comments included). Matches the
-    window lint.sh grants sync-choke-point justifications."""
-    lo = max(1, line - WAIVER_WINDOW)
+def has_waiver(orig_lines, line, token, window=WAIVER_WINDOW):
+    """True when `token` appears on `line` or the `window` lines above it
+    (1-indexed), in the ORIGINAL text (comments included)."""
+    lo = max(1, line - window)
     for ln in range(lo, line + 1):
         if token in orig_lines[ln - 1]:
             return True
@@ -227,7 +277,11 @@ def has_waiver(orig_lines, line, token):
 # File discovery
 # ---------------------------------------------------------------------------
 
-def collect_files(root, subdirs):
+def collect_files(root, subdirs, exclude=()):
+    """C++ sources under `subdirs` (root-relative files or directories),
+    minus tests/lint_fixtures/ and every root-relative path in `exclude`
+    (a file, or a directory and everything below it)."""
+    skip = (FIXTURES_DIR,) + tuple(exclude)
     files = []
     for sub in subdirs:
         base = os.path.join(root, sub)
@@ -235,10 +289,15 @@ def collect_files(root, subdirs):
             files.append(base)
             continue
         for dirpath, _, names in os.walk(base):
-            for name in sorted(names):
+            for name in names:
                 if name.endswith(SOURCE_EXTS):
                     files.append(os.path.join(dirpath, name))
-    return sorted(set(files))
+
+    def skipped(path):
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
+        return any(rel == s or rel.startswith(s + "/") for s in skip)
+
+    return sorted(p for p in set(files) if not skipped(p))
 
 
 class SourceFile:
@@ -250,8 +309,24 @@ class SourceFile:
         self.stripped = strip_comments_and_strings(self.text)
 
 
+_SOURCES = {}
+
+
 def load(files):
-    return [SourceFile(p) for p in files]
+    """SourceFiles for `files`; each file is read and stripped once per
+    run, however many checks scan it."""
+    for p in files:
+        if p not in _SOURCES:
+            _SOURCES[p] = SourceFile(p)
+    return [_SOURCES[p] for p in files]
+
+
+def scan(root, subdirs, pattern, exclude=()):
+    """Yields (SourceFile, line, match) for every hit of `pattern` in the
+    stripped text of the files in scope."""
+    for sf in load(collect_files(root, subdirs, exclude)):
+        for m in pattern.finditer(sf.stripped):
+            yield sf, line_of(sf.stripped, m.start()), m
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +336,18 @@ def load(files):
 DISCARD_RE = re.compile(
     r"(?:\(\s*void\s*\)|static_cast\s*<\s*void\s*>\s*\()\s*"
     r"[A-Za-z_][\w:]*(?:\s*(?:\.|->)\s*[A-Za-z_]\w*|\s*\(\s*\))*\s*\(")
+DISCARD_MESSAGE = ("discarded call result cast to void without a "
+                   f"`discard-ok:` justification within the {WAIVER_WINDOW} "
+                   "preceding lines")
 
 
-def check_must_check(root, diags, max_waivers):
+def _cap_discard_waivers(diags, waivers):
+    diags.cap("src", "must-check", "discard-ok waivers in src/", waivers,
+              MAX_DISCARD_WAIVERS, "fix discards instead of waiving, or "
+              "raise the cap in a reviewed change")
+
+
+def check_must_check(root, diags):
     status_h = os.path.join(root, "src", "common", "status.h")
     if os.path.isfile(status_h):
         sf = SourceFile(status_h)
@@ -278,21 +362,12 @@ def check_must_check(root, diags, max_waivers):
                           "off; restore `class LIDI_NODISCARD " + cls + "`")
 
     waivers = 0
-    for sf in load(collect_files(root, ["src"])):
-        for m in DISCARD_RE.finditer(sf.stripped):
-            line = line_of(sf.stripped, m.start())
-            if has_waiver(sf.lines, line, "discard-ok:"):
-                waivers += 1
-            else:
-                diags.add(sf.path, line, "must-check",
-                          "discarded call result cast to void without a "
-                          "`discard-ok:` justification within the "
-                          f"{WAIVER_WINDOW} preceding lines")
-    if waivers > max_waivers:
-        diags.add(os.path.join(root, "src"), 1, "must-check",
-                  f"{waivers} discard-ok waivers in src/ "
-                  f"(max {max_waivers}) -- fix discards instead of waiving, "
-                  "or raise the cap in a reviewed change")
+    for sf, line, _ in scan(root, ["src"], DISCARD_RE):
+        if has_waiver(sf.lines, line, "discard-ok:"):
+            waivers += 1
+        else:
+            diags.add(sf.path, line, "must-check", DISCARD_MESSAGE)
+    _cap_discard_waivers(diags, waivers)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +463,7 @@ CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\(")
 
 
 def check_reactor_blocking(root, diags):
-    corpus = load(collect_files(root, [os.path.join("src", "net")]))
+    corpus = load(collect_files(root, ["src/net"]))
     functions = []
     by_file = {}
     for sf in corpus:
@@ -457,20 +532,16 @@ def check_reactor_blocking(root, diags):
 # Check: sim-determinism
 # ---------------------------------------------------------------------------
 
-SIM_SUBDIRS = [os.path.join("src", "sim"),
-               os.path.join("tests", "sim_test.cc"),
-               os.path.join("tests", "property_sim_test.cc")]
+SIM_SCOPE = ["src/sim", "tests/sim_test.cc", "tests/property_sim_test.cc"]
 
 
 def check_sim_determinism(root, diags):
-    for sf in load(collect_files(root, SIM_SUBDIRS)):
-        for pat, what in NONDET_PATTERNS:
-            for m in pat.finditer(sf.stripped):
-                line = line_of(sf.stripped, m.start())
-                diags.add(sf.path, line, "sim-determinism",
-                          f"{what} in simulation-reachable code -- breaks "
-                          "same-seed replay; use the virtual ManualClock "
-                          "and seeded lidi::Random (no waivers)")
+    for pat, what in NONDET_PATTERNS:
+        for sf, line, _ in scan(root, SIM_SCOPE, pat):
+            diags.add(sf.path, line, "sim-determinism",
+                      f"{what} in simulation-reachable code -- breaks "
+                      "same-seed replay; use the virtual ManualClock "
+                      "and seeded lidi::Random (no waivers)")
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +641,7 @@ def _depth1_statements(stripped, start, end):
         i += 1
 
 
-def check_tsa_coverage(root, diags, max_waivers):
+def check_tsa_coverage(root, diags):
     waivers = 0
     for sf in load(collect_files(root, ["src"])):
         for start, end in _class_regions(sf.stripped):
@@ -599,18 +670,94 @@ def check_tsa_coverage(root, diags, max_waivers):
                           "annotation -- say what the lock protects, or "
                           "waive with a `tsa-ok:` comment stating why it "
                           "needs no lock")
-    if waivers > max_waivers:
-        diags.add(os.path.join(root, "src"), 1, "tsa-coverage",
-                  f"{waivers} tsa-ok waivers in src/ (max {max_waivers}) -- "
-                  "annotate instead of waiving, or raise the cap in a "
-                  "reviewed change")
+    diags.cap("src", "tsa-coverage", "tsa-ok waivers in src/", waivers,
+              MAX_TSA_WAIVERS, "annotate instead of waiving, or raise the "
+              "cap in a reviewed change")
 
 
 # ---------------------------------------------------------------------------
-# AST backend (clang.cindex). The container images this repo targets are
-# GCC-only, so this backend is exercised where libclang exists; everywhere
-# else the token backend above is the enforced one. Both emit the same
-# diagnostic format.
+# Checks: banned primitives (raw-locks, stream-io, raw-sockets)
+# ---------------------------------------------------------------------------
+
+RAW_LOCK_RE = re.compile(
+    r"std::(?:mutex|shared_mutex|recursive_mutex|timed_mutex|"
+    r"condition_variable|lock_guard|unique_lock|shared_lock|scoped_lock)"
+    r"(?![A-Za-z_])")
+STREAM_IO_RE = re.compile(r"std::(?:o|i)?fstream")
+RAW_SOCKET_RE = re.compile(
+    r"(?<![A-Za-z_])(?:socket|connect|accept4?|listen|bind|epoll_create1?|"
+    r"epoll_ctl|epoll_wait|eventfd)\s*\(")
+
+
+def check_raw_locks(root, diags):
+    for sf, line, m in scan(root, ["src", "tests", "bench", "examples"],
+                            RAW_LOCK_RE,
+                            ["src/common/sync.h", "src/common/sync.cc"]):
+        diags.add(sf.path, line, "raw-locks",
+                  f"raw `{m.group(0)}` outside src/common/sync.{{h,cc}} -- "
+                  "use lidi::Mutex / MutexLock / CondVar, which Thread "
+                  "Safety Analysis and the lock-order registry can see")
+
+
+def check_stream_io(root, diags):
+    for sf, line, m in scan(root, ["src"], STREAM_IO_RE, ["src/io"]):
+        diags.add(sf.path, line, "stream-io",
+                  f"`{m.group(0)}` outside src/io -- durable I/O goes "
+                  "through the io::Fs layer")
+
+
+def check_raw_sockets(root, diags):
+    for sf, line, m in scan(root, ["src"], RAW_SOCKET_RE, ["src/net"]):
+        call = m.group(0).rstrip("( \t\n")
+        diags.add(sf.path, line, "raw-sockets",
+                  f"raw `{call}()` outside src/net -- go through "
+                  "net::Transport so the call runs on both backends and "
+                  "stays fault-injectable")
+
+
+# ---------------------------------------------------------------------------
+# Checks: justified, capped sites (tsa-escape, sync-choke-point)
+# ---------------------------------------------------------------------------
+
+TSA_ESCAPE_RE = re.compile(r"LIDI_NO_THREAD_SAFETY_ANALYSIS")
+SYNC_CALL_RE = re.compile(r"(?:->|\.)Sync\(\)")
+
+
+def check_tsa_escape(root, diags):
+    sites = 0
+    for sf, line, _ in scan(root, ["src", "tests", "bench"], TSA_ESCAPE_RE,
+                            ["src/common/sync.h"]):
+        sites += 1
+        if not has_waiver(sf.lines, line, "//", window=1):
+            diags.add(sf.path, line, "tsa-escape",
+                      "unjustified LIDI_NO_THREAD_SAFETY_ANALYSIS -- add a "
+                      "`//` comment on this line or the line above saying "
+                      "why")
+    diags.cap(".", "tsa-escape", "LIDI_NO_THREAD_SAFETY_ANALYSIS escapes",
+              sites, MAX_TSA_ESCAPES, "annotate instead of suppressing")
+
+
+def check_sync_choke_point(root, diags):
+    sites = 0
+    for sf, line, _ in scan(root, ["src"], SYNC_CALL_RE, ["src/io"]):
+        sites += 1
+        if not has_waiver(sf.lines, line, "sync-choke-point"):
+            diags.add(sf.path, line, "sync-choke-point",
+                      "direct Sync() without a `sync-choke-point` "
+                      f"justification within the {WAIVER_WINDOW} preceding "
+                      "lines -- route durability through the group "
+                      "committer or the policy path in src/io")
+    diags.cap("src", "sync-choke-point",
+              "direct Sync() sites outside src/io", sites,
+              MAX_SYNC_CHOKE_POINTS, "a new fsync choke point needs a "
+              "deliberate design decision")
+
+
+# ---------------------------------------------------------------------------
+# AST variant of must-check (clang.cindex). The container images this repo
+# targets are GCC-only, so this variant runs where libclang exists;
+# everywhere else the token variant above is the enforced one. Both emit the
+# same diagnostic format.
 # ---------------------------------------------------------------------------
 
 def ast_backend_available():
@@ -622,12 +769,11 @@ def ast_backend_available():
         return False
 
 
-def run_ast_backend(root, checks, diags, args):
-    """AST versions of the checks. must-check gains precision here: a
-    discarded call is flagged by the *type* of the unused result, not by the
-    (void)-cast idiom, so a bare `DoThing();` whose result is a
-    lidi::Status is caught even if a compiler flag regression silenced
-    -Wunused-result."""
+def check_must_check_ast(root, diags):
+    """must-check on the AST: a discarded call is flagged by the *type* of
+    the unused result, not by the (void)-cast idiom, so a bare
+    `DoThing();` whose result is a lidi::Status is caught even if a compiler
+    flag regression silenced -Wunused-result."""
     import clang.cindex as ci
 
     index = ci.Index.create()
@@ -637,94 +783,123 @@ def run_ast_backend(root, checks, diags, args):
         s = t.spelling
         return s.startswith("lidi::Status") or s.startswith("lidi::Result")
 
-    if "must-check" in checks:
-        waivers = 0
-        for path in collect_files(root, ["src"]):
-            if not path.endswith(".cc"):
+    waivers = 0
+    for path in collect_files(root, ["src"]):
+        if not path.endswith(".cc"):
+            continue
+        tu = index.parse(path, args=compile_args)
+        sf = SourceFile(path)
+        for cur in tu.cursor.walk_preorder():
+            if cur.kind != ci.CursorKind.COMPOUND_STMT:
                 continue
-            tu = index.parse(path, args=compile_args)
-            sf = SourceFile(path)
-            for cur in tu.cursor.walk_preorder():
-                if cur.kind != ci.CursorKind.COMPOUND_STMT:
+            for child in cur.get_children():
+                expr = child
+                waived = False
+                if expr.kind == ci.CursorKind.CSTYLE_CAST_EXPR and \
+                   expr.type.spelling == "void":
+                    inner = list(expr.get_children())
+                    expr = inner[-1] if inner else expr
+                    waived = True
+                if expr.kind != ci.CursorKind.CALL_EXPR:
                     continue
-                for child in cur.get_children():
-                    expr = child
-                    waived = False
-                    if expr.kind == ci.CursorKind.CSTYLE_CAST_EXPR and \
-                       expr.type.spelling == "void":
-                        inner = list(expr.get_children())
-                        expr = inner[-1] if inner else expr
-                        waived = True
-                    if expr.kind != ci.CursorKind.CALL_EXPR:
-                        continue
-                    if not is_status_type(expr.type):
-                        continue
-                    line = child.location.line
-                    if has_waiver(sf.lines, line, "discard-ok:"):
-                        waivers += 1
-                        continue
-                    if waived:
-                        diags.add(path, line, "must-check",
-                                  "discarded call result cast to void "
-                                  "without a `discard-ok:` justification "
-                                  f"within the {WAIVER_WINDOW} preceding "
-                                  "lines")
-                    else:
-                        diags.add(path, line, "must-check",
-                                  "discarded lidi::Status/Result -- handle "
-                                  "it, or discard visibly with (void) and a "
-                                  "`discard-ok:` reason")
-        if waivers > args.max_discard_waivers:
-            diags.add(os.path.join(root, "src"), 1, "must-check",
-                      f"{waivers} discard-ok waivers in src/ "
-                      f"(max {args.max_discard_waivers})")
+                if not is_status_type(expr.type):
+                    continue
+                line = child.location.line
+                if has_waiver(sf.lines, line, "discard-ok:"):
+                    waivers += 1
+                    continue
+                if waived:
+                    diags.add(path, line, "must-check", DISCARD_MESSAGE)
+                else:
+                    diags.add(path, line, "must-check",
+                              "discarded lidi::Status/Result -- handle "
+                              "it, or discard visibly with (void) and a "
+                              "`discard-ok:` reason")
+    _cap_discard_waivers(diags, waivers)
 
-    # The remaining checks share their logic with the token backend; the
-    # stripping they rely on is already comment/string exact, and keeping a
-    # single implementation keeps the two backends' diagnostics identical.
-    if "reactor-blocking" in checks:
-        check_reactor_blocking(root, diags)
-    if "sim-determinism" in checks:
-        check_sim_determinism(root, diags)
-    if "tsa-coverage" in checks:
-        check_tsa_coverage(root, diags, args.max_tsa_waivers)
+
+# ---------------------------------------------------------------------------
+# clang-tidy step (full runs only)
+# ---------------------------------------------------------------------------
+
+def find_clang_tidy():
+    found = shutil.which("clang-tidy")
+    if found:
+        return found
+    for pattern in ("/usr/lib/llvm-*/bin/clang-tidy",
+                    "/opt/llvm*/bin/clang-tidy"):
+        for cand in sorted(glob.glob(pattern)):
+            if os.access(cand, os.X_OK):
+                return cand
+    return None
+
+
+def run_clang_tidy(root, build_dir, diags, quiet):
+    tidy = find_clang_tidy()
+    if tidy is None:
+        if not quiet:
+            print("lidi-check: clang-tidy not installed; skipping the tidy "
+                  "step")
+        return
+    build_dir = os.path.join(root, build_dir)
+    database = os.path.join(build_dir, "compile_commands.json")
+    if not os.path.isfile(database):
+        diags.add(database, 1, "clang-tidy",
+                  "missing compilation database -- configure with CMake "
+                  "first")
+        return
+    sources = [os.path.relpath(p, root) for p in collect_files(root, ["src"])
+               if p.endswith(".cc")]
+    if not quiet:
+        print(f"lidi-check: running {tidy} over src/")
+    proc = subprocess.run([tidy, "-p", build_dir, "--quiet"] + sources,
+                          cwd=root)
+    if proc.returncode != 0:
+        diags.add(os.path.join(root, "src"), 1, "clang-tidy",
+                  "clang-tidy reported errors (see its output above)")
 
 
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
+CHECKS = {
+    "must-check": check_must_check,
+    "reactor-blocking": check_reactor_blocking,
+    "sim-determinism": check_sim_determinism,
+    "tsa-coverage": check_tsa_coverage,
+    "raw-locks": check_raw_locks,
+    "stream-io": check_stream_io,
+    "tsa-escape": check_tsa_escape,
+    "sync-choke-point": check_sync_choke_point,
+    "raw-sockets": check_raw_sockets,
+}
+AST_VARIANTS = {"must-check": check_must_check_ast}
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="lidi_check.py",
-        description="AST-level static analysis for the lidi codebase.")
+        description="Static analysis and lint gate for the lidi codebase.")
     parser.add_argument("--root", default=None,
                         help="tree to analyze (default: the repo root)")
-    parser.add_argument("--checks", default=",".join(ALL_CHECKS),
+    parser.add_argument("--checks", default=None,
                         help="comma-separated subset of: " +
-                             ", ".join(ALL_CHECKS))
+                             ", ".join(CHECKS) +
+                             " (default: all, plus the clang-tidy step)")
     parser.add_argument("--backend", choices=("auto", "ast", "token"),
                         default="auto")
-    parser.add_argument("--probe", action="store_true",
-                        help="exit 0 if the analyzer is functional here "
-                             "(used by lint.sh to demote its grep gates)")
+    parser.add_argument("--build-dir", default="build",
+                        help="CMake build tree holding compile_commands.json "
+                             "for clang-tidy, relative to --root "
+                             "(default: build)")
     parser.add_argument("--list-checks", action="store_true")
-    parser.add_argument("--max-discard-waivers", type=int,
-                        default=MAX_DISCARD_WAIVERS)
-    parser.add_argument("--max-tsa-waivers", type=int,
-                        default=MAX_TSA_WAIVERS)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
     if args.list_checks:
-        for c in ALL_CHECKS:
+        for c in CHECKS:
             print(c)
-        return 0
-
-    if args.probe:
-        backend = "ast" if ast_backend_available() else "token"
-        if not args.quiet:
-            print(f"lidi-check: functional ({backend} backend)")
         return 0
 
     root = os.path.abspath(args.root) if args.root else \
@@ -733,13 +908,14 @@ def main(argv):
         print(f"lidi-check: no such root: {root}", file=sys.stderr)
         return 2
 
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    full_run = args.checks is None
+    checks = list(CHECKS) if full_run else \
+        [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
-        if c not in ALL_CHECKS:
+        if c not in CHECKS:
             print(f"lidi-check: unknown check: {c}", file=sys.stderr)
             return 2
 
-    diags = Diagnostics(root)
     backend = args.backend
     if backend == "auto":
         backend = "ast" if ast_backend_available() else "token"
@@ -748,18 +924,16 @@ def main(argv):
               "importable", file=sys.stderr)
         return 2
 
-    if backend == "ast":
-        run_ast_backend(root, checks, diags, args)
-    else:
-        if "must-check" in checks:
-            check_must_check(root, diags, args.max_discard_waivers)
-        if "reactor-blocking" in checks:
-            check_reactor_blocking(root, diags)
-        if "sim-determinism" in checks:
-            check_sim_determinism(root, diags)
-        if "tsa-coverage" in checks:
-            check_tsa_coverage(root, diags, args.max_tsa_waivers)
+    diags = Diagnostics(root)
+    for name in checks:
+        check = AST_VARIANTS.get(name) if backend == "ast" else None
+        (check or CHECKS[name])(root, diags)
+    if full_run:
+        run_clang_tidy(root, args.build_dir, diags, args.quiet)
 
+    if diags.usage and not args.quiet:
+        print("lidi-check: caps used: " + ", ".join(
+            f"{what} {used}/{cap}" for what, used, cap in diags.usage))
     if len(diags):
         diags.emit()
         if not args.quiet:

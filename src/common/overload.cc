@@ -23,15 +23,6 @@ bool TokenBucket::TryAcquire(int64_t now_micros, double tokens) {
   return true;
 }
 
-double TokenBucket::AvailableAt(int64_t now_micros) const {
-  if (!enabled()) return burst_;
-  MutexLock lock(&mu_);
-  if (now_micros <= refilled_micros_) return tokens_;
-  const double elapsed_sec =
-      static_cast<double>(now_micros - refilled_micros_) / 1e6;
-  return std::min(burst_, tokens_ + elapsed_sec * rate_per_sec_);
-}
-
 PerClientQuota::PerClientQuota(double rate_per_sec, double burst)
     : rate_per_sec_(rate_per_sec), burst_(burst) {}
 

@@ -42,9 +42,6 @@ class TokenBucket {
   /// safe: refill clamps to the latest time seen.
   bool TryAcquire(int64_t now_micros, double tokens = 1.0);
 
-  /// Tokens available at `now_micros` (observability/tests).
-  double AvailableAt(int64_t now_micros) const;
-
   double rate_per_sec() const { return rate_per_sec_; }
   double burst() const { return burst_; }
   bool enabled() const { return rate_per_sec_ > 0; }
@@ -53,7 +50,7 @@ class TokenBucket {
   const double rate_per_sec_;
   const double burst_;
 
-  mutable Mutex mu_{"common.token_bucket"};
+  Mutex mu_{"common.token_bucket"};
   double tokens_ LIDI_GUARDED_BY(mu_);
   int64_t refilled_micros_ LIDI_GUARDED_BY(mu_) = 0;
 };

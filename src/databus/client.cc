@@ -6,6 +6,11 @@
 
 namespace lidi::databus {
 
+namespace {
+// Events requested per relay read or bootstrap delta.
+constexpr int64_t kMaxBatchEvents = 4096;
+}  // namespace
+
 DatabusClient::DatabusClient(std::string name, net::Address relay,
                              net::Address bootstrap, net::Transport* network,
                              Consumer* consumer, ClientOptions options)
@@ -81,7 +86,7 @@ Result<int64_t> DatabusClient::BootstrapAndResume() {
   // ("fast playback" — only the last update per key).
   consumer_->OnBootstrap(/*snapshot_phase=*/false);
   std::string request;
-  EncodeReadRequest(checkpoint_scn_, options_.max_batch_events,
+  EncodeReadRequest(checkpoint_scn_, kMaxBatchEvents,
                     options_.filter, &request);
   auto r = network_->Call(name_, bootstrap_, "bootstrap.delta", request);
   if (!r.ok()) return r.status();
@@ -92,7 +97,7 @@ Result<int64_t> DatabusClient::BootstrapAndResume() {
 
 Result<int64_t> DatabusClient::PollOnce() {
   std::string request;
-  EncodeReadRequest(checkpoint_scn_, options_.max_batch_events,
+  EncodeReadRequest(checkpoint_scn_, kMaxBatchEvents,
                     options_.filter, &request);
   auto r = network_->Call(name_, relay_, "databus.read", request);
   if (r.ok()) {

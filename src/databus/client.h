@@ -37,7 +37,6 @@ class CallbackConsumer : public Consumer {
 };
 
 struct ClientOptions {
-  int64_t max_batch_events = 4096;
   /// Retries per event before the batch is abandoned (paper III.C: "Retry
   /// logic if consumers fail to process some events").
   int max_event_retries = 3;

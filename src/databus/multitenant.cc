@@ -53,13 +53,6 @@ Result<int64_t> MultiTenantRelay::PollAllOnce() {
   return total;
 }
 
-std::vector<std::string> MultiTenantRelay::Tenants() const {
-  MutexLock lock(&mu_);
-  std::vector<std::string> out;
-  for (const auto& [name, relay] : tenants_) out.push_back(name);
-  return out;
-}
-
 int64_t MultiTenantRelay::BufferedEvents(const std::string& tenant) const {
   MutexLock lock(&mu_);
   auto it = tenants_.find(tenant);

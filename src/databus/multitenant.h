@@ -48,7 +48,6 @@ class MultiTenantRelay {
   /// Polls every tenant's source. Returns total events ingested.
   Result<int64_t> PollAllOnce();
 
-  std::vector<std::string> Tenants() const;
   int64_t BufferedEvents(const std::string& tenant) const;
   int64_t BufferShare() const;
 

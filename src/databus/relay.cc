@@ -133,12 +133,6 @@ Result<int64_t> Relay::PollOnce() {
   return count;
 }
 
-void Relay::PushTransaction(const sqlstore::CommittedTransaction& txn) {
-  auto events = TransactionToEvents(txn);
-  MutexLock lock(&mu_);
-  AppendEventsLocked(std::move(events));
-}
-
 void Relay::AppendEventsLocked(std::vector<Event> events) {
   for (Event& event : events) {
     last_pulled_scn_ = std::max(last_pulled_scn_, event.scn);

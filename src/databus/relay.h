@@ -65,10 +65,6 @@ class Relay {
   Result<std::vector<Event>> ReadEvents(int64_t since_scn, int64_t max_events,
                                         const Filter& filter) const;
 
-  /// Ingest an externally pushed transaction (used by Espresso storage
-  /// nodes shipping their binlog into per-partition buffers, Section IV.B).
-  void PushTransaction(const sqlstore::CommittedTransaction& txn);
-
   /// Adjusts the circular-buffer capacity at runtime (trimming the oldest
   /// events if shrinking). Used by the multi-tenant host to rebalance the
   /// shared budget when tenants come and go.

@@ -5,15 +5,6 @@
 
 namespace lidi::helix {
 
-const char* ReplicaStateName(ReplicaState state) {
-  switch (state) {
-    case ReplicaState::kOffline: return "OFFLINE";
-    case ReplicaState::kSlave: return "SLAVE";
-    case ReplicaState::kMaster: return "MASTER";
-  }
-  return "?";
-}
-
 HelixController::HelixController(std::string cluster, zk::ZooKeeper* zookeeper)
     : cluster_(std::move(cluster)), zookeeper_(zookeeper) {
   controller_session_ = zookeeper_->CreateSession();
@@ -42,10 +33,6 @@ Status HelixController::AddInstance(const std::string& instance) {
   return zookeeper_->Create(controller_session_,
                             "/helix/" + cluster_ + "/instances/" + instance,
                             "", zk::CreateMode::kPersistent);
-}
-
-Status HelixController::RemoveInstance(const std::string& instance) {
-  return zookeeper_->Delete("/helix/" + cluster_ + "/instances/" + instance);
 }
 
 Result<zk::SessionId> HelixController::ConnectParticipant(

@@ -19,8 +19,6 @@ namespace lidi::helix {
 /// the published vocabulary of the Helix state machine.
 enum class ReplicaState { kOffline = 0, kSlave = 1, kMaster = 2 };
 
-const char* ReplicaStateName(ReplicaState state);
-
 /// A partitioned, replicated resource managed by Helix (e.g. an Espresso
 /// database).
 struct ResourceConfig {
@@ -65,10 +63,6 @@ struct RebalancePlan {
     return demotions.empty() && additions.empty() && promotions.empty() &&
            dead_erasures.empty();
   }
-  int TotalTransitions() const {
-    return static_cast<int>(demotions.size() + additions.size() +
-                            promotions.size());
-  }
 };
 
 /// The generic cluster manager (paper Section IV.B): tracks live instances
@@ -89,7 +83,6 @@ class HelixController {
   /// Adds a configured instance (server lifecycle management: addition
   /// without downtime).
   Status AddInstance(const std::string& instance);
-  Status RemoveInstance(const std::string& instance);
 
   /// Connects a participant: creates its live ephemeral node and registers
   /// its transition handler. Returns the zk session backing its liveness

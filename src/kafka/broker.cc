@@ -72,8 +72,7 @@ Broker::Broker(int id, zk::ZooKeeper* zookeeper, net::Transport* network,
       clock_(clock),
       options_(WithLogMetrics(std::move(options), network)),
       address_(net::MakeAddress(net::Tier::kKafkaBroker, id)),
-      produce_quota_(options_.quota_produce_per_sec, options_.quota_burst),
-      fetch_quota_(options_.quota_fetch_per_sec, options_.quota_burst) {
+      produce_quota_(options_.quota_produce_per_sec, options_.quota_burst) {
   obs::MetricsRegistry* metrics = network_->metrics();
   const obs::Labels labels{{"broker", std::to_string(id_)}};
   fetch_bytes_copied_ = metrics->GetCounter("kafka.fetch.bytes_copied", labels);
@@ -282,25 +281,21 @@ int Broker::EnforceRetention() {
 
 void Broker::SetQuotaEnforcing(bool enforcing) {
   produce_quota_.set_enforcing(enforcing);
-  fetch_quota_.set_enforcing(enforcing);
 }
 
 int64_t Broker::quota_rejects() const { return quota_rejects_->Value(); }
 
-Status Broker::AdmitClient(PerClientQuota* quota, const char* verb) {
-  if (!quota->enabled()) return Status::OK();
-  const net::Address& caller = net::CallerIdentity();
-  const std::string client = caller.empty() ? "anonymous" : caller;
-  if (quota->Admit(client, clock_->NowMicros())) return Status::OK();
-  quota_rejects_->Increment();
-  return Status::Overloaded(std::string(verb) + " quota exceeded for " +
-                            client + " at " + address_);
-}
-
 Result<std::string> Broker::HandleProduce(Slice request) {
   // Quota gate first: reject-before-work, the request is not even decoded.
-  Status admit = AdmitClient(&produce_quota_, "produce");
-  if (!admit.ok()) return admit;
+  if (produce_quota_.enabled()) {
+    const net::Address& caller = net::CallerIdentity();
+    const std::string client = caller.empty() ? "anonymous" : caller;
+    if (!produce_quota_.Admit(client, clock_->NowMicros())) {
+      quota_rejects_->Increment();
+      return Status::Overloaded("produce quota exceeded for " + client +
+                                " at " + address_);
+    }
+  }
   std::string topic, message_set;
   int partition;
   Status s = DecodeProduceRequest(request, &topic, &partition, &message_set);
@@ -311,8 +306,6 @@ Result<std::string> Broker::HandleProduce(Slice request) {
 }
 
 Result<PinnedSlice> Broker::HandleFetch(Slice request) {
-  Status admit = AdmitClient(&fetch_quota_, "fetch");
-  if (!admit.ok()) return admit;
   std::string topic;
   int partition;
   int64_t offset, max_bytes;

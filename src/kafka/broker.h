@@ -35,15 +35,14 @@ struct BrokerOptions {
   /// mirror, Section V.D) uses a different root.
   std::string zk_root = "/kafka";
 
-  /// Per-client request-rate quotas on the RPC paths (kafka.produce /
-  /// kafka.fetch), token-bucket enforced per caller identity
-  /// (net::CallerIdentity). A request over quota is rejected before any
-  /// decode or log work with Status::Overloaded — the survival mechanism
-  /// that keeps one hot producer from starving the broker (DESIGN.md §11).
-  /// <= 0 disables. Direct in-process Produce/FetchPinned calls are not
-  /// quota'd (they are the caller's own process).
+  /// Per-client request-rate quota on the kafka.produce RPC path,
+  /// token-bucket enforced per caller identity (net::CallerIdentity). A
+  /// request over quota is rejected before any decode or log work with
+  /// Status::Overloaded — the survival mechanism that keeps one hot
+  /// producer from starving the broker (DESIGN.md §11). <= 0 disables.
+  /// Direct in-process Produce calls are not quota'd (they are the caller's
+  /// own process).
   double quota_produce_per_sec = 0;
-  double quota_fetch_per_sec = 0;
   /// Bucket capacity in requests (allowed burst above the sustained rate).
   double quota_burst = 16;
 };
@@ -109,10 +108,6 @@ class Broker {
   Result<std::string> HandleProduce(Slice request);
   Result<PinnedSlice> HandleFetch(Slice request);
 
-  /// Shared quota gate for the RPC handlers: admits the ambient caller
-  /// against `quota`, or returns the Overloaded rejection to send back.
-  Status AdmitClient(PerClientQuota* quota, const char* verb);
-
   /// Creates the /brokers zk skeleton plus this broker's ephemeral id node
   /// (the advertisement producers/consumers discover brokers by).
   Status RegisterInZk();
@@ -138,9 +133,8 @@ class Broker {
   obs::Counter* produce_bytes_;
   obs::Counter* quota_rejects_;
 
-  /// Per-client token buckets for the RPC paths (see BrokerOptions quotas).
+  /// Per-client token buckets for kafka.produce (see BrokerOptions).
   PerClientQuota produce_quota_;
-  PerClientQuota fetch_quota_;
 
   /// Guards the partition map only; held across per-log calls in the
   /// flush/retention sweeps (broker -> log writer -> snapshot order).

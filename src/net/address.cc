@@ -1,17 +1,8 @@
 #include "net/address.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
 namespace lidi::net {
-
-namespace {
-
-constexpr Tier kAllTiers[] = {Tier::kVoldemort, Tier::kKafkaBroker,
-                              Tier::kEspressoNode, Tier::kDatabusRelay,
-                              Tier::kDatabusBootstrap};
-
-}  // namespace
 
 const char* TierPrefix(Tier tier) {
   switch (tier) {
@@ -31,27 +22,6 @@ const char* TierPrefix(Tier tier) {
 
 Address MakeAddress(Tier tier, int node_id) {
   return TierPrefix(tier) + std::to_string(node_id);
-}
-
-bool ParseAddress(const Address& addr, Tier* tier, int* node_id) {
-  // "kafka-broker-" must be tried before any prefix it could shadow; the
-  // table order is fine because no prefix is a prefix of another.
-  for (Tier candidate : kAllTiers) {
-    const char* prefix = TierPrefix(candidate);
-    const size_t prefix_len = std::strlen(prefix);
-    if (addr.size() <= prefix_len ||
-        addr.compare(0, prefix_len, prefix) != 0) {
-      continue;
-    }
-    const char* digits = addr.c_str() + prefix_len;
-    char* end = nullptr;
-    const long id = std::strtol(digits, &end, 10);
-    if (end == digits || *end != '\0' || id < 0) return false;
-    if (tier != nullptr) *tier = candidate;
-    if (node_id != nullptr) *node_id = static_cast<int>(id);
-    return true;
-  }
-  return false;
 }
 
 }  // namespace lidi::net

@@ -32,11 +32,6 @@ const char* TierPrefix(Tier tier);
 /// never change for an existing tier.
 Address MakeAddress(Tier tier, int node_id);
 
-/// Inverse of MakeAddress: true iff `addr` is a canonical tier address,
-/// with the tier and id stored through the out-params. Free-form addresses
-/// (e.g. client names) return false.
-bool ParseAddress(const Address& addr, Tier* tier, int* node_id);
-
 }  // namespace lidi::net
 
 #endif  // LIDI_NET_ADDRESS_H_

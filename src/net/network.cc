@@ -122,11 +122,6 @@ void Network::Heal() {
   for (const auto& listener : listeners) listener();
 }
 
-bool Network::IsPartitioned() const {
-  MutexLock lock(&mu_);
-  return partitioned_;
-}
-
 void Network::AddHealListener(std::function<void()> listener) {
   MutexLock lock(&mu_);
   heal_listeners_.push_back(std::move(listener));

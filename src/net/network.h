@@ -86,7 +86,6 @@ class Network final : public Transport {
   /// listener (outside the lock).
   void PartitionOff(const std::set<Address>& side_a);
   void Heal();
-  bool IsPartitioned() const;
 
   /// Registers a callback invoked after every Heal() — the hook failure
   /// detectors use to probe banned nodes immediately instead of sitting out

@@ -103,13 +103,14 @@ struct HistogramSnapshot {
     return count == 0 ? 0.0 : static_cast<double>(sum) / count;
   }
   /// p in [0, 100]. Returns 0 on an empty histogram (same explicit contract
-  /// as common/Histogram).
+  /// as the benches' bench::Samples).
   double Percentile(double p) const;
 };
 
 /// Fixed-bucket, bounded-memory latency recorder for always-on hot paths.
-/// The raw-sample common/Histogram stays bench-only: it grows an unbounded
-/// vector and sorts on read, neither of which belongs on a serving path.
+/// Exact raw-sample percentiles live only in bench/bench_util.h
+/// (bench::Samples): that recorder grows an unbounded vector and sorts on
+/// read, neither of which belongs on a serving path.
 class LatencyHistogram {
  public:
   void Record(int64_t micros);

@@ -1015,14 +1015,9 @@ void SimCluster::Settle() {
   }
 }
 
-void SimCluster::AddInvariant(std::unique_ptr<InvariantChecker> checker) {
-  extra_invariants_.push_back(std::move(checker));
-}
-
 std::vector<InvariantViolation> SimCluster::CheckInvariants() {
   std::vector<InvariantViolation> out;
   for (auto& checker : StandardInvariants()) checker->Check(*this, &out);
-  for (auto& checker : extra_invariants_) checker->Check(*this, &out);
   return out;
 }
 

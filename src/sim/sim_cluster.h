@@ -114,11 +114,9 @@ class SimCluster {
   /// checked against this settled state.
   void Settle();
 
-  /// Runs the standard invariant catalogue (see invariants.h) plus any
-  /// checkers added with AddInvariant. Call after Settle().
+  /// Runs the standard invariant catalogue (see invariants.h). Call after
+  /// Settle().
   std::vector<InvariantViolation> CheckInvariants();
-
-  void AddInvariant(std::unique_ptr<InvariantChecker> checker);
 
   /// RunSchedule + Settle + CheckInvariants on this (fresh) cluster.
   std::vector<InvariantViolation> RunToCompletion(const Schedule& schedule);
@@ -333,8 +331,6 @@ class SimCluster {
   int64_t value_seq_ = 0;
   int event_index_ = 0;
   std::string trace_;
-
-  std::vector<std::unique_ptr<InvariantChecker>> extra_invariants_;
 };
 
 /// Convenience for the property tests and the shrinker predicate: fresh

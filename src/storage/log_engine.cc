@@ -33,19 +33,12 @@ class LogEngineImpl : public LogStructuredEngine {
     }
     obs::MetricsRegistry* metrics =
         options_.metrics != nullptr ? options_.metrics : owned_metrics_.get();
-    obs::Labels labels;
-    if (!options_.metrics_scope.empty()) {
-      labels.emplace_back("store", options_.metrics_scope);
-    }
-    live_keys_ = metrics->GetGauge("storage.live_keys", labels);
-    segment_count_ = metrics->GetGauge("storage.segments", labels);
-    total_bytes_gauge_ = metrics->GetGauge("storage.total_bytes", labels);
-    dead_bytes_gauge_ = metrics->GetGauge("storage.dead_bytes", labels);
-    compactions_counter_ = metrics->GetCounter("storage.compactions", labels);
-    obs::Labels io_labels{{"layer", "storage.log_engine"}};
-    if (!options_.metrics_scope.empty()) {
-      io_labels.emplace_back("store", options_.metrics_scope);
-    }
+    live_keys_ = metrics->GetGauge("storage.live_keys");
+    segment_count_ = metrics->GetGauge("storage.segments");
+    total_bytes_gauge_ = metrics->GetGauge("storage.total_bytes");
+    dead_bytes_gauge_ = metrics->GetGauge("storage.dead_bytes");
+    compactions_counter_ = metrics->GetCounter("storage.compactions");
+    const obs::Labels io_labels{{"layer", "storage.log_engine"}};
     io_sync_count_ = metrics->GetCounter("io.sync.count", io_labels);
     io_write_failed_ = metrics->GetCounter("io.write.failed", io_labels);
     io_torn_truncations_ =

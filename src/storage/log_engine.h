@@ -31,10 +31,8 @@ struct LogEngineOptions {
   io::SyncPolicy sync = io::SyncPolicy::kNever;
   int64_t sync_interval_bytes = 1 << 20;
   /// Registry the engine's instruments ("storage.live_keys" et al.) land in;
-  /// null = engine-private registry. When several engines share a registry,
-  /// set distinct `metrics_scope`s — it becomes the "store" label.
+  /// null = engine-private registry.
   obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_scope;
 };
 
 class LogStructuredEngine;
@@ -57,7 +55,7 @@ class LogStructuredEngine : public StorageEngine {
   /// The registry the engine's instruments live in (injected or
   /// engine-owned): gauges "storage.live_keys", "storage.segments",
   /// "storage.total_bytes", "storage.dead_bytes" and the counter
-  /// "storage.compactions", labelled {store=<metrics_scope>} when set.
+  /// "storage.compactions".
   virtual obs::MetricsRegistry* metrics() const = 0;
 
   /// Forces a compaction regardless of the garbage ratio (for tests).

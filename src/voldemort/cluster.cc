@@ -1,7 +1,5 @@
 #include "voldemort/cluster.h"
 
-#include <set>
-
 namespace lidi::voldemort {
 
 Cluster::Cluster(std::vector<Node> nodes, std::vector<int> partition_ownership,
@@ -35,12 +33,6 @@ std::vector<int> Cluster::PartitionsOf(int node_id) const {
 
 void Cluster::MovePartition(int partition, int new_owner) {
   partition_ownership_[partition] = new_owner;
-}
-
-int Cluster::NumZones() const {
-  std::set<int> zones;
-  for (const Node& n : nodes_) zones.insert(n.zone_id);
-  return static_cast<int>(zones.size());
 }
 
 }  // namespace lidi::voldemort

@@ -56,9 +56,6 @@ class Cluster {
   /// membership, Section II.B Admin Service).
   void MovePartition(int partition, int new_owner);
 
-  /// Distinct zone count.
-  int NumZones() const;
-
  private:
   std::vector<Node> nodes_;
   std::vector<int> partition_ownership_;

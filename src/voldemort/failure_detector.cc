@@ -4,13 +4,18 @@
 
 namespace lidi::voldemort {
 
+namespace {
+// Counters decay: the observation window restarts every interval.
+constexpr int64_t kWindowMillis = 10'000;
+}  // namespace
+
 FailureDetector::FailureDetector(FailureDetectorOptions options,
                                  const Clock* clock,
                                  std::function<bool(int)> probe)
     : options_(options), clock_(clock), probe_(std::move(probe)) {}
 
 void FailureDetector::MaybeRollWindowLocked(NodeState* state, int64_t now) {
-  if (now - state->window_start_millis >= options_.window_millis) {
+  if (now - state->window_start_millis >= kWindowMillis) {
     state->successes = 0;
     state->failures = 0;
     state->window_start_millis = now;

@@ -13,10 +13,9 @@ namespace lidi::voldemort {
 struct FailureDetectorOptions {
   /// A node is marked down when successes/total drops below this ratio...
   double threshold = 0.8;
-  /// ...once at least this many requests were observed in the window.
+  /// ...once at least this many requests were observed in the (10 s)
+  /// observation window.
   int minimum_requests = 10;
-  /// Counters decay: the observation window restarts every interval.
-  int64_t window_millis = 10'000;
   /// A banned node is probed again after this long (stands in for the
   /// asynchronous recovery thread of the paper).
   int64_t ban_millis = 500;
@@ -71,7 +70,7 @@ class FailureDetector {
 
   const FailureDetectorOptions options_;
   const Clock* clock_;
-  std::function<bool(int)> probe_;
+  const std::function<bool(int)> probe_;
   /// Never held across the recovery probe (IsAvailable copies the probe
   /// callback out, pings unlocked, then re-locks to restore the node).
   Mutex mu_{"voldemort.failure_detector"};

@@ -8,6 +8,11 @@
 
 namespace lidi::voldemort {
 
+namespace {
+// Consecutive failed attempts before the in-flight migration is aborted.
+constexpr int kMaxAttemptFailures = 8;
+}  // namespace
+
 std::vector<RebalanceMove> PlanRebalance(const Cluster& cluster) {
   std::vector<RebalanceMove> plan;
   const auto& nodes = cluster.nodes();
@@ -68,12 +73,10 @@ std::vector<RebalanceMove> PlanRebalance(const Cluster& cluster) {
 
 RebalanceExecutor::RebalanceExecutor(std::string store,
                                      std::shared_ptr<ClusterMetadata> metadata,
-                                     net::Transport* network,
-                                     RebalanceExecutorOptions options)
+                                     net::Transport* network)
     : store_(std::move(store)),
       metadata_(std::move(metadata)),
       network_(network),
-      options_(options),
       name_("voldemort-rebalancer") {}
 
 bool RebalanceExecutor::Step() {
@@ -122,7 +125,7 @@ bool RebalanceExecutor::Step() {
 
 void RebalanceExecutor::FailAttempt() {
   ++attempt_failures_total_;
-  if (++consecutive_failures_ > options_.max_attempt_failures) {
+  if (++consecutive_failures_ > kMaxAttemptFailures) {
     // The source (or destination) has been unreachable for the whole retry
     // budget: abandon this migration — the pair-write window closes, no
     // ownership changed — and let a later plan pick the partition up again.

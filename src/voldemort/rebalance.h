@@ -30,14 +30,6 @@ struct RebalanceMove {
 /// moves. Returns moves in execution order.
 std::vector<RebalanceMove> PlanRebalance(const Cluster& cluster);
 
-struct RebalanceExecutorOptions {
-  /// Consecutive copy (or cutover-ping) failures tolerated before the
-  /// in-flight migration is aborted and re-planned later. Sources crash
-  /// mid-copy in the chaos schedules; abort-and-replan keeps the executor
-  /// from wedging on a dead node.
-  int max_attempt_failures = 8;
-};
-
 /// Drives live partition movement for one store: a small state machine
 /// stepped externally (the sim event loop, or a production janitor thread),
 /// one bounded action per Step so traffic interleaves with every phase.
@@ -55,13 +47,17 @@ struct RebalanceExecutorOptions {
 ///      guarantees completeness, and the acceptance tests prove it by
 ///      disabling pairing and watching this same cutover lose writes.
 ///
+/// After 8 consecutive copy (or cutover-ping) failures the in-flight
+/// migration is aborted and re-planned later. Sources crash mid-copy in the
+/// chaos schedules; abort-and-replan keeps the executor from wedging on a
+/// dead node.
+///
 /// Not thread-safe: Step/DriveToCompletion must be called from one thread.
 class RebalanceExecutor {
  public:
   RebalanceExecutor(std::string store,
                     std::shared_ptr<ClusterMetadata> metadata,
-                    net::Transport* network,
-                    RebalanceExecutorOptions options = {});
+                    net::Transport* network);
 
   /// Performs one bounded action (start the next planned migration, one
   /// copy attempt, or one cutover attempt). Returns true while work remains
@@ -103,7 +99,6 @@ class RebalanceExecutor {
   const std::string store_;
   const std::shared_ptr<ClusterMetadata> metadata_;
   net::Transport* const network_;
-  const RebalanceExecutorOptions options_;
   const std::string name_;  // caller identity for admin RPCs
 
   Phase phase_ = Phase::kIdle;

@@ -10,6 +10,28 @@
 namespace lidi::workload {
 
 namespace {
+
+// Voldemort: an N-node read-write cluster, one StoreClient per front-end
+// shard (the per-client quota key at the server is the shard identity).
+constexpr int kVoldemortNodes = 3;
+constexpr int kVoldemortPartitions = 16;
+constexpr int kReplication = 2;
+constexpr int kRequiredReads = 1;
+constexpr int kRequiredWrites = 1;
+// Kafka: one broker, one activity topic, produced to over RPC (so the
+// broker-side per-client quota applies).
+constexpr int kKafkaPartitions = 4;
+// Espresso: Helix-managed storage nodes behind a router.
+constexpr int kEspressoNodes = 2;
+constexpr int kEspressoPartitions = 4;
+constexpr int kEspressoReplicas = 1;
+// Front-end shards; matches SessionMixOptions::client_shards so the quota
+// identities line up.
+constexpr uint64_t kClientShards = 4;
+// Step() polls the Databus pipeline (relay ingest + client delivery) every
+// this many operations.
+constexpr int64_t kDatabusPollEvery = 64;
+
 /// Harness construction is all-or-nothing: a four-tier stack with a missing
 /// topic, store, or schema would silently measure garbage. Abort loudly.
 void MustOk(const Status& s, const char* what) {
@@ -26,24 +48,24 @@ FourTierStack::FourTierStack(net::Transport* transport, const Clock* clock,
     : transport_(transport), clock_(clock), options_(options) {
   // --- Voldemort: N nodes, uniform partition layout, quota'd servers. ---
   std::vector<voldemort::Node> nodes;
-  for (int i = 0; i < options_.voldemort_nodes; ++i) {
+  for (int i = 0; i < kVoldemortNodes; ++i) {
     nodes.push_back({i, net::MakeAddress(net::Tier::kVoldemort, i), 0});
   }
   metadata_ = std::make_shared<voldemort::ClusterMetadata>(
-      voldemort::Cluster::Uniform(nodes, options_.voldemort_partitions));
+      voldemort::Cluster::Uniform(nodes, kVoldemortPartitions));
   voldemort::VoldemortServerOptions vopts;
   vopts.quota_requests_per_sec = options_.voldemort_quota_per_sec;
   vopts.quota_burst = options_.quota_burst;
-  vopts.replication_factor = options_.replication;
-  for (int i = 0; i < options_.voldemort_nodes; ++i) {
+  vopts.replication_factor = kReplication;
+  for (int i = 0; i < kVoldemortNodes; ++i) {
     voldemort_.push_back(std::make_unique<voldemort::VoldemortServer>(
         i, metadata_, transport_, vopts));
     MustOk(voldemort_.back()->AddStore("wl"), "voldemort AddStore");
   }
-  voldemort::StoreDefinition def{"wl", options_.replication,
-                                 options_.required_reads,
-                                 options_.required_writes};
-  for (uint64_t s = 0; s < std::max<uint64_t>(1, options_.client_shards); ++s) {
+  voldemort::StoreDefinition def{"wl", kReplication,
+                                 kRequiredReads,
+                                 kRequiredWrites};
+  for (uint64_t s = 0; s < kClientShards; ++s) {
     // One StoreClient per front-end shard: the client name is the caller
     // identity the Voldemort quota keys on.
     stores_.push_back(std::make_unique<voldemort::StoreClient>(
@@ -56,13 +78,13 @@ FourTierStack::FourTierStack(net::Transport* transport, const Clock* clock,
   bopts.quota_burst = options_.quota_burst;
   broker_ = std::make_unique<kafka::Broker>(0, &zookeeper_, transport_, clock_,
                                             bopts);
-  MustOk(broker_->CreateTopic("activity", options_.kafka_partitions),
+  MustOk(broker_->CreateTopic("activity", kKafkaPartitions),
          "kafka CreateTopic");
 
   // --- Espresso: schema, Helix-managed nodes, admission-controlled router.
   MustOk(registry_.CreateDatabase(
              {"db", espresso::DatabaseSchema::Partitioning::kHash,
-              options_.espresso_partitions, options_.espresso_replicas}),
+              kEspressoPartitions, kEspressoReplicas}),
          "espresso CreateDatabase");
   MustOk(registry_.CreateTable("db", {"docs", 1}), "espresso CreateTable");
   MustOk(registry_
@@ -75,10 +97,10 @@ FourTierStack::FourTierStack(net::Transport* transport, const Clock* clock,
          "espresso PostDocumentSchema");
   controller_ = std::make_unique<helix::HelixController>("espresso",
                                                          &zookeeper_);
-  MustOk(controller_->AddResource({"db", options_.espresso_partitions,
-                                   options_.espresso_replicas}),
+  MustOk(controller_->AddResource({"db", kEspressoPartitions,
+                                   kEspressoReplicas}),
          "helix AddResource");
-  for (int i = 0; i < options_.espresso_nodes; ++i) {
+  for (int i = 0; i < kEspressoNodes; ++i) {
     auto node = std::make_unique<espresso::StorageNode>(
         "esn-" + std::to_string(i), &registry_, &espresso_relay_, transport_,
         clock_);
@@ -143,7 +165,7 @@ Status FourTierStack::KafkaStep(const SessionMix::Op& op) {
   builder.Add(op.key + "=" + std::to_string(steps_));
   std::string request;
   kafka::EncodeProduceRequest(
-      "activity", static_cast<int>(op.user % options_.kafka_partitions),
+      "activity", static_cast<int>(op.user % kKafkaPartitions),
       builder.Build(), &request);
   return transport_
       ->Call(op.client, broker_->address(), "kafka.produce", request)
@@ -172,7 +194,7 @@ Status FourTierStack::DatabusStep(const SessionMix::Op& op) {
   // Drive the change pipeline on a cadence: relay ingests the binlog, the
   // client delivers to the consumer. (Production runs these on poller
   // threads; the workload steps them inline to stay deterministic in sim.)
-  if (steps_ % std::max<int64_t>(1, options_.databus_poll_every) == 0) {
+  if (steps_ % kDatabusPollEvery == 0) {
     auto ingested = relay_->PollOnce();
     if (!ingested.ok()) return ingested.status();
     auto delivered = databus_client_->PollOnce();
@@ -202,7 +224,7 @@ int FourTierStack::AddVoldemortNode() {
   voldemort::VoldemortServerOptions vopts;
   vopts.quota_requests_per_sec = options_.voldemort_quota_per_sec;
   vopts.quota_burst = options_.quota_burst;
-  vopts.replication_factor = options_.replication;
+  vopts.replication_factor = kReplication;
   voldemort_.push_back(std::make_unique<voldemort::VoldemortServer>(
       id, metadata_, transport_, vopts));
   MustOk(voldemort_.back()->AddStore("wl"), "voldemort AddStore (elastic)");

@@ -22,39 +22,15 @@
 
 namespace lidi::workload {
 
-/// Knobs for the four-tier stack the open-loop driver loads. Quotas and
-/// budgets default OFF so the stack behaves exactly like the pre-overload-
-/// control fixtures unless a bench opts in.
+/// Overload-control knobs for the four-tier stack the open-loop driver
+/// loads (the topology itself is fixed; see stack.cc). Quotas and budgets
+/// default OFF so the stack behaves exactly like the pre-overload-control
+/// fixtures unless a bench opts in.
 struct StackOptions {
-  // Voldemort: an N-node read-write cluster, one StoreClient per front-end
-  // shard (the per-client quota key at the server is the shard identity).
-  int voldemort_nodes = 3;
-  int voldemort_partitions = 16;
-  int replication = 2;
-  int required_reads = 1;
-  int required_writes = 1;
-  double voldemort_quota_per_sec = 0;  // per client shard, 0 = off
-
-  // Kafka: one broker, one activity topic, produced to over RPC (so the
-  // broker-side per-client quota applies).
-  int kafka_partitions = 4;
+  double voldemort_quota_per_sec = 0;      // per client shard, 0 = off
   double kafka_produce_quota_per_sec = 0;  // per client shard, 0 = off
-
-  // Espresso: Helix-managed storage nodes behind a router.
-  int espresso_nodes = 2;
-  int espresso_partitions = 4;
-  int espresso_replicas = 1;
-  int64_t router_max_inflight = 0;  // 0 = off
-
   double quota_burst = 16;
-
-  /// Front-end shards; must match the SessionMix client_shards for the
-  /// quota identities to line up.
-  uint64_t client_shards = 4;
-
-  /// Step() polls the Databus pipeline (relay ingest + client delivery)
-  /// every this many operations.
-  int64_t databus_poll_every = 64;
+  int64_t router_max_inflight = 0;  // Espresso router admission, 0 = off
 };
 
 /// All four paper tiers wired over ONE transport (sim Network or

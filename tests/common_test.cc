@@ -5,11 +5,11 @@
 #include <set>
 #include <vector>
 
+#include "../bench/bench_util.h"
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/compression.h"
 #include "common/hash.h"
-#include "common/histogram.h"
 #include "common/random.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -338,7 +338,7 @@ TEST(ClockTest, SystemClockMonotonic) {
 }
 
 TEST(HistogramTest, Percentiles) {
-  Histogram h;
+  bench::Samples h;
   for (int i = 1; i <= 100; ++i) h.Record(i);
   EXPECT_DOUBLE_EQ(h.Average(), 50.5);
   EXPECT_NEAR(h.Percentile(50), 50.5, 1.0);
@@ -348,7 +348,7 @@ TEST(HistogramTest, Percentiles) {
 }
 
 TEST(HistogramTest, RecordAfterPercentileStillSorts) {
-  Histogram h;
+  bench::Samples h;
   h.Record(5);
   EXPECT_DOUBLE_EQ(h.Percentile(100), 5);
   h.Record(1);
@@ -358,13 +358,14 @@ TEST(HistogramTest, RecordAfterPercentileStillSorts) {
 TEST(HistogramTest, EmptyHistogramReturnsZero) {
   // Regression: every accessor must return 0 on an empty histogram instead
   // of indexing into the empty sample vector.
-  Histogram h;
+  bench::Samples h;
   EXPECT_DOUBLE_EQ(h.Average(), 0);
   EXPECT_DOUBLE_EQ(h.Percentile(0), 0);
   EXPECT_DOUBLE_EQ(h.Percentile(50), 0);
   EXPECT_DOUBLE_EQ(h.Percentile(100), 0);
   EXPECT_DOUBLE_EQ(h.Max(), 0);
   EXPECT_EQ(h.count(), 0u);
+  EXPECT_FALSE(h.Summary().empty());
   // Clear returns a used histogram to the empty contract.
   h.Record(7);
   h.Clear();

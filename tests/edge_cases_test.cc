@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/histogram.h"
 #include "databus/event.h"
 #include "espresso/document.h"
 #include "espresso/replication.h"
@@ -137,15 +136,6 @@ TEST(DocumentRecordEdgeTest, MalformedRowsRejected) {
   EXPECT_EQ(round.value().schema_version, 3);
   EXPECT_EQ(round.value().etag, "e1");
   EXPECT_EQ(round.value().timestamp_millis, 99);
-}
-
-TEST(HistogramEdgeTest, EmptyHistogram) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.Average(), 0);
-  EXPECT_DOUBLE_EQ(h.Percentile(50), 0);
-  EXPECT_DOUBLE_EQ(h.Max(), 0);
-  EXPECT_FALSE(h.Summary().empty());
 }
 
 }  // namespace

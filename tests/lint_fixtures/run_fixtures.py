@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Golden-fixture driver for scripts/lidi_check.py (ctest label `lint`).
 
-For every check, two miniature source trees live next to this script:
+For every check `lidi_check.py --list-checks` prints, two miniature source
+trees live next to this script:
 
-    <check>/bad/    one deliberate violation (plus exempt look-alikes that
-                    must NOT trip); expected.txt holds the EXACT diagnostics
-                    lidi-check must emit, one per line.
+    <check>/bad/    deliberate violations (plus look-alikes in comments and
+                    hits under exempt paths that must NOT trip);
+                    expected.txt holds the EXACT diagnostics lidi-check must
+                    emit, one per line.
     <check>/good/   the corrected twin (annotation, waiver, or redesign);
                     lidi-check must exit 0 with no findings.
+
+A check without both trees fails the driver.
 
 The comparison is exact, not substring: a fixture failing with the right
 exit code but different file:line or message text is a regression in the
@@ -20,10 +24,6 @@ Usage: run_fixtures.py <path-to-lidi_check.py>
 import os
 import subprocess
 import sys
-
-CHECKS = ("must-check", "reactor-blocking", "sim-determinism",
-          "tsa-coverage")
-
 
 def run(checker, root, check):
     proc = subprocess.run(
@@ -41,10 +41,21 @@ def main():
     checker = os.path.abspath(sys.argv[1])
     here = os.path.dirname(os.path.abspath(__file__))
     failures = []
+    checks = subprocess.run([sys.executable, checker, "--list-checks"],
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    if not checks:
+        print("FAIL: lidi_check.py --list-checks printed no checks")
+        return 1
 
-    for check in CHECKS:
+    for check in checks:
         bad = os.path.join(here, check, "bad")
         good = os.path.join(here, check, "good")
+        if not (os.path.isfile(os.path.join(bad, "expected.txt")) and
+                os.path.isdir(good)):
+            failures.append(f"{check}: missing bad/ (with expected.txt) "
+                            "or good/ fixture tree")
+            continue
 
         code, lines = run(checker, bad, check)
         with open(os.path.join(bad, "expected.txt")) as f:

@@ -12,4 +12,12 @@ class Cache {
   const int capacity_ = 8;
   std::atomic<int> epoch_{0};
 };
+class Audit {
+ private:
+  static constexpr int64_t kWindowMillis = 60'000;
+  Mutex mu_{"audit"};
+  int64_t windows_ LIDI_GUARDED_BY(mu_) = 0;
+  // Annotated after a digit separator (it's code, and it's covered).
+  int64_t pending_ LIDI_GUARDED_BY(mu_) = 0;
+};
 }  // namespace lidi
