@@ -39,8 +39,9 @@
 #      separate build tree, when the toolchain supports -fsanitize=address —
 #      the chaos schedules crash/restart every tier, so this is where
 #      use-after-free on teardown paths would surface — then over the
-#      transport (-L net), elasticity (-L rebalance) and crash/fault-injection
-#      (-L faultfs) suites.
+#      transport (-L net), elasticity (-L rebalance), crash/fault-injection
+#      (-L faultfs) and codec (-L codec: CRC-32, Kafka message-set and
+#      produce-request decoding, well under a second) suites.
 #
 # Nightly-style deep sweep (not part of the merge gate; run it before
 # release branches or after touching crash/recovery paths):
@@ -133,6 +134,10 @@ if printf 'int main(){return 0;}' | \
   # short write; the seeded torn-write schedules cut those slices at
   # arbitrary offsets.
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L faultfs
+  say "address-sanitizer (codec suites, ctest -L codec)"
+  # Decoders of untrusted bytes: CRC-32 over every length, torn and corrupt
+  # message sets, and the watches a destroyed producer leaves behind.
+  ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L codec
 else
   echo "check: toolchain lacks -fsanitize=address; skipping ASan stage"
 fi

@@ -1,5 +1,7 @@
 #include "common/hash.h"
 
+#include <zlib.h>
+
 #include <cstring>
 
 namespace lidi {
@@ -13,30 +15,11 @@ uint64_t Fnv1a64(Slice data) {
   return h;
 }
 
-namespace {
-
-struct Crc32Table {
-  uint32_t entries[256];
-  constexpr Crc32Table() : entries() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      entries[i] = c;
-    }
-  }
-};
-constexpr Crc32Table kCrcTable;
-
-}  // namespace
-
 uint32_t Crc32Extend(uint32_t crc, Slice data) {
-  uint32_t c = crc ^ 0xffffffffu;
-  for (size_t i = 0; i < data.size(); ++i) {
-    c = kCrcTable.entries[(c ^ static_cast<uint8_t>(data[i])) & 0xff] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
+  // A null buffer asks zlib for the initial CRC instead of extending one.
+  if (data.empty()) return crc;
+  return static_cast<uint32_t>(
+      crc32_z(crc, reinterpret_cast<const Bytef*>(data.data()), data.size()));
 }
 
 uint32_t Crc32(Slice data) { return Crc32Extend(0, data); }

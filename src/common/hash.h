@@ -13,8 +13,9 @@ namespace lidi {
 /// Espresso resource_id routing, Kafka key partitioning).
 uint64_t Fnv1a64(Slice data);
 
-/// 32-bit CRC (CRC-32/ISO-HDLC, same polynomial as zlib). Used to checksum
-/// log segments and binlog entries.
+/// 32-bit CRC (CRC-32/ISO-HDLC), computed by zlib's crc32_z: the one CRC-32
+/// in the tree. Checksums Kafka message entries, binlog and storage-engine
+/// records, Espresso etags and transport frame trailers.
 uint32_t Crc32(Slice data);
 /// Incremental form: extends a running CRC with more data.
 uint32_t Crc32Extend(uint32_t crc, Slice data);

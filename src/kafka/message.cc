@@ -134,10 +134,16 @@ bool MessageSetIterator::NextView(MessageView* view) {
 
 Result<int64_t> CountMessages(Slice data) {
   MessageSetIterator it(data, 0);
-  Message message;
+  MessageView view;
   int64_t count = 0;
-  while (it.Next(&message)) ++count;
+  while (it.NextView(&view)) ++count;
   if (!it.status().ok()) return it.status();
+  if (it.next_fetch_offset() != static_cast<int64_t>(data.size())) {
+    return Status::Corruption(
+        "message set ends in a partial entry at byte " +
+        std::to_string(it.next_fetch_offset()) + " of " +
+        std::to_string(data.size()));
+  }
   return count;
 }
 

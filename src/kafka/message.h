@@ -108,7 +108,9 @@ class MessageSetIterator {
   int64_t inner_wrapper_offset_ = 0;
 };
 
-/// Counts messages (after decompression) in a message-set byte range.
+/// Counts messages (after decompression) in a message-set byte range, which
+/// must hold whole entries only: a trailing partial entry is Corruption, so
+/// a torn produce request is rejected instead of appended.
 Result<int64_t> CountMessages(Slice data);
 
 }  // namespace lidi::kafka

@@ -1,6 +1,8 @@
 #include "net/address.h"
 #include "kafka/producer.h"
 
+#include <algorithm>
+
 #include "common/hash.h"
 #include "kafka/broker.h"
 
@@ -12,53 +14,103 @@ Producer::Producer(std::string name, zk::ZooKeeper* zookeeper,
       zookeeper_(zookeeper),
       network_(network),
       options_(std::move(options)),
+      session_(zookeeper->CreateSession()),
       rng_(options_.seed) {}
+
+// Closing the session drops every watch the partition cache left.
+Producer::~Producer() { zookeeper_->CloseSession(session_); }
 
 Result<std::vector<TopicPartition>> Producer::PartitionsOf(
     const std::string& topic) {
-  auto brokers =
-      zookeeper_->GetChildren(options_.zk_root + "/brokers/topics/" + topic);
+  MutexLock lock(&mu_);
+  auto partitions = PartitionsLocked(topic);
+  if (!partitions.ok()) return partitions.status();
+  return *partitions.value();
+}
+
+Result<const std::vector<TopicPartition>*> Producer::PartitionsLocked(
+    const std::string& topic) {
+  auto it = topics_.find(topic);
+  if (it == topics_.end() ||
+      std::any_of(it->second.watches.begin(), it->second.watches.end(),
+                  [](const Watch& w) { return w.fired(); })) {
+    it = topics_.try_emplace(topic).first;
+    Status s = ReadPartitionsLocked(topic, &it->second);
+    if (!s.ok()) {
+      topics_.erase(it);
+      return s;
+    }
+  }
+  if (it->second.partitions.empty()) {
+    return Status::NotFound("topic " + topic + " has no partitions");
+  }
+  return &it->second.partitions;
+}
+
+Status Producer::ReadPartitionsLocked(const std::string& topic,
+                                      CachedTopic* cached) {
+  // A watch that has not fired is still armed in Zookeeper: keep it rather
+  // than stack a second one on the same znode.
+  std::map<std::string, Watch> armed;
+  for (const Watch& w : cached->watches) {
+    if (!w.fired()) armed.emplace(w.path, w);
+  }
+  std::vector<Watch> watches;
+  // The watcher to leave on `path`: none while an earlier one is armed.
+  auto arm = [&](const std::string& path) -> zk::Watcher {
+    auto it = armed.find(path);
+    if (it != armed.end()) {
+      watches.push_back(std::move(it->second));
+      return nullptr;
+    }
+    watches.push_back(Watch{path});
+    return [epoch = watches.back().epoch](const zk::WatchEvent&) {
+      epoch->fetch_add(1);
+    };
+  };
+
+  const std::string topic_path = options_.zk_root + "/brokers/topics/" + topic;
+  auto brokers = zookeeper_->GetChildren(topic_path, arm(topic_path), session_);
   if (!brokers.ok()) {
     return Status::NotFound("topic " + topic + " not advertised");
   }
   std::vector<TopicPartition> partitions;
   for (const std::string& broker : brokers.value()) {
-    auto count = zookeeper_->Get(options_.zk_root + "/brokers/topics/" +
-                                 topic + "/" + broker);
-    if (!count.ok()) continue;
+    const std::string ad_path = topic_path + "/" + broker;
+    auto count = zookeeper_->Get(ad_path, arm(ad_path), session_);
+    if (!count.ok()) {
+      watches.pop_back();  // a missing znode takes no watch
+      continue;
+    }
     const int n = std::atoi(count.value().c_str());
     for (int p = 0; p < n; ++p) {
       partitions.push_back(TopicPartition{std::atoi(broker.c_str()), p});
     }
   }
-  if (partitions.empty()) {
-    return Status::NotFound("topic " + topic + " has no partitions");
-  }
-  return partitions;
+  cached->partitions = std::move(partitions);
+  cached->watches = std::move(watches);
+  return Status::OK();
 }
 
 Status Producer::Send(const std::string& topic, Slice payload) {
-  auto partitions = PartitionsOf(topic);
-  if (!partitions.ok()) return partitions.status();
-  PendingRequest pending;
-  {
-    MutexLock lock(&mu_);
-    const TopicPartition tp =
-        partitions.value()[rng_.Uniform(partitions.value().size())];
-    BufferLocked(topic, tp, payload, &pending);
-  }
-  return Dispatch(pending);
+  return Publish(topic, nullptr, payload);
 }
 
 Status Producer::Send(const std::string& topic, Slice key, Slice payload) {
-  auto partitions = PartitionsOf(topic);
-  if (!partitions.ok()) return partitions.status();
+  return Publish(topic, &key, payload);
+}
+
+Status Producer::Publish(const std::string& topic, const Slice* key,
+                         Slice payload) {
   PendingRequest pending;
   {
     MutexLock lock(&mu_);
-    const TopicPartition tp =
-        partitions.value()[Fnv1a64(key) % partitions.value().size()];
-    BufferLocked(topic, tp, payload, &pending);
+    auto partitions = PartitionsLocked(topic);
+    if (!partitions.ok()) return partitions.status();
+    const std::vector<TopicPartition>& tps = *partitions.value();
+    const size_t pick = key == nullptr ? rng_.Uniform(tps.size())
+                                       : Fnv1a64(*key) % tps.size();
+    BufferLocked(topic, tps[pick], payload, &pending);
   }
   return Dispatch(pending);
 }

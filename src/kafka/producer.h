@@ -45,10 +45,20 @@ struct ProducerOptions {
 /// partition counts from Zookeeper, publishes message sets to either a
 /// randomly selected partition or one chosen by a partitioning key and
 /// function (key-hash), batching and optionally compressing each set.
+///
+/// Each topic's partition list is cached. It is re-read only after one of
+/// the one-shot watches left while reading it has fired: a child watch on
+/// <root>/brokers/topics/<topic>, or a data watch on a broker's
+/// advertisement under it. The watches belong to the producer's own
+/// Zookeeper session, which the destructor closes.
 class Producer {
  public:
   Producer(std::string name, zk::ZooKeeper* zookeeper, net::Transport* network,
            ProducerOptions options = {});
+  ~Producer();
+
+  Producer(const Producer&) = delete;
+  Producer& operator=(const Producer&) = delete;
 
   /// Publishes to a random partition of the topic.
   Status Send(const std::string& topic, Slice payload);
@@ -59,7 +69,8 @@ class Producer {
   /// Ships all buffered batches. Returns the first error encountered.
   Status Flush();
 
-  /// The cluster-wide partition list of a topic, refreshed from Zookeeper.
+  /// The cluster-wide partition list of a topic, as Zookeeper last
+  /// advertised it.
   Result<std::vector<TopicPartition>> PartitionsOf(const std::string& topic);
 
   int64_t messages_sent() const { return messages_sent_.load(); }
@@ -76,6 +87,36 @@ class Producer {
     std::string request;
   };
 
+  /// A one-shot Zookeeper watch the partition cache relies on. The
+  /// callback only bumps `epoch`, and shares it, so a watch that fires while
+  /// the producer is being destroyed still writes live memory.
+  struct Watch {
+    std::string path;
+    std::shared_ptr<std::atomic<uint64_t>> epoch =
+        std::make_shared<std::atomic<uint64_t>>(0);
+    bool fired() const { return epoch->load() != 0; }
+  };
+
+  /// A topic's partition list as last read, with the watches left on the
+  /// znodes it was read from.
+  struct CachedTopic {
+    std::vector<TopicPartition> partitions;
+    std::vector<Watch> watches;
+  };
+
+  /// Buffers the payload on the partition hash(*key) selects, or on a
+  /// random one when `key` is null, and ships the batch if it filled.
+  Status Publish(const std::string& topic, const Slice* key, Slice payload);
+  /// The topic's cached partition list, re-read from Zookeeper first when a
+  /// watch has fired. Zookeeper is called under mu_, which is legal because
+  /// the watch callbacks take no lock. Never null or empty on success.
+  Result<const std::vector<TopicPartition>*> PartitionsLocked(
+      const std::string& topic) LIDI_REQUIRES(mu_);
+  /// Re-reads the topic's partitions, leaving a watch on each znode whose
+  /// previous watch fired (or that is new) and keeping the armed ones.
+  Status ReadPartitionsLocked(const std::string& topic, CachedTopic* cached)
+      LIDI_REQUIRES(mu_);
+
   /// Buffers the payload; when the batch fills, drains it into *out.
   void BufferLocked(const std::string& topic, const TopicPartition& tp,
                     Slice payload, PendingRequest* out) LIDI_REQUIRES(mu_);
@@ -89,9 +130,12 @@ class Producer {
   zk::ZooKeeper* const zookeeper_;
   net::Transport* const network_;
   const ProducerOptions options_;
+  /// Owns the partition-cache watches; closed by the destructor.
+  const zk::SessionId session_;
 
   Mutex mu_{"kafka.producer"};
   Random rng_ LIDI_GUARDED_BY(mu_);
+  std::map<std::string, CachedTopic> topics_ LIDI_GUARDED_BY(mu_);
   std::map<std::pair<std::string, TopicPartition>, MessageSetBuilder> batches_
       LIDI_GUARDED_BY(mu_);
   /// Atomics, not guarded: the stats accessors read them without the mutex.

@@ -1,9 +1,9 @@
 #include "net/frame.h"
 
-#include <zlib.h>
-
 #include <cstring>
 #include <limits>
+
+#include "common/hash.h"
 
 namespace lidi::net {
 
@@ -45,11 +45,6 @@ uint64_t GetU64(const char* p) {
   return v;
 }
 
-uint32_t Crc(uint32_t seed, const char* data, size_t n) {
-  return static_cast<uint32_t>(
-      crc32(seed, reinterpret_cast<const Bytef*>(data), static_cast<uInt>(n)));
-}
-
 }  // namespace
 
 EncodedFrame EncodeFrame(const Frame& frame, Slice payload) {
@@ -76,8 +71,8 @@ EncodedFrame EncodeFrame(const Frame& frame, Slice payload) {
   out.head.append(frame.to);
   out.head.append(frame.method);
 
-  uint32_t crc = Crc(0, out.head.data() + 4, out.head.size() - 4);
-  crc = Crc(crc, payload.data(), payload.size());
+  uint32_t crc = Crc32(Slice(out.head.data() + 4, out.head.size() - 4));
+  crc = Crc32Extend(crc, payload);
   PutU32(&out.tail, crc);
   return out;
 }
@@ -124,7 +119,7 @@ DecodeStatus DecodeFrame(Slice buf, size_t max_frame_bytes, Frame* frame,
   }
 
   const uint32_t wire_crc = GetU32(p + body - 4);
-  const uint32_t crc = Crc(0, p, body - 4);
+  const uint32_t crc = Crc32(Slice(p, body - 4));
   if (crc != wire_crc) {
     *error = "frame CRC mismatch";
     return DecodeStatus::kError;

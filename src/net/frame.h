@@ -25,7 +25,7 @@ namespace lidi::net {
 ///   i32 status_code      lidi::Code (responses; 0/kOk in requests)
 ///   u16 from_len, to_len, method_len   (0 in responses)
 ///   bytes from | to | method | payload
-///   u32 crc32            over magic..payload (zlib crc32)
+///   u32 crc32            over magic..payload (lidi::Crc32Extend)
 ///
 /// The trailing CRC lets the sender stream a pinned payload (header bytes,
 /// then the payload slice, then the 4-byte tail) without concatenating —

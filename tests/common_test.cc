@@ -90,6 +90,59 @@ TEST(HashTest, Crc32Incremental) {
   EXPECT_EQ(inc, whole);
 }
 
+/// Bitwise CRC-32/ISO-HDLC (reflected polynomial 0xedb88320, pre- and
+/// post-inverted): the definition every stored and wire checksum is made
+/// with, whatever computes Crc32. Extends `crc` as Crc32Extend does.
+uint32_t ReferenceCrc32Extend(uint32_t crc, Slice data) {
+  uint32_t c = ~crc;
+  for (size_t i = 0; i < data.size(); ++i) {
+    c ^= static_cast<uint8_t>(data[i]);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (c >> 1) ^ 0xedb88320u : c >> 1;
+  }
+  return ~c;
+}
+
+std::string RandomBinary(Random* rng, size_t len) {
+  std::string out(len, '\0');
+  for (char& c : out) c = static_cast<char>(rng->Next());
+  return out;
+}
+
+TEST(HashTest, Crc32MatchesBitwiseReferenceAtEveryLength) {
+  Random rng(17);
+  const std::string data = RandomBinary(&rng, 4096);
+  // The reference runs once over the buffer; prefix n's CRC is its running
+  // value after n bytes.
+  uint32_t reference = 0;
+  for (size_t n = 0; n <= data.size(); ++n) {
+    ASSERT_EQ(Crc32(Slice(data.data(), n)), reference) << "length " << n;
+    if (n < data.size()) {
+      reference = ReferenceCrc32Extend(reference, Slice(data.data() + n, 1));
+    }
+  }
+}
+
+TEST(HashTest, Crc32ExtendMatchesReferenceAtSeededSplits) {
+  Random rng(29);
+  const std::string data = RandomBinary(&rng, 4096 + 64);
+  for (int i = 0; i < 1000; ++i) {
+    // Unaligned starts and splits exercise zlib's byte-at-a-time edges.
+    const size_t start = rng.Uniform(64);
+    const size_t len = rng.Uniform(4097);
+    const size_t split = rng.Uniform(len + 1);
+    const Slice whole(data.data() + start, len);
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    const uint32_t head = Crc32Extend(seed, Slice(whole.data(), split));
+    const uint32_t crc =
+        Crc32Extend(head, Slice(whole.data() + split, len - split));
+    ASSERT_EQ(crc, ReferenceCrc32Extend(seed, whole))
+        << "start " << start << " length " << len << " split " << split;
+    ASSERT_EQ(Crc32(whole), ReferenceCrc32Extend(0, whole));
+  }
+  // An empty slice extends nothing, even one with no buffer behind it.
+  EXPECT_EQ(Crc32Extend(0x12345678u, Slice(nullptr, 0)), 0x12345678u);
+}
+
 TEST(HashTest, Md5Rfc1321Vectors) {
   EXPECT_EQ(Md5Hex(Slice("", 0)), "d41d8cd98f00b204e9800998ecf8427e");
   EXPECT_EQ(Md5Hex(Slice("abc")), "900150983cd24fb0d6963f7d28e17f72");

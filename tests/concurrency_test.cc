@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 
@@ -206,6 +207,70 @@ TEST(ThreadStressTest, ParallelKafkaProducersAndConsumer) {
     got += static_cast<int64_t>(messages.value().size());
   }
   EXPECT_EQ(got, kProducers * kPerProducer);
+}
+
+/// Four threads share one producer while a second broker repeatedly joins
+/// the topic and leaves it. The producer's partition cache is read and
+/// refreshed under its lock while Zookeeper watch callbacks bump epochs from
+/// the joining and leaving thread.
+TEST(ThreadStressTest, ProducerFollowsBrokersJoiningAndLeaving) {
+  net::Network network;
+  ManualClock clock;
+  zk::ZooKeeper zookeeper;
+  kafka::Broker stable(0, &zookeeper, &network, &clock, {});
+  ASSERT_OK(stable.CreateTopic("t", 2));
+  kafka::Producer producer("p", &zookeeper, &network);
+  // Every broker that joined stays alive until the senders are joined: a
+  // send racing a departure may still be inside its handler.
+  std::vector<std::unique_ptr<kafka::Broker>> joiners;
+
+  std::atomic<bool> churning{true};
+  std::atomic<int64_t> sent{0};
+  std::atomic<int> unexpected{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int i = 0; churning.load() && i < 1'000'000; ++i) {
+        const Status s =
+            (i % 2 == 0)
+                ? producer.Send("t", "m")
+                : producer.Send("t", "key-" + std::to_string(t * 7 + i), "m");
+        // A send routed just before the broker left finds no endpoint.
+        if (s.ok()) {
+          sent.fetch_add(1);
+        } else if (!s.IsNotFound()) {
+          unexpected.fetch_add(1);
+        }
+      }
+    });
+  }
+  // EXPECT, not ASSERT, until the senders are joined.
+  auto partition_count = [&]() {
+    auto partitions = producer.PartitionsOf("t");
+    return partitions.ok() ? partitions.value().size() : 0;
+  };
+  for (int round = 0; round < 20; ++round) {
+    joiners.push_back(
+        std::make_unique<kafka::Broker>(1, &zookeeper, &network, &clock,
+                                        kafka::BrokerOptions{}));
+    EXPECT_OK(joiners.back()->CreateTopic("t", 2));
+    EXPECT_EQ(partition_count(), 4u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    joiners.back()->Shutdown();
+    EXPECT_EQ(partition_count(), 2u);
+  }
+  churning.store(false);
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(unexpected.load(), 0);
+  EXPECT_GT(sent.load(), 0);
+
+  // Once the churn stops, every send lands on the broker that stayed.
+  const int64_t before = stable.GetLog("t", 0)->end_offset() +
+                         stable.GetLog("t", 1)->end_offset();
+  for (int i = 0; i < 100; ++i) ASSERT_OK(producer.Send("t", "m"));
+  EXPECT_EQ(stable.GetLog("t", 0)->end_offset() +
+                stable.GetLog("t", 1)->end_offset(),
+            before + 100 * kafka::MessageEntrySize(1));
 }
 
 // ---------------------------------------------------------------------------

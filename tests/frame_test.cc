@@ -101,6 +101,38 @@ TEST(FrameTest, DecodesBackToBackFramesFromOneBuffer) {
   EXPECT_EQ(d.payload, "second");
 }
 
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+/// The wire image of one fixed frame, byte for byte. The expected bytes were
+/// laid out by hand from the format in net/frame.h, with the trailer from
+/// zlib's crc32, so neither a codec change nor a change of CRC-32
+/// implementation can move the format unnoticed.
+TEST(FrameTest, GoldenFrameBytes) {
+  Frame f;
+  f.type = Frame::kRequest;
+  f.correlation_id = 0x0102030405060708;
+  f.trace_id = 0x1112131415161718;
+  f.span_id = 0x2122232425262728;
+  f.deadline_micros = 1700000000000000;
+  f.status_code = Code::kOk;
+  f.from = "client-1";
+  f.to = "server-2";
+  f.method = "echo";
+  const std::string payload = "golden payload";
+  EXPECT_EQ(Hex(EncodeFrameToString(f, Slice(payload))),
+            "580000003146444c010100000807060504030201181716151413121128272625"
+            "2423222100401e18240a060000000000080008000400636c69656e742d317365"
+            "727665722d326563686f676f6c64656e207061796c6f6164573ab5ac");
+}
+
 /// A torn frame — any strict prefix of a valid wire image — asks for more
 /// bytes rather than erroring or consuming anything.
 TEST(FrameTest, EveryPrefixIsNeedMore) {

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/clock.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "kafka/audit.h"
 #include "kafka/broker.h"
@@ -110,6 +111,25 @@ TEST(MessageSetTest, PartialTrailingEntryIgnored) {
   EXPECT_FALSE(it.Next(&message));
   EXPECT_TRUE(it.status().ok());
   EXPECT_EQ(it.next_fetch_offset(), MessageEntrySize(3));
+}
+
+TEST(MessageSetTest, CountMessagesRejectsPartialTrailingEntry) {
+  MessageSetBuilder builder;
+  builder.Add("one");
+  builder.Add("two");
+  const std::string set = builder.Build();
+  auto whole = CountMessages(set);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole.value(), 2);
+  // The iterator stops cleanly before a partial entry (a fetch may end
+  // there); a produce request that does is torn and must not be counted.
+  for (size_t cut = 1; cut < static_cast<size_t>(MessageEntrySize(3)); ++cut) {
+    auto torn = CountMessages(Slice(set.data(), set.size() - cut));
+    EXPECT_EQ(torn.status().code(), Code::kCorruption) << "cut " << cut;
+  }
+  auto empty = CountMessages(Slice());
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty.value(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -706,6 +726,126 @@ TEST_F(KafkaClusterTest, RetentionExpiryRecoversConsumers) {
   }
   // The consumer recovered from the expired offset and reached fresh data.
   EXPECT_GE(got, 3);
+}
+
+/// A produce request cut short used to be appended as it was: the broker
+/// acked it, and every later fetch from the offset where the torn entry
+/// began failed "not at an entry boundary", wedging the partition.
+TEST_F(KafkaClusterTest, TornProduceIsRejectedAndPartitionStaysUsable) {
+  StartCluster();
+  Broker& broker = *brokers_[0];
+  MessageSetBuilder builder;
+  builder.Add("first message");
+  builder.Add("second message");
+  const std::string set = builder.Build();
+  auto torn = broker.Produce("activity", 0, Slice(set.data(), set.size() - 3));
+  EXPECT_EQ(torn.status().code(), Code::kCorruption);
+  EXPECT_EQ(broker.GetLog("activity", 0)->end_offset(), 0);
+
+  MessageSetBuilder next;
+  next.Add("next message");
+  auto offset = broker.Produce("activity", 0, next.Build());
+  ASSERT_TRUE(offset.ok()) << offset.status().ToString();
+  EXPECT_EQ(offset.value(), 0);
+  auto fetched = broker.Fetch("activity", 0, 0, 1 << 20);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  MessageSetIterator it(fetched.value(), 0);
+  Message message;
+  ASSERT_TRUE(it.Next(&message));
+  EXPECT_EQ(message.payload, "next message");
+  EXPECT_FALSE(it.Next(&message));
+  EXPECT_TRUE(it.status().ok());
+}
+
+/// Bytes appended to the broker's partitions of "activity".
+int64_t BytesOnBroker(Broker& broker, int partitions) {
+  int64_t total = 0;
+  for (int p = 0; p < partitions; ++p) {
+    total += broker.GetLog("activity", p)->end_offset();
+  }
+  return total;
+}
+
+TEST_F(KafkaClusterTest, ProducerSendsToBrokerThatJoinsAfterFirstSend) {
+  StartCluster();
+  Producer producer("p1", &zk_, &network_);
+  ASSERT_OK(producer.Send("activity", "cached"));  // caches 4 partitions
+
+  BrokerOptions options;
+  options.log.flush_interval_messages = 1;
+  Broker late(kBrokers, &zk_, &network_, &clock_, options);
+  ASSERT_OK(late.CreateTopic("activity", 2));
+  auto partitions = producer.PartitionsOf("activity");
+  ASSERT_TRUE(partitions.ok());
+  const std::vector<TopicPartition>& tps = partitions.value();
+  ASSERT_EQ(tps.size(),
+            static_cast<size_t>(kBrokers * kPartitionsPerBroker + 2));
+
+  // Keyed: a key that hashes onto the new broker lands there.
+  std::string key;
+  for (int k = 0; key.empty(); ++k) {
+    const std::string candidate = "member-" + std::to_string(k);
+    if (tps[Fnv1a64(candidate) % tps.size()].broker_id == kBrokers) {
+      key = candidate;
+    }
+  }
+  ASSERT_OK(producer.Send("activity", key, "keyed"));
+  const int64_t keyed = BytesOnBroker(late, 2);
+  EXPECT_EQ(keyed, MessageEntrySize(5));
+
+  // Random: a third of the partitions are new, so some of 60 sends land
+  // there.
+  for (int i = 0; i < 60; ++i) ASSERT_OK(producer.Send("activity", "random"));
+  EXPECT_GT(BytesOnBroker(late, 2), keyed);
+}
+
+TEST_F(KafkaClusterTest, ProducerStopsSendingToBrokerWhoseSessionCloses) {
+  StartCluster();
+  Producer producer("p1", &zk_, &network_);
+  ASSERT_OK(producer.Send("activity", "cached"));  // caches 4 partitions
+
+  // Shutdown closes the broker's session, so its advertisement vanishes;
+  // it also unregisters the broker, so a send routed there would fail.
+  brokers_[1]->Shutdown();
+  auto partitions = producer.PartitionsOf("activity");
+  ASSERT_TRUE(partitions.ok());
+  EXPECT_EQ(partitions.value().size(),
+            static_cast<size_t>(kPartitionsPerBroker));
+  const int64_t departed = BytesOnBroker(*brokers_[1], kPartitionsPerBroker);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_OK(producer.Send("activity", "random"));
+    ASSERT_OK(
+        producer.Send("activity", "member-" + std::to_string(i), "keyed"));
+  }
+  EXPECT_EQ(BytesOnBroker(*brokers_[1], kPartitionsPerBroker), departed);
+
+  brokers_[0]->Shutdown();
+  EXPECT_TRUE(producer.Send("activity", "orphan").IsNotFound());
+  EXPECT_TRUE(producer.Send("activity", "key", "orphan").IsNotFound());
+  EXPECT_TRUE(producer.PartitionsOf("activity").status().IsNotFound());
+}
+
+/// The producer's watches must die with it: changing the topic's brokers
+/// afterwards fires what is left on those znodes, which must not reach a
+/// destroyed producer (ASan runs this test through the `codec` label).
+TEST_F(KafkaClusterTest, DestroyedProducerLeavesNoWatchBehind) {
+  StartCluster();
+  {
+    Producer producer("p1", &zk_, &network_);
+    ASSERT_OK(producer.Send("activity", "m"));
+  }
+  brokers_[1]->Shutdown();  // deletes an advertisement the producer watched
+  BrokerOptions options;
+  options.log.flush_interval_messages = 1;
+  Broker late(kBrokers, &zk_, &network_, &clock_, options);
+  ASSERT_OK(late.CreateTopic("activity", 2));  // adds a child to the topic
+
+  Producer next("p2", &zk_, &network_);
+  auto partitions = next.PartitionsOf("activity");
+  ASSERT_TRUE(partitions.ok());
+  EXPECT_EQ(partitions.value().size(),
+            static_cast<size_t>(kPartitionsPerBroker + 2));
+  ASSERT_OK(next.Send("activity", "m"));
 }
 
 }  // namespace
