@@ -35,13 +35,15 @@
 #      group_commit_concurrency_test: many appenders, one group-commit
 #      leader, crash armed mid-batch) in a separate build tree, when the
 #      toolchain supports -fsanitize=thread.
-#   6. AddressSanitizer pass over the simulation suites (ctest -L sim) in a
-#      separate build tree, when the toolchain supports -fsanitize=address —
-#      the chaos schedules crash/restart every tier, so this is where
-#      use-after-free on teardown paths would surface — then over the
-#      transport (-L net), elasticity (-L rebalance), crash/fault-injection
-#      (-L faultfs) and codec (-L codec: CRC-32, Kafka message-set and
-#      produce-request decoding, well under a second) suites.
+#   6. AddressSanitizer + UndefinedBehaviorSanitizer pass (-DLIDI_SANITIZE=
+#      address, which aborts on the first undefined-behaviour report) over
+#      the simulation suites (ctest -L sim) in a separate build tree, when
+#      the toolchain supports -fsanitize=address,undefined — the chaos
+#      schedules crash/restart every tier, so this is where use-after-free
+#      on teardown paths would surface — then over the transport (-L net),
+#      elasticity (-L rebalance), crash/fault-injection (-L faultfs) and
+#      codec (-L codec: CRC-32, Kafka message-set, produce-request and
+#      Databus read-request decoding, about a second) suites.
 #
 # Nightly-style deep sweep (not part of the merge gate; run it before
 # release branches or after touching crash/recovery paths):
@@ -112,34 +114,36 @@ else
   echo "check: toolchain lacks -fsanitize=thread; skipping TSan stage"
 fi
 
-say "address-sanitizer (simulation suites, ctest -L sim)"
+say "ASan+UBSan (simulation suites, ctest -L sim)"
 if printf 'int main(){return 0;}' | \
-   ${CXX:-c++} -fsanitize=address -x c++ - -o /tmp/lidi_asan_probe 2>/dev/null; then
+   ${CXX:-c++} -fsanitize=address,undefined -x c++ - \
+     -o /tmp/lidi_asan_probe 2>/dev/null; then
   rm -f /tmp/lidi_asan_probe
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DLIDI_SANITIZE=address
   cmake --build build-asan -j"$JOBS"
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L sim
-  say "address-sanitizer (transport suites, ctest -L net)"
+  say "ASan+UBSan (transport suites, ctest -L net)"
   # Connection/listener teardown paths (reap, DropConnections, destructor)
   # are where a transport use-after-free would surface.
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L net
-  say "address-sanitizer (elasticity suite, ctest -L rebalance)"
+  say "ASan+UBSan (elasticity suite, ctest -L rebalance)"
   # Rebalance schedules add/crash/restart nodes of every tier mid-flight —
   # the dangling-server/broker pointers an elastic topology could leak
   # surface here.
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L rebalance
-  say "address-sanitizer (crash/fault-injection suite, ctest -L faultfs)"
+  say "ASan+UBSan (crash/fault-injection suite, ctest -L faultfs)"
   # The durable logs write slices of sealed chunks and stop at the first
   # short write; the seeded torn-write schedules cut those slices at
   # arbitrary offsets.
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L faultfs
-  say "address-sanitizer (codec suites, ctest -L codec)"
-  # Decoders of untrusted bytes: CRC-32 over every length, torn and corrupt
-  # message sets, and the watches a destroyed producer leaves behind.
+  say "ASan+UBSan (codec suites, ctest -L codec)"
+  # Decoders of untrusted bytes: CRC-32 over every length and alignment,
+  # torn and corrupt message sets, out-of-range Databus read requests, and
+  # the watches a destroyed producer leaves behind.
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L codec
 else
-  echo "check: toolchain lacks -fsanitize=address; skipping ASan stage"
+  echo "check: no -fsanitize=address,undefined; skipping ASan+UBSan stage"
 fi
 
 say "OK"

@@ -13,9 +13,12 @@ namespace lidi {
 /// Espresso resource_id routing, Kafka key partitioning).
 uint64_t Fnv1a64(Slice data);
 
-/// 32-bit CRC (CRC-32/ISO-HDLC), computed by zlib's crc32_z: the one CRC-32
-/// in the tree. Checksums Kafka message entries, binlog and storage-engine
-/// records, Espresso etags and transport frame trailers.
+/// 32-bit CRC (CRC-32/ISO-HDLC), byte-identical to zlib's crc32: the one
+/// CRC-32 in the tree. Checksums Kafka message entries, binlog and
+/// storage-engine records, Espresso etags and transport frame trailers. On
+/// x86-64 CPUs with PCLMULQDQ and SSE4.1, a carry-less-multiply folding
+/// kernel takes the whole 16-byte blocks of inputs of 64 bytes or more;
+/// zlib's crc32_z takes the rest, and every input on other CPUs.
 uint32_t Crc32(Slice data);
 /// Incremental form: extends a running CRC with more data.
 uint32_t Crc32Extend(uint32_t crc, Slice data);

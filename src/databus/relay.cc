@@ -1,6 +1,7 @@
 #include "databus/relay.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/coding.h"
 
@@ -44,6 +45,17 @@ Status DecodeReadRequest(Slice input, int64_t* since_scn, int64_t* max_events,
   uint64_t scn, max;
   if (!GetVarint64(&input, &scn) || !GetVarint64(&input, &max)) {
     return Status::Corruption("truncated read request");
+  }
+  // Both land in int64_t, and ReadEvents looks up since_scn + 1, so the
+  // newest SCN a reader can name is one below the int64_t maximum.
+  constexpr uint64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  if (scn >= kInt64Max) {
+    return Status::Corruption("read request since_scn " + std::to_string(scn) +
+                              " out of range");
+  }
+  if (max > kInt64Max) {
+    return Status::Corruption("read request max_events " +
+                              std::to_string(max) + " out of range");
   }
   auto f = Filter::DecodeFrom(&input);
   if (!f.ok()) return f.status();

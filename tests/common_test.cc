@@ -108,17 +108,49 @@ std::string RandomBinary(Random* rng, size_t len) {
   return out;
 }
 
+/// Copies `bytes` to the end of a heap buffer of exactly `offset` +
+/// `bytes.size()` bytes. The copy starts `offset` bytes past a 16-byte
+/// aligned allocation, and ASan reports any read past its last byte.
+std::vector<char> AtEndOfBuffer(size_t offset, Slice bytes) {
+  std::vector<char> buffer(offset + bytes.size());
+  std::copy(bytes.data(), bytes.data() + bytes.size(),
+            buffer.begin() + static_cast<ptrdiff_t>(offset));
+  return buffer;
+}
+
 TEST(HashTest, Crc32MatchesBitwiseReferenceAtEveryLength) {
+  // Every start alignment, and every length through the folding kernel's
+  // boundaries: 63-65, 127-129, 255-257 and 4095-4097 bytes.
+  constexpr size_t kMaxLength = 4097;
   Random rng(17);
-  const std::string data = RandomBinary(&rng, 4096);
-  // The reference runs once over the buffer; prefix n's CRC is its running
-  // value after n bytes.
-  uint32_t reference = 0;
-  for (size_t n = 0; n <= data.size(); ++n) {
-    ASSERT_EQ(Crc32(Slice(data.data(), n)), reference) << "length " << n;
-    if (n < data.size()) {
-      reference = ReferenceCrc32Extend(reference, Slice(data.data() + n, 1));
+  const std::string data = RandomBinary(&rng, 16 + kMaxLength);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    // The reference runs once over the offset's bytes; prefix n's CRC is its
+    // running value after n bytes.
+    uint32_t reference = 0;
+    for (size_t n = 0; n <= kMaxLength; ++n) {
+      const Slice input(data.data() + offset, n);
+      const std::vector<char> buffer = AtEndOfBuffer(offset, input);
+      ASSERT_EQ(Crc32(Slice(buffer.data() + offset, n)), reference)
+          << "offset " << offset << " length " << n;
+      reference =
+          ReferenceCrc32Extend(reference, Slice(input.data() + n, 1));
     }
+  }
+}
+
+TEST(HashTest, Crc32MatchesBitwiseReferenceOnOneMebibyte) {
+  // Larger than the biggest frame perfbench's activity workload sends (a
+  // 300 KB fetch reply), from an aligned start and the most misaligned one.
+  constexpr size_t kLength = 1 << 20;
+  Random rng(41);
+  const std::string data = RandomBinary(&rng, 16 + kLength);
+  for (size_t offset : {0, 15}) {
+    const Slice input(data.data() + offset, kLength);
+    const std::vector<char> buffer = AtEndOfBuffer(offset, input);
+    ASSERT_EQ(Crc32(Slice(buffer.data() + offset, kLength)),
+              ReferenceCrc32Extend(0, input))
+        << "offset " << offset;
   }
 }
 
@@ -126,11 +158,18 @@ TEST(HashTest, Crc32ExtendMatchesReferenceAtSeededSplits) {
   Random rng(29);
   const std::string data = RandomBinary(&rng, 4096 + 64);
   for (int i = 0; i < 1000; ++i) {
-    // Unaligned starts and splits exercise zlib's byte-at-a-time edges.
     const size_t start = rng.Uniform(64);
     const size_t len = rng.Uniform(4097);
-    const size_t split = rng.Uniform(len + 1);
-    const Slice whole(data.data() + start, len);
+    size_t split = rng.Uniform(len + 1);
+    if (i % 2 == 1 && len >= 16) {
+      // 1-15 bytes before a 16-byte boundary of the input: the head ends in
+      // a partial block, which the scalar tail takes.
+      split = 16 * (1 + rng.Uniform(len / 16)) - 1 - rng.Uniform(15);
+    }
+    const size_t offset = start % 16;
+    const std::vector<char> buffer =
+        AtEndOfBuffer(offset, Slice(data.data() + start, len));
+    const Slice whole(buffer.data() + offset, len);
     const uint32_t seed = static_cast<uint32_t>(rng.Next());
     const uint32_t head = Crc32Extend(seed, Slice(whole.data(), split));
     const uint32_t crc =

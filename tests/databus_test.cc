@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
+#include "common/coding.h"
 #include "databus/bootstrap.h"
 #include "databus/client.h"
 #include "databus/event.h"
@@ -162,6 +164,32 @@ TEST_F(DatabusTest, RelayEvictionForcesBootstrapError) {
   EXPECT_TRUE(relay.ReadEvents(0, 100, Filter{}).status().IsNotFound());
   // Reading from within the buffer succeeds.
   EXPECT_TRUE(relay.ReadEvents(16, 100, Filter{}).ok());
+}
+
+TEST_F(DatabusTest, ReadRequestRejectsOutOfRangeScn) {
+  Relay relay("relay-1", &db_, &network_);
+  WriteProfiles(0, 5);
+  ASSERT_OK(relay.PollOnce());
+  auto read = [&](uint64_t since_scn, uint64_t max_events) {
+    std::string request;
+    PutVarint64(&request, since_scn);
+    PutVarint64(&request, max_events);
+    Filter{}.EncodeTo(&request);
+    return network_.Call("client", "relay-1", "databus.read", request);
+  };
+  constexpr uint64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  // since_scn + 1 would overflow; 2^64 - 1 would arrive as SCN -1.
+  EXPECT_EQ(read(kInt64Max, 10).status().code(), Code::kCorruption);
+  EXPECT_EQ(read(~uint64_t{0}, 10).status().code(), Code::kCorruption);
+  // 2^63 events would arrive as a negative count.
+  EXPECT_EQ(read(0, kInt64Max + 1).status().code(), Code::kCorruption);
+  // The largest values in range are served.
+  ASSERT_OK(read(kInt64Max - 1, kInt64Max));
+  auto all = read(0, kInt64Max);
+  ASSERT_OK(all);
+  auto events = DecodeEventList(all.value());
+  ASSERT_OK(events);
+  EXPECT_EQ(events.value().size(), 5u);
 }
 
 TEST_F(DatabusTest, RelayServerSideFiltering) {
