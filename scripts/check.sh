@@ -8,14 +8,13 @@
 #      under GCC the attributes are no-ops and CMake prints a warning but
 #      the build (and the runtime lock-order registry) still gates.
 #   2. Lint, before anything compiles: scripts/lidi_check.py, the one lint
-#      entry point. Its nine checks (must-check, reactor-blocking,
-#      sim-determinism, tsa-coverage, raw-locks, stream-io, tsa-escape,
-#      sync-choke-point, raw-sockets) need no build tree; clang-tidy runs
-#      too when installed, reading the compile_commands.json stage 1
-#      exported. Waivers (`discard-ok:`, `tsa-ok:`, `reactor-ok:`,
-#      `sync-choke-point`) and the populations they cover are capped by
-#      constants in lidi_check.py; raising a cap is a code-review decision.
-#      DESIGN.md §12 is the contract.
+#      entry point. Its eight checks (must-check, sim-determinism,
+#      tsa-coverage, raw-locks, stream-io, tsa-escape, sync-choke-point,
+#      raw-sockets) need no build tree; clang-tidy runs too when installed,
+#      reading the compile_commands.json stage 1 exported. Waivers
+#      (`discard-ok:`, `tsa-ok:`, `sync-choke-point`) and the populations
+#      they cover are capped by constants in lidi_check.py; raising a cap is
+#      a code-review decision. DESIGN.md §12 is the contract.
 #   3. Build.
 #   4. Full ctest suite — includes the >=200-seed group-commit crash sweeps
 #      in faultfs_test (GroupCommitNeverLosesAnAcknowledgedAppend and the
@@ -34,7 +33,9 @@
 #      + every *concurrency*/sync test — which picks up
 #      group_commit_concurrency_test: many appenders, one group-commit
 #      leader, crash armed mid-batch) in a separate build tree, when the
-#      toolchain supports -fsanitize=thread.
+#      toolchain supports -fsanitize=thread; then the transport suites
+#      (-L net) twice, once on every CPU and once pinned to CPU 0 with
+#      taskset, and the elasticity suite (-L rebalance).
 #   6. AddressSanitizer + UndefinedBehaviorSanitizer pass (-DLIDI_SANITIZE=
 #      address, which aborts on the first undefined-behaviour report) over
 #      the simulation suites (ctest -L sim) in a separate build tree, when
@@ -104,8 +105,18 @@ if printf 'int main(){return 0;}' | \
         -R 'faultfs|concurrency|sync'
   say "thread-sanitizer (transport suites, ctest -L net)"
   # The TCP backend is the one component with real cross-thread socket
-  # hand-off (callers <-> reactors <-> workers); it must stay TSan-clean.
+  # hand-off (callers, accept threads, connection threads, and the
+  # shutdown(2) calls of one thread on a socket another owns); it must stay
+  # TSan-clean.
   ctest --test-dir build-tsan --output-on-failure -j"$JOBS" -L net
+  say "thread-sanitizer (transport suites on one CPU, taskset -c 0)"
+  # One-CPU schedules are where a dispatch-slot race once flaked a shed test,
+  # and where a close racing a shutdown(2) would show up.
+  if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 ctest --test-dir build-tsan --output-on-failure -L net
+  else
+    echo "check: taskset not installed; skipping the one-CPU TSan run"
+  fi
   say "thread-sanitizer (elasticity suite, ctest -L rebalance)"
   # Live partition movement exercises the metadata reader/writer locks and
   # the epoch-gated router retry under every cutover interleaving.
@@ -124,8 +135,9 @@ if printf 'int main(){return 0;}' | \
   cmake --build build-asan -j"$JOBS"
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L sim
   say "ASan+UBSan (transport suites, ctest -L net)"
-  # Connection/listener teardown paths (reap, DropConnections, destructor)
-  # are where a transport use-after-free would surface.
+  # Connection/listener teardown paths (DropConnections, Unregister, the
+  # destructor joining accept and connection threads) are where a transport
+  # use-after-free would surface.
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L net
   say "ASan+UBSan (elasticity suite, ctest -L rebalance)"
   # Rebalance schedules add/crash/restart nodes of every tier mid-flight —

@@ -23,16 +23,6 @@ and skip tests/lint_fixtures/, which holds each check's golden trees.
                     status.h still carries LIDI_NODISCARD on both types, so
                     the compiler gate cannot silently rot.
 
-  reactor-blocking  No path from an epoll reactor loop may reach a blocking
-                    primitive. Roots are discovered, not hard-coded: any
-                    function in src/net whose body calls epoll_wait() is a
-                    reactor loop. The check builds a call graph over src/net
-                    and walks it from every root; reaching CondVar::Wait /
-                    WaitFor / WaitUntil, sleep_for, WritableFile::Sync, or a
-                    synchronous Transport::Call fails the build with the
-                    offending path. A deliberate exception carries a
-                    `reactor-ok:` comment within the three preceding lines.
-
   sim-determinism   Everything under src/sim (and the sim test drivers) must
                     be a pure function of (SimOptions, Schedule): wall-clock
                     reads and unseeded randomness break the same-seed =>
@@ -82,9 +72,9 @@ binary the tidy step prints a skip notice.
 
 Backends: with python clang bindings installed (clang.cindex + libclang),
 must-check runs on the real AST; every other check, and must-check
-otherwise, runs on the token backend (comment/string stripping +
-brace-matched function extraction). `--backend auto` (default) picks the
-best available.
+otherwise, runs on the token backend (pattern matching over comment- and
+string-stripped text). `--backend auto` (default) picks the best
+available.
 
 Exit codes: 0 clean, 1 violations reported, 2 usage/internal error.
 Diagnostics are `path:line: [check] message`, paths relative to --root.
@@ -97,7 +87,6 @@ import re
 import shutil
 import subprocess
 import sys
-from collections import deque
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -115,17 +104,6 @@ WAIVER_WINDOW = 3
 
 SOURCE_EXTS = (".h", ".cc", ".cpp")
 FIXTURES_DIR = "tests/lint_fixtures"
-
-# Blocking leaf calls for the reactor walk: method names that park the
-# calling thread. `Call` is the synchronous RPC entry point (both backends);
-# `Sync` is fdatasync via io::WritableFile.
-BLOCKING_METHODS = {"Wait", "WaitFor", "WaitUntil", "Sync", "Call"}
-BLOCKING_FREE_FNS = {"sleep_for", "usleep", "nanosleep"}
-
-CONTROL_KEYWORDS = {
-    "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
-    "decltype", "noexcept", "static_assert", "defined", "assert",
-}
 
 NONDET_PATTERNS = [
     (re.compile(r"std::chrono\b"), "std::chrono"),
@@ -368,164 +346,6 @@ def check_must_check(root, diags):
         else:
             diags.add(sf.path, line, "must-check", DISCARD_MESSAGE)
     _cap_discard_waivers(diags, waivers)
-
-
-# ---------------------------------------------------------------------------
-# Check: reactor-blocking (call-graph walk over src/net)
-# ---------------------------------------------------------------------------
-
-class Function:
-    def __init__(self, name, qualname, path, start_line, body, body_offset):
-        self.name = name
-        self.qualname = qualname
-        self.path = path
-        self.start_line = start_line
-        self.body = body              # stripped text of the body
-        self.body_offset = body_offset
-
-
-def _identifier_before(text, pos):
-    """Reads the identifier (possibly Qual::ified) ending at `pos`
-    (exclusive), skipping trailing whitespace. Returns (name, qualname)."""
-    i = pos - 1
-    while i >= 0 and text[i].isspace():
-        i -= 1
-    end = i + 1
-    while i >= 0 and (text[i].isalnum() or text[i] in "_:~"):
-        i -= 1
-    token = text[i + 1:end]
-    if not token or not re.match(r"^[A-Za-z_~]", token):
-        return None, None
-    name = token.split("::")[-1]
-    return name, token
-
-
-def extract_functions(sf):
-    """Brace-matched function-definition extraction from stripped text."""
-    text = sf.stripped
-    functions = []
-    for m in re.finditer(r"\{", text):
-        brace = m.start()
-        # Look backward: `) [const|noexcept|override]* {` marks a function
-        # (or lambda; lambdas are skipped and stay inside their enclosing
-        # definition's body, which is the attribution we want).
-        i = brace - 1
-        while i >= 0 and text[i].isspace():
-            i -= 1
-        # Skip trailing qualifiers between the parameter list and the brace.
-        while True:
-            qm = re.search(r"(const|noexcept|override|final|mutable)\s*$",
-                           text[max(0, i - 12):i + 1])
-            if not qm:
-                break
-            i -= len(qm.group(1))
-            while i >= 0 and text[i].isspace():
-                i -= 1
-        if i < 0 or text[i] != ")":
-            continue
-        # Match the parameter list backward.
-        depth = 0
-        j = i
-        while j >= 0:
-            if text[j] == ")":
-                depth += 1
-            elif text[j] == "(":
-                depth -= 1
-                if depth == 0:
-                    break
-            j -= 1
-        if j < 0:
-            continue
-        name, qualname = _identifier_before(text, j)
-        if not name or name in CONTROL_KEYWORDS:
-            continue
-        # Find the matching close brace of the body.
-        depth = 0
-        k = brace
-        n = len(text)
-        while k < n:
-            if text[k] == "{":
-                depth += 1
-            elif text[k] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            k += 1
-        if k >= n:
-            continue
-        body = text[brace:k + 1]
-        functions.append(Function(name, qualname, sf.path,
-                                  line_of(text, brace), body, brace))
-    return functions
-
-
-CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\(")
-
-
-def check_reactor_blocking(root, diags):
-    corpus = load(collect_files(root, ["src/net"]))
-    functions = []
-    by_file = {}
-    for sf in corpus:
-        by_file[sf.path] = sf
-        functions.extend(extract_functions(sf))
-
-    by_name = {}
-    for fn in functions:
-        by_name.setdefault(fn.name, []).append(fn)
-
-    # Per function: outgoing edges (names defined in the corpus) and direct
-    # blocking sites (offset within file for diagnostics).
-    edges = {}
-    blocking_sites = {}
-    for fn in functions:
-        callees = set()
-        sites = []
-        for m in CALL_RE.finditer(fn.body):
-            name = m.group(1)
-            if name in CONTROL_KEYWORDS:
-                continue
-            pre = fn.body[:m.start()].rstrip()
-            is_method = pre.endswith(".") or pre.endswith("->")
-            if (name in BLOCKING_METHODS and is_method) or \
-               name in BLOCKING_FREE_FNS:
-                sites.append((name, fn.body_offset + m.start()))
-                continue
-            if name in by_name and name != fn.name:
-                callees.add(name)
-        key = (fn.path, fn.start_line)
-        edges[key] = (fn, callees)
-        blocking_sites[key] = sites
-
-    # Roots: any function whose body performs the epoll wait.
-    roots = [key for key, (fn, _) in edges.items()
-             if re.search(r"\bepoll_wait\s*\(", fn.body)]
-
-    # BFS, remembering one path per visited function for the diagnostic.
-    for root_key in roots:
-        visited = {root_key: [edges[root_key][0].name]}
-        queue = deque([root_key])
-        while queue:
-            key = queue.popleft()
-            fn, callees = edges[key]
-            sf = by_file[fn.path]
-            for bname, offset in blocking_sites[key]:
-                line = line_of(sf.stripped, offset)
-                if has_waiver(sf.lines, line, "reactor-ok:"):
-                    continue
-                path = " -> ".join(visited[key] + [bname + "()"])
-                diags.add(fn.path, line, "reactor-blocking",
-                          f"blocking call reachable from reactor loop "
-                          f"{edges[root_key][0].qualname}: {path} -- the "
-                          "reactor thread must never park; hand the work to "
-                          "a worker or add a `reactor-ok:` justification")
-            for callee in sorted(callees):
-                for target in by_name.get(callee, []):
-                    tkey = (target.path, target.start_line)
-                    if tkey in visited:
-                        continue
-                    visited[tkey] = visited[key] + [target.name]
-                    queue.append(tkey)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +685,6 @@ def run_clang_tidy(root, build_dir, diags, quiet):
 
 CHECKS = {
     "must-check": check_must_check,
-    "reactor-blocking": check_reactor_blocking,
     "sim-determinism": check_sim_determinism,
     "tsa-coverage": check_tsa_coverage,
     "raw-locks": check_raw_locks,

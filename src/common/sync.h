@@ -88,16 +88,13 @@ namespace lidi {
 namespace lockrank {
 // net/network: the sim's fault and virtual-time state; a leaf.
 inline constexpr int kNetEndpoints = 10;
-// net/tcp_transport: transport state (listeners/pools) -> reactor source
-// map -> per-connection outbox/pending -> worker queue.
+// net/tcp_transport: transport state (listeners, pools, accepted
+// connections).
 // net/transport: the endpoint table both backends share (handlers, endpoint
 // counters); taken under the TCP state lock when an endpoint registers.
 // All sit below the subsystem locks (>= 20) because handlers run with none
 // of them held, and callers must not hold subsystem locks across a Call.
 inline constexpr int kNetTcpState = 12;
-inline constexpr int kNetTcpReactor = 13;
-inline constexpr int kNetTcpConn = 14;
-inline constexpr int kNetTcpQueue = 16;
 inline constexpr int kNetTable = 17;
 // kafka: broker partition map -> per-partition log writer -> snapshot
 // micro-mutex. Readers take only the snapshot micro-mutex.

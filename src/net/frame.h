@@ -28,9 +28,9 @@ namespace lidi::net {
 ///   u32 crc32            over magic..payload (lidi::Crc32Extend)
 ///
 /// The trailing CRC lets the sender stream a pinned payload (header bytes,
-/// then the payload slice, then the 4-byte tail) without concatenating —
-/// the zero-copy fetch path degrades to exactly one serialize copy per
-/// side, never two.
+/// then the payload slice, then the 4-byte tail) without concatenating or
+/// copying it; the zero-copy fetch path costs one deserialize copy, on the
+/// receiving side.
 struct Frame {
   static constexpr uint8_t kRequest = 1;
   static constexpr uint8_t kResponse = 2;

@@ -56,7 +56,7 @@ Result<PinnedSlice> Network::CallPayload(const Address& from,
   Status s = table_.BeginCall(from, method, request.size(), &latency);
   if (s.ok()) s = Route(from, to, call.deadline_micros);
   // Bounded dispatch: admission is checked before endpoint lookup, the same
-  // shed point as the TCP backend's reactor.
+  // shed point as the TCP backend's connection thread.
   if (s.ok()) s = table_.Admit(to);
   const bool admitted = s.ok();
   PayloadHandler handler;

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,39 +22,41 @@ struct TcpTransportOptions {
   /// kernel sockets.
   std::string bind_host = "127.0.0.1";
 
-  /// Client-side pooled connections per destination address.
-  int connections_per_peer = 2;
-
-  /// Frames above this are a protocol error (connection poisoned).
+  /// Frames above this are a protocol error (connection closed).
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
-  /// Bounded request dispatch: maximum admitted request frames in flight
-  /// (queued for a worker or executing in one). When the budget is
-  /// exhausted the reactor replies Overloaded("dispatch queue full at
-  /// <to>") immediately — reject-before-work, the worker queue stays
-  /// bounded — and increments "net.dispatch.shed{endpoint=<to>}", through
-  /// the same internal::EndpointTable as the sim backend's
-  /// max_dispatch_inflight. 0 = unbounded.
+  /// Bounded request dispatch: maximum admitted requests in flight (running
+  /// a handler on a connection thread). When the budget is exhausted the
+  /// connection's thread replies Overloaded("dispatch queue full at <to>")
+  /// before any handler work and increments
+  /// "net.dispatch.shed{endpoint=<to>}", through the same
+  /// internal::EndpointTable as the sim backend's max_dispatch_inflight.
+  /// 0 = unbounded.
   int64_t max_dispatch_inflight = 0;
 };
 
-/// Real-socket backend of net::Transport (DESIGN.md §10): one epoll reactor
-/// thread over nonblocking localhost TCP with the net/frame.h codec.
+/// Real-socket backend of net::Transport (DESIGN.md §10): blocking socket
+/// I/O over localhost TCP with the net/frame.h codec.
 ///
-/// Shape (the synkafka broker/connection state machine, sync-call-over-
-/// async): callers serialize a request frame, enqueue it on a pooled
-/// per-peer connection, and park on the connection's CondVar; the reactor
-/// moves bytes and matches response frames to pending calls by correlation
-/// id. Server-side, complete request frames are handed to a pool of worker
-/// threads that run the registered handler and stream the response back (a
-/// pinned payload is its own iovec in the gathered sendmsg — the zero-copy
-/// fetch path costs one deserialize copy per side, never more).
+/// Client side: a call checks out one pooled connection to its peer for its
+/// own use (dialing when none is idle), writes its request frame straight
+/// from the caller's slice with gathered sendmsg calls, and reads its own
+/// reply with poll + recv, bounded by the call deadline. The connection goes
+/// back to the pool only after a complete reply carrying the call's
+/// correlation id; a timeout or any error closes it, so a late reply can
+/// never reach a later call.
+///
+/// Server side: each listener has one thread blocked in accept4, and each
+/// accepted connection gets one thread that reads a request, runs the
+/// handler inline and writes the reply. A handler's nested calls check out
+/// connections of their own, served by threads of their own, so a nested
+/// call never queues behind the thread that waits for it.
 ///
 /// What sim guarantees that this backend does not: determinism (kernel
-/// scheduling and socket readiness order are real), virtual time, and
-/// seeded fault injection. What both guarantee identically: the Transport
-/// error contract, trace-span/deadline propagation (through the frame
-/// header here, the ambient thread-local in-sim), and endpoint stats.
+/// scheduling is real), virtual time, and seeded fault injection. What both
+/// guarantee identically: the Transport error contract, trace-span/deadline
+/// propagation (through the frame header here, the ambient thread-local
+/// in-sim), and endpoint stats.
 ///
 /// Lifecycle: RegisterPayload(addr, ...) binds one listener per address
 /// (port 0 = kernel-assigned, resolvable via ListenPort); Shutdown() stops
@@ -109,44 +110,34 @@ class TcpTransport final : public Transport {
   void DropConnections(const Address& peer);
 
  private:
-  struct FdSource;
   struct Listener;
-  struct Connection;
-  struct PendingCall;
-  struct OutChunk;
-  struct Reactor;
+  struct ClientConn;
+  struct ServerConn;
   struct PeerPool;
-  struct Work;
 
-  /// Resolves `to` to host:port — local listener first, then static peers.
-  Status Resolve(const Address& to, std::string* host, uint16_t* port) const;
-
-  /// Returns an open pooled connection to `to`, dialing if needed
+  /// Takes a connection to `to` for the caller's exclusive use: the most
+  /// recently pooled idle one the peer has not closed, else a fresh dial
   /// (nonblocking connect + poll, bounded by the tighter of the connect
   /// budget and `deadline_micros`). Applies reconnect backoff.
-  Result<std::shared_ptr<Connection>> GetConnection(const Address& to,
-                                                    int64_t deadline_micros);
+  Result<std::unique_ptr<ClientConn>> Checkout(const Address& to,
+                                               int64_t deadline_micros);
 
-  std::shared_ptr<Connection> DialLocked(const Address& to,
-                                         const std::string& host,
-                                         uint16_t port,
-                                         int64_t deadline_micros,
-                                         Status* error);
+  /// Hands a checked-out connection back: to the idle pool when `reusable`,
+  /// else it is closed.
+  void Checkin(const Address& to, std::unique_ptr<ClientConn> conn,
+               bool reusable);
 
-  void ReactorLoop();
-  void WorkerLoop();
-  /// Runs one admitted request frame and sends its reply; releases the
-  /// dispatch slot the reactor took for it.
-  void HandleRequest(const std::shared_ptr<Connection>& conn, Frame frame);
-  void ReadConn(const std::shared_ptr<Connection>& conn);
-  void ReapConn(const std::shared_ptr<Connection>& conn, const Status& status);
-  void AcceptAll(const std::shared_ptr<Listener>& listener);
-  /// Queues and flushes the response frame to `request`: `response` on
-  /// success, else the status message (StatusFromWire on the caller side).
-  void SendResponse(const std::shared_ptr<Connection>& conn,
-                    const Frame& request, const Status& status,
-                    PinnedSlice response);
-  void StopThreads();
+  /// Connects to `to` at host:port and returns the socket in *fd.
+  Status Dial(const Address& to, const std::string& host, uint16_t port,
+              int64_t deadline_micros, int* fd);
+
+  void AcceptLoop(Listener* listener);
+  /// One accepted connection's thread: request, handler, reply, until the
+  /// peer closes, a frame is corrupt or the transport is destroyed.
+  void Serve(ServerConn* conn, int fd);
+  /// Admit -> CheckOpen -> CheckDeadline -> Lookup -> handler -> Release;
+  /// the handler's response lands in *response.
+  Status Dispatch(const Frame& request, PinnedSlice* response);
 
   const TcpTransportOptions options_;
   const Clock* const clock_;
@@ -154,30 +145,20 @@ class TcpTransport final : public Transport {
   // state_mu_ only to keep handlers and listeners in step.
   internal::EndpointTable table_;
 
-  /// Listeners, static peers and peer pools. Never held across a handler
-  /// invocation or a blocking socket op (dial happens with it released).
+  /// Listeners, static peers, peer pools and the accepted connections. Never
+  /// held across a handler invocation or a blocking socket op; the only
+  /// socket calls made under it are shutdown(2) on sockets another thread
+  /// owns (see DESIGN.md §10.3).
   mutable Mutex state_mu_{"net.tcp.state", lockrank::kNetTcpState};
-  std::map<Address, std::shared_ptr<Listener>> listeners_
+  std::map<Address, std::unique_ptr<Listener>> listeners_
       LIDI_GUARDED_BY(state_mu_);
   std::map<Address, std::pair<std::string, uint16_t>> static_peers_
       LIDI_GUARDED_BY(state_mu_);
   std::map<Address, PeerPool> pools_ LIDI_GUARDED_BY(state_mu_);
-
-  /// The one reactor; it has its own mutex for the state its thread shares
-  /// with callers.
-  const std::unique_ptr<Reactor> reactor_;
-
-  /// Worker queue: request frames waiting for a handler thread.
-  Mutex queue_mu_{"net.tcp.queue", lockrank::kNetTcpQueue};
-  CondVar queue_cv_;
-  std::deque<Work> queue_ LIDI_GUARDED_BY(queue_mu_);
-  bool stopping_ LIDI_GUARDED_BY(queue_mu_) = false;
-  // tsa-ok: spawned in the constructor, joined in Stop/destructor; worker
-  // threads never touch the vector itself.
-  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<ServerConn>> server_conns_
+      LIDI_GUARDED_BY(state_mu_);
 
   std::atomic<uint64_t> next_correlation_{1};
-  std::atomic<bool> threads_stopped_{false};
 };
 
 }  // namespace lidi::net

@@ -69,9 +69,10 @@ struct EndpointStats {
 ///    transport — handlers run synchronously in the caller's thread, faults
 ///    are injected from a seeded RNG, and the sim harness replays byte-
 ///    identical traces from a seed.
-///  - net::TcpTransport (net/tcp_transport.h): a real epoll reactor over
-///    nonblocking localhost TCP sockets with a length-prefixed framing
-///    codec, per-peer connection pooling, and a handler worker pool.
+///  - net::TcpTransport (net/tcp_transport.h): blocking localhost TCP
+///    sockets with a length-prefixed framing codec. A call checks out a
+///    pooled connection of its own and reads its own reply; every accepted
+///    connection has one thread that runs its handlers inline.
 ///
 /// API shape: the payload-view path (CallPayload/RegisterPayload, moving
 /// PinnedSlices) is the primary surface and the only virtual dispatch
@@ -106,7 +107,8 @@ class Transport {
   virtual void Unregister(const Address& addr) = 0;
 
   /// Invokes `method` on `to`; the response payload is pinned, not copied
-  /// in-process (over TCP it degrades to one deserialize copy per side).
+  /// in-process (over TCP it costs one deserialize copy on the receiving
+  /// side and none on send).
   virtual Result<PinnedSlice> CallPayload(const Address& from,
                                           const Address& to,
                                           const std::string& method,
@@ -172,8 +174,8 @@ class CallerScope {
 };
 
 /// Ambient trace context for nested calls: handlers run synchronously in
-/// the dispatching thread (the caller's thread in-sim, a worker thread over
-/// TCP), so a thread-local is exactly the right carrier. While a handler
+/// the dispatching thread (the caller's thread in-sim, the connection's
+/// thread over TCP), so a thread-local is exactly the right carrier. While a handler
 /// runs, the ambient context is the span of the call that invoked it; any
 /// call the handler places without explicit CallOptions::trace attaches
 /// there (and inherits the deadline budget). Zero trace_id = none.

@@ -177,6 +177,59 @@ TEST(ThreadStressTest, ParallelVoldemortClients) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// Server-side routing over real sockets (paper Figure II.1): a vr.* handler
+// is the coordinator and places its replica calls on the same transport
+// while it runs. Eight thin clients at once keep more coordinators waiting
+// on nested calls than a fixed pool of four handler threads could serve.
+TEST(ThreadStressTest, ServerSideRoutingWithMoreClientsThanWorkers) {
+  net::TcpTransport network;
+  std::vector<voldemort::Node> nodes;
+  for (int i = 0; i < 3; ++i) {
+    nodes.push_back({i, net::MakeAddress(net::Tier::kVoldemort, i), 0});
+  }
+  auto metadata = std::make_shared<voldemort::ClusterMetadata>(
+      voldemort::Cluster::Uniform(nodes, 12));
+  std::vector<std::unique_ptr<voldemort::VoldemortServer>> servers;
+  std::vector<net::Address> addresses;
+  for (int i = 0; i < 3; ++i) {
+    servers.push_back(
+        std::make_unique<voldemort::VoldemortServer>(i, metadata, &network));
+    ASSERT_OK(servers.back()->AddStore("s"));
+    ASSERT_OK(servers.back()->EnableServerSideRouting({"s", 3, 2, 2},
+                                                      SystemClock::Default()));
+    addresses.push_back(servers.back()->address());
+  }
+
+  constexpr int kClients = 8;
+  constexpr int kOpsPerClient = 20;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c]() {
+      voldemort::ThinClient thin("thin-" + std::to_string(c), "s", addresses,
+                                 &network);
+      auto key = [c](int i) {
+        return "c" + std::to_string(c) + "-k" + std::to_string(i);
+      };
+      for (int i = 0; i < kOpsPerClient; ++i) {
+        if (!thin.Put(key(i), {voldemort::VectorClock{}, "v" + key(i)})
+                 .ok()) {
+          failures.fetch_add(1);
+        }
+      }
+      for (int i = 0; i < kOpsPerClient; ++i) {
+        auto versions = thin.Get(key(i));
+        if (!versions.ok() || versions.value().size() != 1 ||
+            versions.value()[0].value != "v" + key(i)) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(ThreadStressTest, ParallelKafkaProducersAndConsumer) {
   net::Network network;
   ManualClock clock;
@@ -319,8 +372,8 @@ TEST(CompressedMirrorTest, MirrorRecompressesAndDeliversExactly) {
 // AppliedScn()+1, appends to the relay, then applies; unless the three steps
 // are serialised, two handlers on one master pick the same SCN and the relay
 // fences the second ("fenced: partition timeline advanced past us") as if
-// the master were stale. Over TCP the handlers run on the worker pool, so
-// four clients writing one partition race on every commit.
+// the master were stale. Over TCP each connection's handlers run on its own
+// thread, so four clients writing one partition race on every commit.
 // ---------------------------------------------------------------------------
 
 TEST(ThreadStressTest, ConcurrentWritesToOnePartitionAreNotFenced) {

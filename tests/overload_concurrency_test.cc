@@ -12,7 +12,7 @@ namespace {
 
 // The overload-control primitives sit on the hottest request paths of every
 // tier (transport dispatch, broker produce, voldemort verbs, router
-// admission) and are hit from TCP worker threads concurrently. This suite
+// admission) and are hit from TCP connection threads concurrently. This suite
 // runs under TSan in check.sh (stage 4 matches *concurrency*): the contract
 // is not just "no data race" but "no over-grant" — a racing bucket must
 // never hand out more than burst tokens, a racing limiter must never admit

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -83,9 +84,7 @@ TEST(TcpTransportTest, CrossTransportCallViaStaticPeer) {
 }
 
 TEST(TcpTransportTest, ConcurrentCallersShareThePool) {
-  TcpTransportOptions options;
-  options.connections_per_peer = 2;
-  TcpTransport t(options);
+  TcpTransport t;
   RegisterEcho(&t, kServer);
 
   constexpr int kThreads = 8;
@@ -109,13 +108,12 @@ TEST(TcpTransportTest, ConcurrentCallersShareThePool) {
 }
 
 TEST(TcpTransportTest, LargeFramesQueuedBehindAShortWriteArriveIntact) {
-  // One pooled connection, so every caller's frame shares one outbox. Each
-  // frame is larger than the loopback socket buffer: sendmsg returns short,
-  // and whole frames queue behind the half-sent one until EPOLLOUT drains
-  // them. The replies take the same path back from the worker side.
-  TcpTransportOptions options;
-  options.connections_per_peer = 1;
-  TcpTransport t(options);
+  // Four callers at once, each on a connection of its own. Every frame is
+  // larger than the loopback socket buffer, so each request's sendmsg
+  // returns short and resumes after poll reports the socket writable, while
+  // the server's thread reads it in pieces. The 4 MB replies take the same
+  // partial-write path back from the server side.
+  TcpTransport t;
   t.RegisterPayload(kServer, "mirror", [](Slice req) -> Result<PinnedSlice> {
     return PinnedSlice::Copy(req);
   });
@@ -202,6 +200,91 @@ TEST(TcpTransportTest, DeadlineExpiresWhileHandlerRuns) {
             std::string("deadline budget exhausted calling ") + kServer);
 }
 
+TEST(TcpTransportTest, TimedOutCallsLateReplyNeverReachesTheNextCall) {
+  TcpTransport t;
+  t.Register(kServer, "echo", [](Slice req) -> Result<std::string> {
+    if (req == Slice("slow")) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    return "echo:" + req.ToString();
+  });
+  Clock* clock = SystemClock::Default();
+  const int64_t start = clock->NowMicros();
+  CallOptions options;
+  options.deadline_micros = start + 50'000;
+  auto slow = t.Call(kClient, kServer, "echo", "slow", options);
+  ASSERT_FALSE(slow.ok());
+  EXPECT_TRUE(slow.status().IsTimeout()) << slow.status().ToString();
+
+  // Calls to the same peer while the slow handler still runs, and until
+  // well after its late reply would have arrived, each read their own reply.
+  for (int i = 0; clock->NowMicros() < start + 400'000; ++i) {
+    const std::string body = "next-" + std::to_string(i);
+    auto r = t.Call(kClient, kServer, "echo", body);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value(), "echo:" + body);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+TEST(TcpTransportTest, IdleConnectionClosedByPeerIsRedialed) {
+  TcpTransport client;
+  auto server = std::make_unique<TcpTransport>();
+  RegisterEcho(server.get(), kServer);
+  client.AddStaticPeer(kServer, "127.0.0.1", server->ListenPort(kServer));
+  ASSERT_TRUE(client.Call(kClient, kServer, "echo", "first").ok());
+
+  // The peer goes away while the client's connection to it sits idle in
+  // the pool, and a new transport serves the address on another port.
+  server.reset();
+  TcpTransport replacement;
+  RegisterEcho(&replacement, kServer);
+  client.AddStaticPeer(kServer, "127.0.0.1", replacement.ListenPort(kServer));
+
+  auto r = client.Call(kClient, kServer, "echo", "second");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), "echo:second");
+}
+
+TEST(TcpTransportTest, NestedCallCycleWithMoreCallersThanWorkers) {
+  // A's handler calls B and B's handler calls back into A, so each call
+  // holds two handlers while its innermost one runs. Eight callers keep up
+  // to sixteen handlers waiting at once, more than any fixed pool of four
+  // handler threads could run.
+  TcpTransport t;
+  Transport* transport = &t;
+  t.Register("node-a", "leaf", [](Slice req) -> Result<std::string> {
+    return "leaf:" + req.ToString();
+  });
+  t.Register("node-b", "relay", [transport](Slice req) {
+    return transport->Call("node-b", "node-a", "leaf", req);
+  });
+  t.Register("node-a", "outer", [transport](Slice req) {
+    return transport->Call("node-a", "node-b", "relay", req);
+  });
+
+  constexpr int kCallers = 8;
+  constexpr int kCallsPerCaller = 50;
+  std::atomic<int> correct{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&t, &correct, i] {
+      for (int j = 0; j < kCallsPerCaller; ++j) {
+        CallOptions options;
+        options.deadline_micros =
+            SystemClock::Default()->NowMicros() + 2'000'000;
+        const std::string body = std::to_string(i) + "/" + std::to_string(j);
+        auto r = t.Call("caller-" + std::to_string(i), "node-a", "outer",
+                        body, options);
+        if (r.ok() && r.value() == "leaf:" + body) correct.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(correct.load(), kCallers * kCallsPerCaller);
+}
+
 TEST(TcpTransportTest, AlreadyExpiredDeadlineFailsBeforeDialing) {
   TcpTransport t;
   CallOptions options;
@@ -252,8 +335,20 @@ class RawSocket {
 
   bool connected() const { return connected_; }
   void Send(const std::string& bytes) {
-    ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), 0),
+    ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(bytes.size()));
+  }
+  /// Sends what the peer takes, then half-closes, so the peer reads end of
+  /// stream after the bytes. A peer that closed first is not an error.
+  void SendAndCloseWrite(const std::string& bytes) {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<size_t>(n);
+    }
+    ::shutdown(fd_, SHUT_WR);
   }
   /// Reads until the peer closes; returns everything received.
   std::string ReadToEof() {
@@ -353,6 +448,100 @@ TEST(TcpTransportTest, OversizedFrameIsRejectedAtTheWire) {
   EXPECT_EQ(sock.ReadToEof(), "");
 }
 
+/// Seeded mutation harness for the server's frame reader (the frame_test
+/// style, over a real socket). Each seed mutates a valid request — a few
+/// flipped bits, a truncation, a length prefix over the limit, or random
+/// bytes in its place — and sends it on a raw connection, half the time
+/// behind one intact request. The server must answer with well-formed
+/// response frames (the intact request's echo) or nothing, then close the
+/// connection; a well-formed call must succeed afterwards. Replay one seed
+/// with LIDI_FRAME_SEED=<seed>.
+TEST(TcpTransportTest, SeededMutatedFramesNeverCrashTheServer) {
+  TcpTransportOptions options;
+  options.max_frame_bytes = 1 << 16;
+  TcpTransport t(options);
+  RegisterEcho(&t, kServer);
+
+  uint64_t first_seed = 1;
+  uint64_t seeds = 200;
+  if (const char* env = std::getenv("LIDI_FRAME_SEED")) {
+    first_seed = std::strtoull(env, nullptr, 10);
+    seeds = 1;
+  }
+  for (uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
+    SCOPED_TRACE("LIDI_FRAME_SEED=" + std::to_string(seed));
+    Random rng(seed);
+    net::Frame req;
+    req.type = net::Frame::kRequest;
+    req.from = "raw";
+    req.to = kServer;
+    req.method = "echo";
+    req.correlation_id = seed;
+    const std::string intact_body = rng.Bytes(rng.Uniform(64));
+    const std::string intact =
+        net::EncodeFrameToString(req, Slice(intact_body));
+    std::string mutated =
+        net::EncodeFrameToString(req, Slice(rng.Bytes(rng.Uniform(256))));
+    switch (rng.Uniform(4)) {
+      case 0:  // bit flips anywhere, the length prefix included
+        for (uint64_t i = 0, n = 1 + rng.Uniform(3); i < n; ++i) {
+          mutated[rng.Uniform(mutated.size())] ^=
+              static_cast<char>(1 << rng.Uniform(8));
+        }
+        break;
+      case 1:  // torn: the peer stops mid-frame
+        mutated.resize(rng.Uniform(mutated.size()));
+        break;
+      case 2: {  // a length prefix over max_frame_bytes
+        const uint32_t len = static_cast<uint32_t>(
+            options.max_frame_bytes + 1 + rng.Uniform(1u << 30));
+        for (int i = 0; i < 4; ++i) {
+          mutated[i] = static_cast<char>((len >> (8 * i)) & 0xff);
+        }
+        break;
+      }
+      default:  // not a frame at all
+        mutated = rng.Bytes(1 + rng.Uniform(256));
+        break;
+    }
+    const bool lead = rng.Uniform(2) == 0;
+
+    RawSocket sock(t.ListenPort(kServer));
+    ASSERT_TRUE(sock.connected());
+    sock.SendAndCloseWrite(lead ? intact + mutated : mutated);
+    const std::string back = sock.ReadToEof();
+
+    // Whatever came back is whole response frames, nothing else.
+    size_t off = 0;
+    int replies = 0;
+    while (off < back.size()) {
+      net::Frame resp;
+      size_t consumed = 0;
+      std::string error;
+      ASSERT_EQ(net::DecodeFrame(Slice(back.data() + off, back.size() - off),
+                                 net::kDefaultMaxFrameBytes, &resp, &consumed,
+                                 &error),
+                net::DecodeStatus::kOk)
+          << error;
+      EXPECT_EQ(resp.type, net::Frame::kResponse);
+      EXPECT_EQ(resp.correlation_id, seed);
+      if (replies == 0 && lead) {
+        EXPECT_EQ(resp.status_code, Code::kOk);
+        EXPECT_EQ(resp.payload, "echo:" + intact_body);
+      }
+      off += consumed;
+      ++replies;
+    }
+    if (lead) {
+      EXPECT_GE(replies, 1);
+    }
+  }
+
+  auto r = t.Call(kClient, kServer, "echo", "still-serving");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), "echo:still-serving");
+}
+
 TEST(TcpTransportTest, ShutdownFailsSubsequentCallsAndJoinsCleanly) {
   auto t = std::make_unique<TcpTransport>();
   RegisterEcho(t.get(), kServer);
@@ -362,7 +551,7 @@ TEST(TcpTransportTest, ShutdownFailsSubsequentCallsAndJoinsCleanly) {
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnavailable());
   EXPECT_EQ(r.status().message(), "transport shut down");
-  t.reset();  // destructor joins reactors and workers
+  t.reset();  // destructor joins the accept and connection threads
 }
 
 TEST(TcpTransportTest, TierCodeRunsUnmodifiedOverTcp) {
