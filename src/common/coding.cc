@@ -4,7 +4,7 @@ namespace lidi {
 
 void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>(v >> (8 * i));
+  EncodeFixed32(buf, v);
   dst->append(buf, 4);
 }
 
@@ -31,6 +31,15 @@ void PutZigZag64(std::string* dst, int64_t v) {
 void PutLengthPrefixed(std::string* dst, Slice value) {
   PutVarint64(dst, value.size());
   dst->append(value.data(), value.size());
+}
+
+int VarintLength(uint64_t v) {
+  int length = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++length;
+  }
+  return length;
 }
 
 bool GetFixed32(Slice* input, uint32_t* v) {
@@ -75,6 +84,10 @@ bool GetLengthPrefixed(Slice* input, Slice* value) {
   *value = Slice(input->data(), len);
   input->RemovePrefix(len);
   return true;
+}
+
+void EncodeFixed32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
 }
 
 uint32_t DecodeFixed32(const char* p) {

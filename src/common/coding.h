@@ -22,6 +22,8 @@ void PutVarint64(std::string* dst, uint64_t v);
 void PutZigZag64(std::string* dst, int64_t v);
 /// Length-prefixed byte string: varint length, then bytes.
 void PutLengthPrefixed(std::string* dst, Slice value);
+/// Bytes PutVarint64 writes for v.
+int VarintLength(uint64_t v);
 
 /// Each Get* consumes bytes from the front of *input on success. On failure
 /// (truncated input) returns false and leaves *input unspecified.
@@ -31,7 +33,8 @@ bool GetVarint64(Slice* input, uint64_t* v);
 bool GetZigZag64(Slice* input, int64_t* v);
 bool GetLengthPrefixed(Slice* input, Slice* value);
 
-/// Decodes a fixed32/64 at a raw pointer (caller guarantees bounds).
+/// Encodes/decodes a fixed32/64 at a raw pointer (caller guarantees bounds).
+void EncodeFixed32(char* p, uint32_t v);
 uint32_t DecodeFixed32(const char* p);
 uint64_t DecodeFixed64(const char* p);
 

@@ -49,9 +49,16 @@ void EncodeEventList(const std::vector<Event>& events, std::string* out) {
 }
 
 Result<std::vector<Event>> DecodeEventList(Slice input) {
+  // An encoded event takes at least 7 bytes: scn, source, key, op,
+  // partition, txn marker and payload, one byte each when empty.
+  constexpr uint64_t kMinEventBytes = 7;
   uint64_t count;
   if (!GetVarint64(&input, &count)) {
     return Status::Corruption("truncated event list");
+  }
+  if (count > input.size() / kMinEventBytes) {
+    return Status::Corruption("event list count " + std::to_string(count) +
+                              " exceeds its input");
   }
   std::vector<Event> out;
   out.reserve(count);

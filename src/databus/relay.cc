@@ -9,13 +9,14 @@ namespace lidi::databus {
 
 namespace {
 
-std::vector<Event> TransactionToEvents(
-    const sqlstore::CommittedTransaction& txn) {
-  std::vector<Event> events;
-  events.reserve(txn.changes.size());
+/// Appends one event per change of `txn`. Each payload is reserved to its
+/// exact encoded size: the buffer keeps it for as long as the event stays
+/// buffered, so growth slack would be paid per buffered event.
+void AppendTransactionEvents(const sqlstore::CommittedTransaction& txn,
+                             std::vector<Event>* events) {
   for (size_t i = 0; i < txn.changes.size(); ++i) {
     const sqlstore::Change& change = txn.changes[i];
-    Event event;
+    Event& event = events->emplace_back();
     event.scn = txn.scn;
     event.source = change.table;
     event.key = change.primary_key;
@@ -24,11 +25,10 @@ std::vector<Event> TransactionToEvents(
     event.partition = change.partition;
     event.end_of_txn = i + 1 == txn.changes.size();
     if (change.op != sqlstore::Change::Op::kDelete) {
+      event.payload.reserve(sqlstore::EncodedRowSize(change.row));
       sqlstore::EncodeRow(change.row, &event.payload);
     }
-    events.push_back(std::move(event));
   }
-  return events;
 }
 
 }  // namespace
@@ -92,10 +92,15 @@ Relay::Relay(std::string relay_name, const sqlstore::Database* source,
     Filter filter;
     Status s = DecodeReadRequest(req, &since_scn, &max_events, &filter);
     if (!s.ok()) return Result<std::string>(s);
-    auto events = ReadEvents(since_scn, max_events, filter);
-    if (!events.ok()) return Result<std::string>(events.status());
+    // Encodes straight from the buffer; the lock keeps eviction off the
+    // matched events until they are encoded.
+    MutexLock lock(&mu_);
+    std::vector<const Event*> matched;
+    s = ScanLocked(since_scn, max_events, filter, &matched);
+    if (!s.ok()) return Result<std::string>(s);
     std::string out;
-    EncodeEventList(events.value(), &out);
+    PutVarint64(&out, matched.size());
+    for (const Event* event : matched) EncodeEvent(*event, &out);
     return Result<std::string>(std::move(out));
   });
 }
@@ -114,10 +119,16 @@ Result<int64_t> Relay::PollOnce() {
 
   std::vector<Event> incoming;
   if (source_ != nullptr) {
+    // The logged transactions are read in place: ReadAfter lends pointers,
+    // and the events are built with neither lock held.
     const auto txns = source_->binlog().ReadAfter(since, poll_batch);
-    for (const auto& txn : txns) {
-      auto events = TransactionToEvents(txn);
-      incoming.insert(incoming.end(), events.begin(), events.end());
+    size_t changes = 0;
+    for (const sqlstore::CommittedTransaction* txn : txns) {
+      changes += txn->changes.size();
+    }
+    incoming.reserve(changes);
+    for (const sqlstore::CommittedTransaction* txn : txns) {
+      AppendTransactionEvents(*txn, &incoming);
     }
   } else if (!upstream_.empty()) {
     span.set_peer(upstream_);
@@ -157,10 +168,9 @@ void Relay::AppendEventsLocked(std::vector<Event> events) {
   }
 }
 
-Result<std::vector<Event>> Relay::ReadEvents(int64_t since_scn,
-                                             int64_t max_events,
-                                             const Filter& filter) const {
-  MutexLock lock(&mu_);
+Status Relay::ScanLocked(int64_t since_scn, int64_t max_events,
+                         const Filter& filter,
+                         std::vector<const Event*>* matched) const {
   if (!buffer_.empty() && since_scn + 1 < buffer_.front().scn) {
     // The requested range was evicted from the circular buffer; the client
     // must fall back to a bootstrap server (long look-back query).
@@ -168,7 +178,6 @@ Result<std::vector<Event>> Relay::ReadEvents(int64_t since_scn,
                             " evicted from relay buffer (min buffered scn " +
                             std::to_string(buffer_.front().scn) + ")");
   }
-  std::vector<Event> out;
   // Binary search to the first event with scn > since_scn: the buffer is in
   // scn order (this is the relay's "index structure to efficiently serve
   // events from a given sequence number").
@@ -176,11 +185,24 @@ Result<std::vector<Event>> Relay::ReadEvents(int64_t since_scn,
       buffer_.begin(), buffer_.end(), since_scn + 1,
       [](const Event& e, int64_t scn) { return e.scn < scn; });
   for (; it != buffer_.end() &&
-         static_cast<int64_t>(out.size()) < max_events;
+         static_cast<int64_t>(matched->size()) < max_events;
        ++it) {
-    if (filter.Matches(*it)) out.push_back(*it);
+    if (filter.Matches(*it)) matched->push_back(&*it);
   }
-  events_served_->Add(static_cast<int64_t>(out.size()));
+  events_served_->Add(static_cast<int64_t>(matched->size()));
+  return Status::OK();
+}
+
+Result<std::vector<Event>> Relay::ReadEvents(int64_t since_scn,
+                                             int64_t max_events,
+                                             const Filter& filter) const {
+  MutexLock lock(&mu_);
+  std::vector<const Event*> matched;
+  Status s = ScanLocked(since_scn, max_events, filter, &matched);
+  if (!s.ok()) return s;
+  std::vector<Event> out;
+  out.reserve(matched.size());
+  for (const Event* event : matched) out.push_back(*event);
   return out;
 }
 

@@ -60,8 +60,9 @@ class Relay {
   /// thread in production; tests call it synchronously.
   Result<int64_t> PollOnce();
 
-  /// Direct (in-process) read path; the RPC handler forwards here. Returns
-  /// events with scn > since_scn matching the filter.
+  /// Direct (in-process) read path: copies of the events with
+  /// scn > since_scn matching the filter. The RPC handler runs the same
+  /// scan and encodes its reply straight from the buffer.
   Result<std::vector<Event>> ReadEvents(int64_t since_scn, int64_t max_events,
                                         const Filter& filter) const;
 
@@ -79,6 +80,14 @@ class Relay {
         net::Address upstream, net::Transport* network, RelayOptions options);
 
   void AppendEventsLocked(std::vector<Event> events) LIDI_REQUIRES(mu_);
+  /// The one read scan, shared by ReadEvents and the "databus.read"
+  /// handler: NotFound if scn since_scn + 1 was evicted, else appends the
+  /// buffered events with scn > since_scn that match the filter, up to
+  /// max_events. The pointers are valid while mu_ is held.
+  Status ScanLocked(int64_t since_scn, int64_t max_events,
+                    const Filter& filter,
+                    std::vector<const Event*>* matched) const
+      LIDI_REQUIRES(mu_);
 
   const std::string name_;
   const sqlstore::Database* const source_;  // null for chained relays

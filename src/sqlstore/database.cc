@@ -1,6 +1,8 @@
 #include "sqlstore/database.h"
 
 #include <algorithm>
+#include <string_view>
+#include <utility>
 
 #include "common/coding.h"
 #include "common/hash.h"
@@ -13,6 +15,15 @@ void EncodeRow(const Row& row, std::string* out) {
     PutLengthPrefixed(out, column);
     PutLengthPrefixed(out, value);
   }
+}
+
+size_t EncodedRowSize(const Row& row) {
+  size_t size = VarintLength(row.size());
+  for (const auto& [column, value] : row) {
+    size += VarintLength(column.size()) + column.size() +
+            VarintLength(value.size()) + value.size();
+  }
+  return size;
 }
 
 Result<Row> DecodeRow(Slice input) {
@@ -37,22 +48,26 @@ namespace {
 //   fixed32 crc (over body)
 //   body: varint scn, varint change count, then per change:
 //         u8 op, zigzag partition, LP table, LP primary key, LP encoded row
+//
+// Replaces *out with the record, writing the body in place after the
+// header and filling the header in last.
+constexpr size_t kRecordHeader = 8;
+
 void EncodeTransaction(const CommittedTransaction& txn, std::string* out) {
-  std::string body;
-  PutVarint64(&body, static_cast<uint64_t>(txn.scn));
-  PutVarint64(&body, txn.changes.size());
+  out->assign(kRecordHeader, '\0');
+  PutVarint64(out, static_cast<uint64_t>(txn.scn));
+  PutVarint64(out, txn.changes.size());
   for (const Change& change : txn.changes) {
-    body.push_back(static_cast<char>(change.op));
-    PutZigZag64(&body, change.partition);
-    PutLengthPrefixed(&body, change.table);
-    PutLengthPrefixed(&body, change.primary_key);
-    std::string row_bytes;
-    EncodeRow(change.row, &row_bytes);
-    PutLengthPrefixed(&body, row_bytes);
+    out->push_back(static_cast<char>(change.op));
+    PutZigZag64(out, change.partition);
+    PutLengthPrefixed(out, change.table);
+    PutLengthPrefixed(out, change.primary_key);
+    PutVarint64(out, EncodedRowSize(change.row));
+    EncodeRow(change.row, out);
   }
-  PutFixed32(out, static_cast<uint32_t>(body.size()));
-  PutFixed32(out, Crc32(body));
-  out->append(body);
+  const Slice body(out->data() + kRecordHeader, out->size() - kRecordHeader);
+  EncodeFixed32(out->data(), static_cast<uint32_t>(body.size()));
+  EncodeFixed32(out->data() + 4, Crc32(body));
 }
 
 bool DecodeTransactionBody(Slice body, CommittedTransaction* txn) {
@@ -174,8 +189,7 @@ Status Binlog::StageLocked(const CommittedTransaction& txn) {
     return Status::IOError("binlog damaged (unacked bytes on disk): " +
                            recovery_status_.message());
   }
-  std::string record;
-  EncodeTransaction(txn, &record);
+  EncodeTransaction(txn, &record_);
   if (file_ == nullptr) {
     auto file = fs_->OpenAppend(FilePath());
     if (!file.ok()) {
@@ -184,9 +198,10 @@ Status Binlog::StageLocked(const CommittedTransaction& txn) {
     }
     file_ = std::move(file.value());
   }
+  const int64_t record_bytes = static_cast<int64_t>(record_.size());
   int64_t accepted = 0;
-  Status s = file_->Append(record, &accepted);
-  if (s.ok() && accepted < static_cast<int64_t>(record.size())) {
+  Status s = file_->Append(record_, &accepted);
+  if (s.ok() && accepted < record_bytes) {
     s = Status::IOError("short binlog write");
   }
   if (!s.ok()) {
@@ -194,7 +209,7 @@ Status Binlog::StageLocked(const CommittedTransaction& txn) {
     if (options_.legacy_advance_on_failed_write) {
       // The re-introduced bug: pretend the record landed. The file holds a
       // torn prefix that the next append will bury; recovery stops there.
-      persisted_bytes_ += static_cast<int64_t>(record.size());
+      persisted_bytes_ += record_bytes;
       return s;
     }
     file_.reset();
@@ -205,7 +220,7 @@ Status Binlog::StageLocked(const CommittedTransaction& txn) {
     }
     return s;
   }
-  persisted_bytes_ += static_cast<int64_t>(record.size());
+  persisted_bytes_ += record_bytes;
   return Status::OK();
 }
 
@@ -244,7 +259,8 @@ Status Binlog::PersistLocked(const CommittedTransaction& txn) {
   return s;
 }
 
-Result<int64_t> Binlog::Append(std::vector<Change> changes) {
+Result<const CommittedTransaction*> Binlog::Append(
+    std::vector<Change> changes) {
   if (!group_mode()) {
     MutexLock lock(&mu_);
     CommittedTransaction txn;
@@ -255,7 +271,7 @@ Result<int64_t> Binlog::Append(std::vector<Change> changes) {
     next_scn_++;
     log_.push_back(std::move(txn));
     if (fs_ == nullptr) durable_scn_ = log_.back().scn;
-    return log_.back().scn;
+    return &log_.back();
   }
   // Group commit: write the record under mu_, then hand the fdatasync to
   // the committer with mu_ RELEASED — concurrent committers stage into the
@@ -281,7 +297,11 @@ Result<int64_t> Binlog::Append(std::vector<Change> changes) {
   }
   Status s = group_->SyncTo(target, staged_epoch);
   if (!s.ok()) return s;
-  return scn;
+  // SyncTo acknowledges only a frontier some successful GroupSyncNow
+  // returned, in the epoch this record was staged in; that call promoted
+  // every pending transaction it covered into log_, which never shrinks.
+  MutexLock lock(&mu_);
+  return &log_[static_cast<size_t>(scn - 1)];
 }
 
 Result<int64_t> Binlog::GroupSyncNow() {
@@ -343,18 +363,19 @@ Status Binlog::recovery_status() const {
   return recovery_status_;
 }
 
-std::vector<CommittedTransaction> Binlog::ReadAfter(int64_t from_scn,
-                                                    int64_t max_count) const {
+std::vector<const CommittedTransaction*> Binlog::ReadAfter(
+    int64_t from_scn, int64_t max_count) const {
   MutexLock lock(&mu_);
   ++read_calls_;
-  std::vector<CommittedTransaction> out;
-  // SCNs are dense starting at 1, so the offset is direct.
-  int64_t start_index = from_scn;  // scn N lives at index N-1; read after it
-  for (int64_t i = start_index;
-       i < static_cast<int64_t>(log_.size()) &&
-       static_cast<int64_t>(out.size()) < max_count;
-       ++i) {
-    out.push_back(log_[i]);
+  std::vector<const CommittedTransaction*> out;
+  // SCNs are dense starting at 1, so the offset is direct: scn N lives at
+  // index N-1, and the read starts after from_scn.
+  const int64_t size = static_cast<int64_t>(log_.size());
+  const int64_t begin = std::clamp<int64_t>(from_scn, 0, size);
+  const int64_t end = begin + std::clamp<int64_t>(max_count, 0, size - begin);
+  out.reserve(static_cast<size_t>(end - begin));
+  for (int64_t i = begin; i < end; ++i) {
+    out.push_back(&log_[static_cast<size_t>(i)]);
   }
   return out;
 }
@@ -452,18 +473,22 @@ int64_t Database::ReplayBinlog() {
   // SCNs are dense from 1; pull everything the recovery scan accepted.
   const auto transactions = binlog_.ReadAfter(0, binlog_.TransactionCount());
   MutexLock lock(&mu_);
-  for (const auto& txn : transactions) {
-    for (const auto& change : txn.changes) {
-      auto& table = tables_[change.table];  // creates missing tables
-      if (change.op == Change::Op::kDelete) {
-        table.erase(change.primary_key);
-      } else {
-        table[change.primary_key] = change.row;
-      }
-      ++applied;
-    }
+  for (const CommittedTransaction* txn : transactions) {
+    ApplyLocked(*txn);
+    applied += static_cast<int64_t>(txn->changes.size());
   }
   return applied;
+}
+
+void Database::ApplyLocked(const CommittedTransaction& txn) {
+  for (const Change& change : txn.changes) {
+    auto& rows = tables_[change.table];  // creates missing tables (replay)
+    if (change.op == Change::Op::kDelete) {
+      rows.erase(change.primary_key);
+    } else {
+      rows.insert_or_assign(change.primary_key, change.row);
+    }
+  }
 }
 
 Result<int64_t> Database::CommitChanges(std::vector<Change>* changes) {
@@ -475,16 +500,27 @@ Result<int64_t> Database::CommitChanges(std::vector<Change>* changes) {
   SemiSyncCallback semi_sync;
   {
     MutexLock lock(&mu_);
+    // Whether each key this transaction has already written is present
+    // after that write: a later change of the same row resolves against it,
+    // not against the table. Only multi-change transactions fill it.
+    std::map<std::pair<std::string_view, std::string_view>, bool> written;
     // Validate before mutating: all-or-nothing.
     for (Change& change : *changes) {
       auto it = tables_.find(change.table);
       if (it == tables_.end()) {
         return Status::NotFound("no table " + change.table);
       }
+      const std::pair<std::string_view, std::string_view> row_id(
+          change.table, change.primary_key);
       if (change.op != Change::Op::kDelete) {
-        change.op = it->second.count(change.primary_key) > 0
-                        ? Change::Op::kUpdate
-                        : Change::Op::kInsert;
+        const auto earlier = written.find(row_id);
+        const bool present = earlier != written.end()
+                                 ? earlier->second
+                                 : it->second.count(change.primary_key) > 0;
+        change.op = present ? Change::Op::kUpdate : Change::Op::kInsert;
+      }
+      if (changes->size() > 1) {
+        written[row_id] = change.op != Change::Op::kDelete;
       }
       change.partition =
           partition_fn_ ? partition_fn_(change.primary_key) : -1;
@@ -496,29 +532,21 @@ Result<int64_t> Database::CommitChanges(std::vector<Change>* changes) {
   // Binlog first: if the durable record cannot be written, the commit fails
   // with the tables untouched — rows and binlog never disagree. (The commit
   // lock keeps other transactions from interleaving between the append and
-  // the table apply below.)
-  const auto appended = binlog_.Append(*changes);
+  // the table apply below.) The changes move into the log; everything after
+  // reads the logged transaction.
+  const auto appended = binlog_.Append(std::move(*changes));
+  changes->clear();
   if (!appended.ok()) {
     return Status::Unavailable("binlog append failed: " +
                                appended.status().message());
   }
-  const int64_t scn = appended.value();
+  const CommittedTransaction& txn = *appended.value();
 
   {
     MutexLock lock(&mu_);
-    for (const Change& change : *changes) {
-      auto& rows = tables_[change.table];
-      if (change.op == Change::Op::kDelete) {
-        rows.erase(change.primary_key);
-      } else {
-        rows[change.primary_key] = change.row;
-      }
-    }
+    ApplyLocked(txn);
   }
 
-  CommittedTransaction txn;
-  txn.scn = scn;
-  txn.changes = *changes;
   if (semi_sync) {
     Status s = semi_sync(txn);
     if (!s.ok()) {
@@ -529,10 +557,9 @@ Result<int64_t> Database::CommitChanges(std::vector<Change>* changes) {
     }
   }
   for (const Trigger& trigger : triggers) {
-    for (const Change& change : txn.changes) trigger(change, scn);
+    for (const Change& change : txn.changes) trigger(change, txn.scn);
   }
-  changes->clear();
-  return scn;
+  return txn.scn;
 }
 
 Result<Row> Database::Get(const std::string& table,
@@ -551,13 +578,15 @@ Status Database::Scan(
   // Snapshot the table, then visit without the lock: a visitor is allowed
   // to call back into the database (Get, Put, ...), which would self-
   // deadlock if mu_ were held across the callback.
-  std::map<std::string, Row> snapshot;
+  std::vector<std::pair<std::string, Row>> snapshot;
   {
     MutexLock lock(&mu_);
     auto it = tables_.find(table);
     if (it == tables_.end()) return Status::NotFound("no table " + table);
-    snapshot = it->second;
+    snapshot.assign(it->second.begin(), it->second.end());
   }
+  std::sort(snapshot.begin(), snapshot.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [pk, row] : snapshot) {
     if (!visitor(pk, row)) break;
   }

@@ -2,10 +2,12 @@
 #define LIDI_SQLSTORE_DATABASE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/slice.h"
@@ -25,6 +27,8 @@ using Row = std::map<std::string, std::string>;
 /// Serialized row codec (length-prefixed column/value pairs).
 void EncodeRow(const Row& row, std::string* out);
 Result<Row> DecodeRow(Slice input);
+/// Bytes EncodeRow appends for `row`.
+size_t EncodedRowSize(const Row& row);
 
 /// One change within a transaction.
 struct Change {
@@ -92,16 +96,20 @@ class Binlog {
   Binlog() : Binlog(BinlogOptions{}) {}
   explicit Binlog(BinlogOptions options);
 
-  /// Appends a transaction, assigning the next SCN. In persistent mode the
-  /// encoded record reaches the file (and, per the sync policy, stable
-  /// storage) *before* the SCN is assigned; a failed persist returns the
-  /// I/O error, assigns no SCN, and leaves the log exactly as it was.
-  Result<int64_t> Append(std::vector<Change> changes);
+  /// Appends a transaction, assigning the next SCN, and returns the logged
+  /// transaction. In persistent mode the encoded record reaches the file
+  /// (and, per the sync policy, stable storage) *before* the SCN is
+  /// assigned; a failed persist returns the I/O error, assigns no SCN, and
+  /// leaves the log exactly as it was.
+  ///
+  /// The log is append-only: every pointer Append and ReadAfter hand out
+  /// stays valid, and its transaction unchanged, for the Binlog's lifetime.
+  Result<const CommittedTransaction*> Append(std::vector<Change> changes);
 
   /// Transactions with scn > from_scn, up to max_count. `from_scn = 0`
   /// replays from the beginning.
-  std::vector<CommittedTransaction> ReadAfter(int64_t from_scn,
-                                              int64_t max_count) const;
+  std::vector<const CommittedTransaction*> ReadAfter(int64_t from_scn,
+                                                     int64_t max_count) const;
 
   int64_t LastScn() const;
   int64_t TransactionCount() const;
@@ -135,8 +143,9 @@ class Binlog {
 
   std::string FilePath() const;
   bool group_mode() const { return group_ != nullptr; }
-  /// Writes (no sync) one encoded record, advancing persisted_bytes_; on
-  /// failure rolls the file back to the last acknowledged byte.
+  /// Writes (no sync) one record, encoded into record_, advancing
+  /// persisted_bytes_; on failure rolls the file back to the last
+  /// acknowledged byte.
   Status StageLocked(const CommittedTransaction& txn) LIDI_REQUIRES(mu_);
   Status PersistLocked(const CommittedTransaction& txn) LIDI_REQUIRES(mu_);
   /// Group-commit sync body (called by the committer with mu_ free): one
@@ -160,11 +169,15 @@ class Binlog {
   std::unique_ptr<io::GroupCommitter> group_;
 
   mutable Mutex mu_{"sqlstore.binlog"};
-  /// Acknowledged-durable transactions. In group mode a transaction sits in
-  /// pending_ between its write and its covering sync, so readers
-  /// (ReadAfter / LastScn — i.e. replication) only ever see durable commits.
-  std::vector<CommittedTransaction> log_ LIDI_GUARDED_BY(mu_);
+  /// Acknowledged-durable transactions; scn N lives at index N-1. In group
+  /// mode a transaction sits in pending_ between its write and its covering
+  /// sync, so readers (ReadAfter / LastScn — i.e. replication) only ever see
+  /// durable commits. Append-only: a deque never moves its elements, so the
+  /// pointers handed out stay valid while later commits are appended.
+  std::deque<CommittedTransaction> log_ LIDI_GUARDED_BY(mu_);
   std::vector<Pending> pending_ LIDI_GUARDED_BY(mu_);
+  /// The one record buffer, reused by every write.
+  std::string record_ LIDI_GUARDED_BY(mu_);
   int64_t next_scn_ LIDI_GUARDED_BY(mu_) = 1;
   int64_t durable_scn_ LIDI_GUARDED_BY(mu_) = 0;
   /// Bytes of acknowledged records in the file (rollback target).
@@ -265,7 +278,7 @@ class Database {
   Result<Row> Get(const std::string& table,
                   const std::string& primary_key) const;
 
-  /// Ordered scan of a table. Visitor returns false to stop.
+  /// Scan of a table in primary-key order. Visitor returns false to stop.
   Status Scan(const std::string& table,
               const std::function<bool(const std::string& primary_key,
                                        const Row& row)>& visitor) const;
@@ -283,12 +296,16 @@ class Database {
 
  private:
   Result<int64_t> CommitChanges(std::vector<Change>* changes);
+  /// Applies a logged transaction's changes to the tables, copying each
+  /// post-image row in.
+  void ApplyLocked(const CommittedTransaction& txn) LIDI_REQUIRES(mu_);
 
   const std::string name_;
   /// Lock order: commit_mu_ -> mu_ -> binlog_.mu_ (Append). mu_ is never
   /// held across the binlog append, triggers, or the semi-sync hook.
   mutable Mutex mu_{"sqlstore.database"};
-  std::map<std::string, std::map<std::string, Row>> tables_
+  /// Table name -> rows by primary key (hash-indexed; Scan sorts).
+  std::map<std::string, std::unordered_map<std::string, Row>> tables_
       LIDI_GUARDED_BY(mu_);
   std::function<int(Slice)> partition_fn_ LIDI_GUARDED_BY(mu_);
   std::vector<Trigger> triggers_ LIDI_GUARDED_BY(mu_);

@@ -88,6 +88,11 @@ Result<VectorClock> VectorClock::DecodeFrom(Slice* input) {
   if (!GetVarint64(input, &count)) {
     return Status::Corruption("truncated vector clock");
   }
+  // Each entry takes at least two bytes: a node id and a counter.
+  if (count > input->size() / 2) {
+    return Status::Corruption("vector clock count " + std::to_string(count) +
+                              " exceeds its input");
+  }
   VectorClock clock;
   clock.entries_.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -123,6 +128,12 @@ Result<std::vector<Versioned>> DecodeVersionedList(Slice input) {
   uint64_t count;
   if (!GetVarint64(&input, &count)) {
     return Status::Corruption("truncated versioned list");
+  }
+  // Each entry takes at least two bytes: a clock's entry count and the
+  // value's length prefix.
+  if (count > input.size() / 2) {
+    return Status::Corruption("versioned list count " + std::to_string(count) +
+                              " exceeds its input");
   }
   std::vector<Versioned> out;
   out.reserve(count);

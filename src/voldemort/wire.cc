@@ -33,6 +33,11 @@ Result<std::vector<std::string>> DecodeStringList(Slice input) {
   if (!GetVarint64(&input, &count)) {
     return Status::Corruption("truncated string list");
   }
+  // Each item takes at least its one-byte length prefix.
+  if (count > input.size()) {
+    return Status::Corruption("string list count " + std::to_string(count) +
+                              " exceeds its input");
+  }
   std::vector<std::string> items;
   items.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

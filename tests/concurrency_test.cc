@@ -7,12 +7,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "common/clock.h"
+#include "common/sync.h"
+#include "databus/client.h"
+#include "databus/relay.h"
 #include "espresso/router.h"
 #include "espresso/storage_node.h"
+#include "io/file.h"
 #include "kafka/broker.h"
 #include "kafka/consumer.h"
 #include "kafka/mirror.h"
@@ -20,6 +26,7 @@
 #include "net/address.h"
 #include "net/network.h"
 #include "net/tcp_transport.h"
+#include "sqlstore/database.h"
 #include "voldemort/client.h"
 #include "voldemort/server.h"
 #include "zk/zookeeper.h"
@@ -420,6 +427,85 @@ TEST(ThreadStressTest, ConcurrentWritesToOnePartitionAreNotFenced) {
   // One SCN per commit, dense on the relay and applied on the master.
   EXPECT_EQ(relay.MaxScn("db", 0), kWrites);
   EXPECT_EQ(node.AppliedScn("db", 0), kWrites);
+}
+
+// ---------------------------------------------------------------------------
+// Commit capture under concurrent committers. The binlog lends each logged
+// transaction by pointer to its committer (which applies its rows from it)
+// and to the relay (which builds events from it with no lock held), while
+// other committers append to the same log.
+// ---------------------------------------------------------------------------
+
+TEST(ThreadStressTest, CommittersAndRelayShareTheBinlog) {
+  auto fs = io::NewMemFs();
+  sqlstore::BinlogOptions options;
+  options.data_dir = "/db";
+  options.fs = fs.get();
+  options.sync = io::SyncPolicy::kAlways;
+  options.group_commit = true;
+  sqlstore::Database db("source", options);
+  ASSERT_OK(db.CreateTable("t"));
+  net::Network network;
+  databus::Relay relay("relay", &db, &network);
+  std::vector<databus::Event> delivered;  // the puller's until it is joined
+  databus::CallbackConsumer consumer([&delivered](const databus::Event& e) {
+    delivered.push_back(e);
+    return Status::OK();
+  });
+  databus::DatabusClient client("client", "relay", "", &network, &consumer);
+
+  constexpr int kCommitters = 4;
+  constexpr int kCommitsPerCommitter = 500;
+  constexpr int kCommits = kCommitters * kCommitsPerCommitter;
+  Mutex committed_mu{"test.committed"};
+  std::map<int64_t, std::pair<std::string, std::string>> committed;
+  std::atomic<int> failed{0};
+  std::atomic<int> committers_done{0};
+
+  // Pulls until every committer has finished and the client has consumed
+  // through the binlog head.
+  std::thread puller([&] {
+    while (failed.load() == 0) {
+      const bool finished = committers_done.load() == kCommitters;
+      if (!relay.PollOnce().ok() || !client.PollOnce().ok()) {
+        failed.fetch_add(1);
+      }
+      if (finished && client.checkpoint_scn() == db.binlog().LastScn()) break;
+    }
+  });
+  std::vector<std::thread> committers;
+  for (int c = 0; c < kCommitters; ++c) {
+    committers.emplace_back([&, c] {
+      for (int i = 0; i < kCommitsPerCommitter; ++i) {
+        const std::string key =
+            "c" + std::to_string(c) + "-" + std::to_string(i % 50);
+        const std::string value = std::to_string(c) + ":" + std::to_string(i);
+        auto scn = db.Put("t", key, sqlstore::Row{{"v", value}});
+        if (!scn.ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        MutexLock lock(&committed_mu);
+        committed[scn.value()] = {key, value};
+      }
+      committers_done.fetch_add(1);
+    });
+  }
+  for (auto& committer : committers) committer.join();
+  puller.join();
+
+  ASSERT_EQ(failed.load(), 0);
+  ASSERT_EQ(delivered.size(), static_cast<size_t>(kCommits));
+  MutexLock lock(&committed_mu);
+  for (int64_t scn = 1; scn <= kCommits; ++scn) {
+    const databus::Event& event = delivered[static_cast<size_t>(scn - 1)];
+    ASSERT_EQ(event.scn, scn) << "every SCN once, in commit order";
+    const auto& [key, value] = committed.at(scn);
+    EXPECT_EQ(event.key, key);
+    auto row = sqlstore::DecodeRow(event.payload);
+    ASSERT_OK(row);
+    EXPECT_EQ(row.value(), (sqlstore::Row{{"v", value}}));
+  }
 }
 
 // ---------------------------------------------------------------------------

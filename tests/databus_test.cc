@@ -51,6 +51,26 @@ TEST(EventCodecTest, ListRoundTripAndTruncation) {
   EXPECT_FALSE(DecodeEventList(Slice(buf.data(), buf.size() - 5)).ok());
 }
 
+// The list's count is checked against its input before anything is
+// reserved: the six bytes of "varint 2^40" used to reserve 2^40 events and
+// throw std::bad_alloc.
+TEST(EventCodecTest, ListCountBeyondItsInputIsCorruption) {
+  std::string huge;
+  PutVarint64(&huge, uint64_t{1} << 40);
+  ASSERT_EQ(huge.size(), 6u);
+  EXPECT_EQ(DecodeEventList(huge).status().code(), Code::kCorruption);
+  // The bound is exact: an event with empty fields encodes in 7 bytes.
+  const std::vector<Event> smallest(3);
+  std::string buf;
+  EncodeEventList(smallest, &buf);
+  ASSERT_EQ(buf.size(), 1u + 3 * 7);
+  auto decoded = DecodeEventList(buf);
+  ASSERT_OK(decoded);
+  EXPECT_EQ(decoded.value(), smallest);
+  buf[0] = 4;  // one more event than the bytes hold
+  EXPECT_EQ(DecodeEventList(buf).status().code(), Code::kCorruption);
+}
+
 TEST(FilterTest, SourceAndPartitionFilters) {
   Event e;
   e.source = "profiles";

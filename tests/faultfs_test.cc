@@ -339,10 +339,10 @@ TEST(FaultFsPropertyTest, BinlogRecoversAcknowledgedDurableCommits) {
     const auto txns = db2.binlog().ReadAfter(0, 1 << 20);
     ASSERT_EQ(static_cast<int64_t>(txns.size()), last);
     for (size_t i = 0; i < txns.size(); ++i) {
-      ASSERT_EQ(txns[i].scn, static_cast<int64_t>(i) + 1);
-      ASSERT_EQ(txns[i].changes.size(), 1u);
-      EXPECT_EQ(txns[i].changes[0].primary_key, acked[i].first);
-      EXPECT_EQ(txns[i].changes[0].row.at("val"), acked[i].second);
+      ASSERT_EQ(txns[i]->scn, static_cast<int64_t>(i) + 1);
+      ASSERT_EQ(txns[i]->changes.size(), 1u);
+      EXPECT_EQ(txns[i]->changes[0].primary_key, acked[i].first);
+      EXPECT_EQ(txns[i]->changes[0].row.at("val"), acked[i].second);
     }
     // The sequence continues where the recovered log ends.
     ASSERT_TRUE(db2.CreateTable("t").ok());
@@ -706,13 +706,13 @@ TEST(PersistentBinlogTest, DatabaseBinlogSurvivesRestart) {
   EXPECT_EQ(db2.binlog().DurableScn(), 6);
   const auto txns = db2.binlog().ReadAfter(0, 100);
   ASSERT_EQ(txns.size(), 6u);
-  EXPECT_EQ(txns[2].changes[0].primary_key, "a2");
-  EXPECT_EQ(txns[2].changes[0].row.at("plays"), "200");
-  ASSERT_EQ(txns[5].changes.size(), 2u);
-  EXPECT_EQ(txns[5].changes[0].op, sqlstore::Change::Op::kUpdate);
-  EXPECT_EQ(txns[5].changes[0].row.at("name"), "renamed");
-  EXPECT_EQ(txns[5].changes[1].op, sqlstore::Change::Op::kDelete);
-  EXPECT_EQ(txns[5].changes[1].primary_key, "a4");
+  EXPECT_EQ(txns[2]->changes[0].primary_key, "a2");
+  EXPECT_EQ(txns[2]->changes[0].row.at("plays"), "200");
+  ASSERT_EQ(txns[5]->changes.size(), 2u);
+  EXPECT_EQ(txns[5]->changes[0].op, sqlstore::Change::Op::kUpdate);
+  EXPECT_EQ(txns[5]->changes[0].row.at("name"), "renamed");
+  EXPECT_EQ(txns[5]->changes[1].op, sqlstore::Change::Op::kDelete);
+  EXPECT_EQ(txns[5]->changes[1].primary_key, "a4");
   // The sequence continues exactly where it left off.
   ASSERT_TRUE(db2.CreateTable("Artists").ok());
   auto next = db2.Put("Artists", "post", {{"name", "restart"}});
@@ -751,7 +751,7 @@ TEST(PersistentBinlogTest, TornTailTruncatedOnRecovery) {
             1);
   auto next = recovered.Append({});
   ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next.value(), 3);
+  EXPECT_EQ(next.value()->scn, 3);
 }
 
 // Sync-policy plumbing sanity: kAlways acknowledges durability, kNever
@@ -1034,7 +1034,7 @@ TEST(FaultFsPropertyTest, GroupCommitBinlogNeverLosesAnAcknowledgedCommit) {
             auto scn = binlog.Append({change});
             if (scn.ok()) {
               MutexLock lock(&acked_mu);
-              acked[scn.value()] = change.row.at("val");
+              acked[scn.value()->scn] = change.row.at("val");
             }
           }
         });
@@ -1046,13 +1046,13 @@ TEST(FaultFsPropertyTest, GroupCommitBinlogNeverLosesAnAcknowledgedCommit) {
     sqlstore::Binlog recovered(bopts);
     const auto txns = recovered.ReadAfter(0, 1 << 20);
     for (size_t i = 0; i < txns.size(); ++i) {
-      ASSERT_EQ(txns[i].scn, static_cast<int64_t>(i) + 1)
+      ASSERT_EQ(txns[i]->scn, static_cast<int64_t>(i) + 1)
           << "recovered SCNs must stay dense";
     }
     for (const auto& [scn, value] : acked) {
       ASSERT_LE(scn, static_cast<int64_t>(txns.size()))
           << "acked scn " << scn << " missing after crash";
-      ASSERT_EQ(txns[static_cast<size_t>(scn) - 1].changes[0].row.at("val"),
+      ASSERT_EQ(txns[static_cast<size_t>(scn) - 1]->changes[0].row.at("val"),
                 value)
           << "acked scn " << scn << " corrupted after crash";
     }

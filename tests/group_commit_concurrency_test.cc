@@ -266,7 +266,7 @@ TEST(GroupCommitConcurrencyTest, BinlogCommittersKeepDenseScns) {
   const auto txns = binlog.ReadAfter(0, kTotal + 1);
   ASSERT_EQ(static_cast<int>(txns.size()), kTotal);
   for (int i = 0; i < kTotal; ++i) {
-    ASSERT_EQ(txns[static_cast<size_t>(i)].scn, i + 1)
+    ASSERT_EQ(txns[static_cast<size_t>(i)]->scn, i + 1)
         << "SCNs must stay dense under concurrent group commit";
   }
 

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include "common/hash.h"
+#include "common/random.h"
+#include "io/file.h"
 #include "sqlstore/database.h"
 
 #include "status_test_util.h"
@@ -77,10 +85,10 @@ TEST(DatabaseTest, TransactionIsAtomicInBinlog) {
 
   const auto txns = db.binlog().ReadAfter(0, 100);
   ASSERT_EQ(txns.size(), 1u);
-  EXPECT_EQ(txns[0].scn, scn.value());
-  ASSERT_EQ(txns[0].changes.size(), 2u);
-  EXPECT_EQ(txns[0].changes[0].table, "mailbox");
-  EXPECT_EQ(txns[0].changes[1].table, "unread_count");
+  EXPECT_EQ(txns[0]->scn, scn.value());
+  ASSERT_EQ(txns[0]->changes.size(), 2u);
+  EXPECT_EQ(txns[0]->changes[0].table, "mailbox");
+  EXPECT_EQ(txns[0]->changes[1].table, "unread_count");
 }
 
 TEST(DatabaseTest, BinlogPreservesCommitOrder) {
@@ -92,7 +100,7 @@ TEST(DatabaseTest, BinlogPreservesCommitOrder) {
   const auto txns = db.binlog().ReadAfter(0, 1000);
   ASSERT_EQ(txns.size(), 50u);
   for (size_t i = 1; i < txns.size(); ++i) {
-    EXPECT_EQ(txns[i].scn, txns[i - 1].scn + 1) << "SCNs must be dense";
+    EXPECT_EQ(txns[i]->scn, txns[i - 1]->scn + 1) << "SCNs must be dense";
   }
   EXPECT_EQ(db.binlog().LastScn(), 50);
 }
@@ -103,7 +111,7 @@ TEST(DatabaseTest, BinlogReplayableFromAnyScn) {
   for (int i = 0; i < 20; ++i) ASSERT_OK(db.Put("t", "k" + std::to_string(i), Row{}));
   auto tail = db.binlog().ReadAfter(15, 100);
   ASSERT_EQ(tail.size(), 5u);
-  EXPECT_EQ(tail[0].scn, 16);
+  EXPECT_EQ(tail[0]->scn, 16);
   auto limited = db.binlog().ReadAfter(0, 3);
   ASSERT_EQ(limited.size(), 3u);
 }
@@ -116,9 +124,42 @@ TEST(DatabaseTest, InsertVsUpdateOpResolved) {
   ASSERT_OK(db.Delete("t", "k"));
   const auto txns = db.binlog().ReadAfter(0, 10);
   ASSERT_EQ(txns.size(), 3u);
-  EXPECT_EQ(txns[0].changes[0].op, Change::Op::kInsert);
-  EXPECT_EQ(txns[1].changes[0].op, Change::Op::kUpdate);
-  EXPECT_EQ(txns[2].changes[0].op, Change::Op::kDelete);
+  EXPECT_EQ(txns[0]->changes[0].op, Change::Op::kInsert);
+  EXPECT_EQ(txns[1]->changes[0].op, Change::Op::kUpdate);
+  EXPECT_EQ(txns[2]->changes[0].op, Change::Op::kDelete);
+}
+
+// A change resolves against the table as the transaction's own earlier
+// changes left it, in the binlog and in the triggers alike.
+TEST(DatabaseTest, OpsResolveAgainstEarlierChangesOfTheSameTransaction) {
+  Database db("d");
+  ASSERT_OK(db.CreateTable("t"));
+  ASSERT_OK(db.CreateTable("u"));
+  ASSERT_OK(db.Put("t", "old", Row{{"v", "0"}}));
+  std::vector<Change::Op> fired;
+  db.AddTrigger([&fired](const Change& change, int64_t) {
+    fired.push_back(change.op);
+  });
+  auto txn = db.Begin();
+  txn.Put("t", "new", Row{{"v", "1"}});  // insert
+  txn.Put("t", "new", Row{{"v", "2"}});  // update: the put above made it
+  txn.Put("u", "new", Row{{"v", "3"}});  // insert: another table's row
+  txn.Delete("t", "old");                // delete
+  txn.Put("t", "old", Row{{"v", "4"}});  // insert: the delete removed it
+  ASSERT_OK(txn.Commit());
+
+  const std::vector<Change::Op> expected = {
+      Change::Op::kInsert, Change::Op::kUpdate, Change::Op::kInsert,
+      Change::Op::kDelete, Change::Op::kInsert};
+  EXPECT_EQ(fired, expected);
+  const auto txns = db.binlog().ReadAfter(1, 10);
+  ASSERT_EQ(txns.size(), 1u);
+  std::vector<Change::Op> logged;
+  for (const Change& change : txns[0]->changes) logged.push_back(change.op);
+  EXPECT_EQ(logged, expected);
+  EXPECT_EQ(db.Get("t", "new").value().at("v"), "2");
+  EXPECT_EQ(db.Get("u", "new").value().at("v"), "3");
+  EXPECT_EQ(db.Get("t", "old").value().at("v"), "4");
 }
 
 TEST(DatabaseTest, PartitionFunctionStampsChanges) {
@@ -130,7 +171,7 @@ TEST(DatabaseTest, PartitionFunctionStampsChanges) {
   ASSERT_OK(db.Put("t", "some-key", Row{}));
   const auto txns = db.binlog().ReadAfter(0, 10);
   const int expected = static_cast<int>(Fnv1a64("some-key") % 8);
-  EXPECT_EQ(txns[0].changes[0].partition, expected);
+  EXPECT_EQ(txns[0]->changes[0].partition, expected);
 }
 
 TEST(DatabaseTest, TriggersFireOnCommit) {
@@ -195,6 +236,160 @@ TEST(DatabaseTest, AbortDiscardsChanges) {
   txn.Abort();
   EXPECT_EQ(txn.change_count(), 0);
   EXPECT_EQ(db.binlog().TransactionCount(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Binlog record format and recovery of damaged files
+// ---------------------------------------------------------------------------
+
+std::string Bytes(std::initializer_list<int> bytes) {
+  std::string out;
+  for (int b : bytes) out.push_back(static_cast<char>(b));
+  return out;
+}
+
+// The on-disk record, laid out by hand from the format comment in
+// database.cc: fixed32 body length, fixed32 CRC-32 of the body, then the
+// body. The CRC is Python's zlib.crc32 of the 31 body bytes.
+TEST(BinlogTest, GoldenRecordBytes) {
+  auto fs = io::NewMemFs();
+  BinlogOptions options;
+  options.data_dir = "/db";
+  options.fs = fs.get();
+  Database db("d", options);
+  ASSERT_OK(db.CreateTable("t"));
+  db.SetPartitionFunction(
+      [](Slice key) { return key.ToString() == "k1" ? 3 : 70; });
+  auto txn = db.Begin();
+  txn.Put("t", "k1", Row{{"a", "x"}, {"bc", "yz"}});
+  txn.Delete("t", "k2");
+  ASSERT_OK(txn.Commit());
+
+  std::string file;
+  ASSERT_OK(fs->ReadFile("/db/binlog.seg", &file));
+  const std::string expected = Bytes({
+      0x1f, 0x00, 0x00, 0x00,  // body length 31
+      0xa1, 0xfd, 0x32, 0xbb,  // CRC-32 0xbb32fda1
+      0x01,                    // varint scn 1
+      0x02,                    // varint change count 2
+      // insert, zigzag partition 3, LP "t", LP "k1"
+      0x00, 0x06, 0x01, 't', 0x02, 'k', '1',
+      // LP row, 11 bytes: 2 columns, LP "a" LP "x", LP "bc" LP "yz"
+      0x0b, 0x02, 0x01, 'a', 0x01, 'x', 0x02, 'b', 'c', 0x02, 'y', 'z',
+      // delete, zigzag partition 70 (two-byte varint 140), LP "t", LP "k2"
+      0x02, 0x8c, 0x01, 0x01, 't', 0x02, 'k', '2',
+      // LP row, 1 byte: 0 columns
+      0x01, 0x00,
+  });
+  EXPECT_EQ(file, expected);
+}
+
+// The key of the commit with scn i + 1 in the recovery harness.
+std::string KeyOf(int64_t i) {
+  std::string key = "k";
+  key += std::to_string(i % 7);
+  return key;
+}
+
+// Seeded mutation harness for binlog recovery: 20 commits, then one
+// damage (bit flips, a truncation, a record length overwritten with
+// 2^32-1, or random bytes appended). Reopening keeps exactly the records
+// before the first damaged byte, as committed, and the next commit follows
+// them. Replay one seed with LIDI_BINLOG_SEED=<seed>.
+TEST(BinlogRecoveryTest, SeededMutatedFilesKeepADenseCleanPrefix) {
+  constexpr int kCommits = 20;
+  const std::string path = "/db/binlog.seg";
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("LIDI_BINLOG_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    for (uint64_t seed = 1; seed <= 200; ++seed) seeds.push_back(seed);
+  }
+  for (uint64_t seed : seeds) {
+    const std::string seed_text = std::to_string(seed);
+    SCOPED_TRACE("seed=" + seed_text + " (replay: LIDI_BINLOG_SEED=" +
+                 seed_text + ")");
+    Random rng(seed);
+    auto fs = io::NewMemFs();
+    BinlogOptions options;
+    options.data_dir = "/db";
+    options.fs = fs.get();
+
+    std::vector<std::string> values;    // value committed at scn i + 1
+    std::vector<size_t> record_end;     // file offset one past record i
+    {
+      Database db("d", options);
+      ASSERT_OK(db.CreateTable("t"));
+      for (int i = 0; i < kCommits; ++i) {
+        values.push_back(rng.Bytes(1 + rng.Uniform(40)));
+        ASSERT_OK(db.Put("t", KeyOf(i), Row{{"v", values.back()}}));
+        auto size = fs->FileSize(path);
+        ASSERT_OK(size);
+        record_end.push_back(static_cast<size_t>(size.value()));
+      }
+    }
+    std::string original;
+    ASSERT_OK(fs->ReadFile(path, &original));
+    std::string file = original;
+    switch (rng.Uniform(4)) {
+      case 0:  // flip one to eight bits
+        for (uint64_t n = 1 + rng.Uniform(8); n > 0; --n) {
+          file[rng.Uniform(file.size())] ^=
+              static_cast<char>(1 << rng.Uniform(8));
+        }
+        break;
+      case 1:  // cut the file short
+        file.resize(rng.Uniform(file.size()));
+        break;
+      case 2: {  // one record claims a 2^32-1 byte body
+        const size_t record = rng.Uniform(kCommits);
+        file.replace(record == 0 ? 0 : record_end[record - 1], 4,
+                     "ÿÿÿÿ", 4);
+        break;
+      }
+      default:  // random bytes after the last record
+        for (uint64_t n = 1 + rng.Uniform(64); n > 0; --n) {
+          file.push_back(static_cast<char>(rng.Next()));
+        }
+        break;
+    }
+    ASSERT_OK(fs->TruncateFile(path, 0));
+    {
+      auto out = fs->OpenAppend(path);
+      ASSERT_OK(out);
+      ASSERT_OK(out.value()->Append(file));
+    }
+    // Records that end before the first changed byte are intact.
+    const size_t first_changed =
+        std::mismatch(file.begin(),
+                      file.begin() + std::min(file.size(), original.size()),
+                      original.begin())
+            .first -
+        file.begin();
+    int64_t clean = 0;
+    while (clean < kCommits && record_end[clean] <= first_changed) ++clean;
+
+    int64_t recovered = 0;
+    {
+      Database db("d", options);
+      recovered = db.binlog().LastScn();
+      EXPECT_EQ(recovered, clean);
+      const auto txns = db.binlog().ReadAfter(0, kCommits + 1);
+      ASSERT_EQ(static_cast<int64_t>(txns.size()), recovered);
+      for (int64_t i = 0; i < recovered; ++i) {
+        ASSERT_EQ(txns[i]->scn, i + 1);
+        ASSERT_EQ(txns[i]->changes.size(), 1u);
+        EXPECT_EQ(txns[i]->changes[0].primary_key, KeyOf(i));
+        EXPECT_EQ(txns[i]->changes[0].row.at("v"), values[i]);
+      }
+      ASSERT_OK(db.CreateTable("t"));
+      auto next = db.Put("t", "next", Row{{"v", "after"}});
+      ASSERT_OK(next);
+      EXPECT_EQ(next.value(), recovered + 1);
+    }
+    Database reopened("d", options);
+    EXPECT_EQ(reopened.binlog().LastScn(), recovered + 1);
+  }
 }
 
 }  // namespace

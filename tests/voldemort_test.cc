@@ -4,8 +4,10 @@
 #include <set>
 
 #include "common/clock.h"
+#include "common/coding.h"
 #include "net/address.h"
 #include "net/network.h"
+#include "net/tcp_transport.h"
 #include "voldemort/admin.h"
 #include "voldemort/bulk_build.h"
 #include "voldemort/client.h"
@@ -15,6 +17,7 @@
 #include "voldemort/routing.h"
 #include "voldemort/server.h"
 #include "voldemort/vector_clock.h"
+#include "voldemort/wire.h"
 
 #include "status_test_util.h"
 
@@ -137,6 +140,94 @@ TEST(VersionedListTest, EncodeDecodeRoundTrip) {
   auto decoded = DecodeVersionedList(buf);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), list);
+}
+
+// ---------------------------------------------------------------------------
+// Counts beyond their input: each list decoder reads an element count and
+// used to reserve that many elements before reading one, so the six bytes
+// of "varint 2^40" threw std::bad_alloc.
+// ---------------------------------------------------------------------------
+
+std::string VarintTwoToThe40() {
+  std::string buf;
+  PutVarint64(&buf, uint64_t{1} << 40);
+  return buf;
+}
+
+TEST(VectorClockTest, DecodeRejectsACountBeyondItsInput) {
+  const std::string buf = VarintTwoToThe40();
+  ASSERT_EQ(buf.size(), 6u);
+  Slice in(buf);
+  EXPECT_EQ(VectorClock::DecodeFrom(&in).status().code(), Code::kCorruption);
+  // The bound is exact: two one-byte entries are two bytes each.
+  std::string two_entries;
+  PutVarint64(&two_entries, 2);
+  two_entries.append("\x01\x05\x02\x07", 4);
+  Slice whole(two_entries);
+  auto clock = VectorClock::DecodeFrom(&whole);
+  ASSERT_OK(clock);
+  EXPECT_EQ(clock.value().CounterOf(2), 7);
+  Slice short_by_one(two_entries.data(), two_entries.size() - 1);
+  EXPECT_EQ(VectorClock::DecodeFrom(&short_by_one).status().code(),
+            Code::kCorruption);
+}
+
+TEST(VersionedListTest, DecodeRejectsACountBeyondItsInput) {
+  EXPECT_EQ(DecodeVersionedList(VarintTwoToThe40()).status().code(),
+            Code::kCorruption);
+  // Empty clocks and empty values take the minimum two bytes per entry.
+  std::vector<Versioned> smallest(3);
+  std::string buf;
+  EncodeVersionedList(smallest, &buf);
+  ASSERT_EQ(buf.size(), 1u + 3 * 2);
+  auto decoded = DecodeVersionedList(buf);
+  ASSERT_OK(decoded);
+  EXPECT_EQ(decoded.value(), smallest);
+}
+
+TEST(WireTest, StringListRejectsACountBeyondItsInput) {
+  EXPECT_EQ(DecodeStringList(VarintTwoToThe40()).status().code(),
+            Code::kCorruption);
+  const std::vector<std::string> empties(4);
+  std::string buf;
+  EncodeStringList(empties, &buf);
+  auto decoded = DecodeStringList(buf);
+  ASSERT_OK(decoded);
+  EXPECT_EQ(decoded.value(), empties);
+}
+
+// A server decodes a put's vector clock on its connection thread: a clock
+// claiming 2^40 entries must come back as a Corruption reply, and leave
+// the server serving.
+TEST(VoldemortTcpTest, OversizedClockCountGetsCorruptionAndTheServerServesOn) {
+  net::TcpTransport network;
+  auto metadata = std::make_shared<ClusterMetadata>(Cluster::Uniform(
+      {Node{0, net::MakeAddress(net::Tier::kVoldemort, 0), 0}}, 4));
+  VoldemortServer server(0, metadata, &network);
+  ASSERT_OK(server.AddStore("s"));
+
+  std::string bad;
+  PutLengthPrefixed(&bad, "s");
+  PutLengthPrefixed(&bad, "k");
+  bad += VarintTwoToThe40();
+  EXPECT_EQ(network.Call("client", server.address(), "v.put", bad)
+                .status()
+                .code(),
+            Code::kCorruption);
+
+  VectorClock clock;
+  clock.Increment(0);
+  std::string put;
+  EncodePutRequest("s", "k", Versioned{clock, "v1"}, Transform{}, &put);
+  ASSERT_OK(network.Call("client", server.address(), "v.put", put));
+  std::string get;
+  EncodeGetRequest("s", "k", &get);
+  auto reply = network.Call("client", server.address(), "v.get", get);
+  ASSERT_OK(reply);
+  auto versions = DecodeVersionedList(reply.value());
+  ASSERT_OK(versions);
+  ASSERT_EQ(versions.value().size(), 1u);
+  EXPECT_EQ(versions.value()[0].value, "v1");
 }
 
 // ---------------------------------------------------------------------------
