@@ -3,15 +3,12 @@
 #   scripts/check.sh [jobs]
 #
 # Stages:
-#   1. Configure with -DLIDI_THREAD_SAFETY=ON and -DLIDI_LOCK_ORDER=ON. Under
-#      Clang this promotes -Wthread-safety to an error across the tree;
-#      under GCC the attributes are no-ops and CMake prints a warning but
-#      the build (and the runtime lock-order registry) still gates.
+#   1. Configure with -DLIDI_LOCK_ORDER=ON, so every test runs under the
+#      runtime lock-order registry.
 #   2. Lint, before anything compiles: scripts/lidi_check.py, the one lint
 #      entry point. Its eight checks (must-check, sim-determinism,
 #      tsa-coverage, raw-locks, stream-io, tsa-escape, sync-choke-point,
-#      raw-sockets) need no build tree; clang-tidy runs too when installed,
-#      reading the compile_commands.json stage 1 exported. Waivers
+#      raw-sockets) need no build tree. Waivers
 #      (`discard-ok:`, `tsa-ok:`, `sync-choke-point`) and the populations
 #      they cover are capped by constants in lidi_check.py; raising a cap is
 #      a code-review decision. DESIGN.md §12 is the contract.
@@ -74,12 +71,11 @@ if [ "${1:-}" = "sweep" ]; then
   exit 0
 fi
 
-say "configure (LIDI_THREAD_SAFETY=ON, LIDI_LOCK_ORDER=ON)"
-cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DLIDI_THREAD_SAFETY=ON -DLIDI_LOCK_ORDER=ON
+say "configure (LIDI_LOCK_ORDER=ON)"
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLIDI_LOCK_ORDER=ON
 
 say "lint (lidi-check, pre-build)"
-python3 scripts/lidi_check.py --build-dir build
+python3 scripts/lidi_check.py
 
 say "build"
 cmake --build build -j"$JOBS"

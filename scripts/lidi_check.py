@@ -5,7 +5,6 @@ Run as `cmake --build build --target lidi-check`, from scripts/check.sh, or
 directly:
 
     python3 scripts/lidi_check.py [--root DIR] [--checks a,b,...]
-                                  [--build-dir DIR]
 
 Every pattern runs on comment- and string-stripped text, so a mention in a
 comment or a string literal never trips a check; waiver and justification
@@ -65,27 +64,13 @@ and skip tests/lint_fixtures/, which holds each check's golden trees.
 Caps are constants below: a new waiver or site past its cap fails the build
 even when justified, so raising one is a reviewed change.
 
-A full run (no --checks) also runs clang-tidy over src/*.cc with the checks
-in .clang-tidy when a clang-tidy binary is found; it then needs
-<build-dir>/compile_commands.json (configure with CMake first). Without a
-binary the tidy step prints a skip notice.
-
-Backends: with python clang bindings installed (clang.cindex + libclang),
-must-check runs on the real AST; every other check, and must-check
-otherwise, runs on the token backend (pattern matching over comment- and
-string-stripped text). `--backend auto` (default) picks the best
-available.
-
 Exit codes: 0 clean, 1 violations reported, 2 usage/internal error.
 Diagnostics are `path:line: [check] message`, paths relative to --root.
 """
 
 import argparse
-import glob
 import os
 import re
-import shutil
-import subprocess
 import sys
 
 # ---------------------------------------------------------------------------
@@ -319,12 +304,6 @@ DISCARD_MESSAGE = ("discarded call result cast to void without a "
                    "preceding lines")
 
 
-def _cap_discard_waivers(diags, waivers):
-    diags.cap("src", "must-check", "discard-ok waivers in src/", waivers,
-              MAX_DISCARD_WAIVERS, "fix discards instead of waiving, or "
-              "raise the cap in a reviewed change")
-
-
 def check_must_check(root, diags):
     status_h = os.path.join(root, "src", "common", "status.h")
     if os.path.isfile(status_h):
@@ -345,7 +324,9 @@ def check_must_check(root, diags):
             waivers += 1
         else:
             diags.add(sf.path, line, "must-check", DISCARD_MESSAGE)
-    _cap_discard_waivers(diags, waivers)
+    diags.cap("src", "must-check", "discard-ok waivers in src/", waivers,
+              MAX_DISCARD_WAIVERS, "fix discards instead of waiving, or "
+              "raise the cap in a reviewed change")
 
 
 # ---------------------------------------------------------------------------
@@ -574,112 +555,6 @@ def check_sync_choke_point(root, diags):
 
 
 # ---------------------------------------------------------------------------
-# AST variant of must-check (clang.cindex). The container images this repo
-# targets are GCC-only, so this variant runs where libclang exists;
-# everywhere else the token variant above is the enforced one. Both emit the
-# same diagnostic format.
-# ---------------------------------------------------------------------------
-
-def ast_backend_available():
-    try:
-        import clang.cindex  # noqa: F401
-        clang.cindex.Index.create()
-        return True
-    except Exception:
-        return False
-
-
-def check_must_check_ast(root, diags):
-    """must-check on the AST: a discarded call is flagged by the *type* of
-    the unused result, not by the (void)-cast idiom, so a bare
-    `DoThing();` whose result is a lidi::Status is caught even if a compiler
-    flag regression silenced -Wunused-result."""
-    import clang.cindex as ci
-
-    index = ci.Index.create()
-    compile_args = ["-std=c++17", "-I" + os.path.join(root, "src")]
-
-    def is_status_type(t):
-        s = t.spelling
-        return s.startswith("lidi::Status") or s.startswith("lidi::Result")
-
-    waivers = 0
-    for path in collect_files(root, ["src"]):
-        if not path.endswith(".cc"):
-            continue
-        tu = index.parse(path, args=compile_args)
-        sf = SourceFile(path)
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind != ci.CursorKind.COMPOUND_STMT:
-                continue
-            for child in cur.get_children():
-                expr = child
-                waived = False
-                if expr.kind == ci.CursorKind.CSTYLE_CAST_EXPR and \
-                   expr.type.spelling == "void":
-                    inner = list(expr.get_children())
-                    expr = inner[-1] if inner else expr
-                    waived = True
-                if expr.kind != ci.CursorKind.CALL_EXPR:
-                    continue
-                if not is_status_type(expr.type):
-                    continue
-                line = child.location.line
-                if has_waiver(sf.lines, line, "discard-ok:"):
-                    waivers += 1
-                    continue
-                if waived:
-                    diags.add(path, line, "must-check", DISCARD_MESSAGE)
-                else:
-                    diags.add(path, line, "must-check",
-                              "discarded lidi::Status/Result -- handle "
-                              "it, or discard visibly with (void) and a "
-                              "`discard-ok:` reason")
-    _cap_discard_waivers(diags, waivers)
-
-
-# ---------------------------------------------------------------------------
-# clang-tidy step (full runs only)
-# ---------------------------------------------------------------------------
-
-def find_clang_tidy():
-    found = shutil.which("clang-tidy")
-    if found:
-        return found
-    for pattern in ("/usr/lib/llvm-*/bin/clang-tidy",
-                    "/opt/llvm*/bin/clang-tidy"):
-        for cand in sorted(glob.glob(pattern)):
-            if os.access(cand, os.X_OK):
-                return cand
-    return None
-
-
-def run_clang_tidy(root, build_dir, diags, quiet):
-    tidy = find_clang_tidy()
-    if tidy is None:
-        if not quiet:
-            print("lidi-check: clang-tidy not installed; skipping the tidy "
-                  "step")
-        return
-    build_dir = os.path.join(root, build_dir)
-    database = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.isfile(database):
-        diags.add(database, 1, "clang-tidy",
-                  "missing compilation database -- configure with CMake "
-                  "first")
-        return
-    sources = [os.path.relpath(p, root) for p in collect_files(root, ["src"])
-               if p.endswith(".cc")]
-    if not quiet:
-        print(f"lidi-check: running {tidy} over src/")
-    proc = subprocess.run([tidy, "-p", build_dir, "--quiet"] + sources,
-                          cwd=root)
-    if proc.returncode != 0:
-        diags.add(os.path.join(root, "src"), 1, "clang-tidy",
-                  "clang-tidy reported errors (see its output above)")
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -693,7 +568,6 @@ CHECKS = {
     "sync-choke-point": check_sync_choke_point,
     "raw-sockets": check_raw_sockets,
 }
-AST_VARIANTS = {"must-check": check_must_check_ast}
 
 
 def main(argv):
@@ -704,14 +578,7 @@ def main(argv):
                         help="tree to analyze (default: the repo root)")
     parser.add_argument("--checks", default=None,
                         help="comma-separated subset of: " +
-                             ", ".join(CHECKS) +
-                             " (default: all, plus the clang-tidy step)")
-    parser.add_argument("--backend", choices=("auto", "ast", "token"),
-                        default="auto")
-    parser.add_argument("--build-dir", default="build",
-                        help="CMake build tree holding compile_commands.json "
-                             "for clang-tidy, relative to --root "
-                             "(default: build)")
+                             ", ".join(CHECKS) + " (default: all)")
     parser.add_argument("--list-checks", action="store_true")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
@@ -727,28 +594,16 @@ def main(argv):
         print(f"lidi-check: no such root: {root}", file=sys.stderr)
         return 2
 
-    full_run = args.checks is None
-    checks = list(CHECKS) if full_run else \
+    checks = list(CHECKS) if args.checks is None else \
         [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
         if c not in CHECKS:
             print(f"lidi-check: unknown check: {c}", file=sys.stderr)
             return 2
 
-    backend = args.backend
-    if backend == "auto":
-        backend = "ast" if ast_backend_available() else "token"
-    if backend == "ast" and not ast_backend_available():
-        print("lidi-check: ast backend requested but clang.cindex is not "
-              "importable", file=sys.stderr)
-        return 2
-
     diags = Diagnostics(root)
     for name in checks:
-        check = AST_VARIANTS.get(name) if backend == "ast" else None
-        (check or CHECKS[name])(root, diags)
-    if full_run:
-        run_clang_tidy(root, args.build_dir, diags, args.quiet)
+        CHECKS[name](root, diags)
 
     if diags.usage and not args.quiet:
         print("lidi-check: caps used: " + ", ".join(
@@ -757,10 +612,10 @@ def main(argv):
         diags.emit()
         if not args.quiet:
             print(f"lidi-check: FAILED ({len(diags)} finding"
-                  f"{'s' if len(diags) != 1 else ''}, {backend} backend)")
+                  f"{'s' if len(diags) != 1 else ''})")
         return 1
     if not args.quiet:
-        print(f"lidi-check: OK ({', '.join(checks)}; {backend} backend)")
+        print(f"lidi-check: OK ({', '.join(checks)})")
     return 0
 
 

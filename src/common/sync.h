@@ -12,11 +12,11 @@
 /// Every lock in the tree is a lidi::Mutex / lidi::SharedMutex so that two
 /// machine checks replace after-the-fact TSan archaeology:
 ///
-///  1. Clang Thread Safety Analysis at compile time. Members are tagged
-///     LIDI_GUARDED_BY(mu_), *_locked() helpers LIDI_REQUIRES(mu_), and a
-///     build with `-DLIDI_THREAD_SAFETY=ON` under Clang turns
-///     -Wthread-safety into an error. Under GCC (this container's
-///     toolchain) every attribute macro expands to nothing.
+///  1. Clang Thread Safety Analysis attributes. Members are tagged
+///     LIDI_GUARDED_BY(mu_), *_locked() helpers LIDI_REQUIRES(mu_); a Clang
+///     build with -Wthread-safety checks them. Under GCC every attribute
+///     macro expands to nothing, and lidi-check's tsa-coverage check
+///     enforces that each guarded member carries its annotation.
 ///
 ///  2. A debug-mode lock-order registry at run time. Each Mutex/SharedMutex
 ///     registers per-thread acquisition chains; the first A->B / B->A

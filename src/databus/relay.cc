@@ -81,12 +81,13 @@ Relay::Relay(std::string relay_name, const sqlstore::Database* source,
       source_(source),
       upstream_(std::move(upstream)),
       network_(network),
-      options_(options),
       metrics_(network->metrics()),
       events_ingested_(metrics_->GetCounter("databus.relay.events_ingested",
                                             {{"relay", name_}})),
       events_served_(metrics_->GetCounter("databus.relay.events_served",
-                                          {{"relay", name_}})) {
+                                          {{"relay", name_}})),
+      poll_batch_transactions_(options.poll_batch_transactions),
+      buffer_(options.buffer_capacity_events) {
   network_->Register(name_, "databus.read", [this](Slice req) {
     int64_t since_scn, max_events;
     Filter filter;
@@ -96,8 +97,9 @@ Relay::Relay(std::string relay_name, const sqlstore::Database* source,
     // matched events until they are encoded.
     MutexLock lock(&mu_);
     std::vector<const Event*> matched;
-    s = ScanLocked(since_scn, max_events, filter, &matched);
+    s = buffer_.Scan(since_scn, max_events, filter, &matched);
     if (!s.ok()) return Result<std::string>(s);
+    events_served_->Add(static_cast<int64_t>(matched.size()));
     std::string out;
     PutVarint64(&out, matched.size());
     for (const Event* event : matched) EncodeEvent(*event, &out);
@@ -113,8 +115,8 @@ Result<int64_t> Relay::PollOnce() {
   int64_t poll_batch;
   {
     MutexLock lock(&mu_);
-    since = last_pulled_scn_;
-    poll_batch = options_.poll_batch_transactions;
+    since = buffer_.max_scn();
+    poll_batch = poll_batch_transactions_;
   }
 
   std::vector<Event> incoming;
@@ -151,85 +153,41 @@ Result<int64_t> Relay::PollOnce() {
 
   MutexLock lock(&mu_);
   const int64_t count = static_cast<int64_t>(incoming.size());
-  AppendEventsLocked(std::move(incoming));
+  buffer_.Append(std::move(incoming));
   events_ingested_->Add(count);
   return count;
-}
-
-void Relay::AppendEventsLocked(std::vector<Event> events) {
-  for (Event& event : events) {
-    last_pulled_scn_ = std::max(last_pulled_scn_, event.scn);
-    buffer_.push_back(std::move(event));
-  }
-  // Circular buffer semantics: evict the oldest events beyond capacity.
-  while (static_cast<int64_t>(buffer_.size()) >
-         options_.buffer_capacity_events) {
-    buffer_.pop_front();
-  }
-}
-
-Status Relay::ScanLocked(int64_t since_scn, int64_t max_events,
-                         const Filter& filter,
-                         std::vector<const Event*>* matched) const {
-  if (!buffer_.empty() && since_scn + 1 < buffer_.front().scn) {
-    // The requested range was evicted from the circular buffer; the client
-    // must fall back to a bootstrap server (long look-back query).
-    return Status::NotFound("scn " + std::to_string(since_scn) +
-                            " evicted from relay buffer (min buffered scn " +
-                            std::to_string(buffer_.front().scn) + ")");
-  }
-  // Binary search to the first event with scn > since_scn: the buffer is in
-  // scn order (this is the relay's "index structure to efficiently serve
-  // events from a given sequence number").
-  auto it = std::lower_bound(
-      buffer_.begin(), buffer_.end(), since_scn + 1,
-      [](const Event& e, int64_t scn) { return e.scn < scn; });
-  for (; it != buffer_.end() &&
-         static_cast<int64_t>(matched->size()) < max_events;
-       ++it) {
-    if (filter.Matches(*it)) matched->push_back(&*it);
-  }
-  events_served_->Add(static_cast<int64_t>(matched->size()));
-  return Status::OK();
 }
 
 Result<std::vector<Event>> Relay::ReadEvents(int64_t since_scn,
                                              int64_t max_events,
                                              const Filter& filter) const {
   MutexLock lock(&mu_);
-  std::vector<const Event*> matched;
-  Status s = ScanLocked(since_scn, max_events, filter, &matched);
-  if (!s.ok()) return s;
-  std::vector<Event> out;
-  out.reserve(matched.size());
-  for (const Event* event : matched) out.push_back(*event);
-  return out;
+  auto events = buffer_.Read(since_scn, max_events, filter);
+  if (events.ok()) {
+    events_served_->Add(static_cast<int64_t>(events.value().size()));
+  }
+  return events;
 }
 
 void Relay::SetBufferCapacity(int64_t capacity_events) {
   MutexLock lock(&mu_);
-  options_.buffer_capacity_events = capacity_events;
-  options_.poll_batch_transactions =
-      std::max<int64_t>(1, capacity_events / 2);
-  while (static_cast<int64_t>(buffer_.size()) >
-         options_.buffer_capacity_events) {
-    buffer_.pop_front();
-  }
+  buffer_.SetCapacity(capacity_events);
+  poll_batch_transactions_ = std::max<int64_t>(1, capacity_events / 2);
 }
 
 int64_t Relay::min_buffered_scn() const {
   MutexLock lock(&mu_);
-  return buffer_.empty() ? 0 : buffer_.front().scn;
+  return buffer_.min_scn();
 }
 
 int64_t Relay::max_buffered_scn() const {
   MutexLock lock(&mu_);
-  return buffer_.empty() ? 0 : buffer_.back().scn;
+  return buffer_.size() == 0 ? 0 : buffer_.max_scn();
 }
 
 int64_t Relay::buffered_events() const {
   MutexLock lock(&mu_);
-  return static_cast<int64_t>(buffer_.size());
+  return buffer_.size();
 }
 
 }  // namespace lidi::databus

@@ -1,12 +1,12 @@
 #ifndef LIDI_DATABUS_RELAY_H_
 #define LIDI_DATABUS_RELAY_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 
 #include "common/sync.h"
 #include "databus/event.h"
+#include "databus/event_buffer.h"
 #include "net/transport.h"
 #include "sqlstore/database.h"
 
@@ -31,8 +31,10 @@ struct RelayOptions {
 /// chain off another relay instead of a database for replicated availability.
 ///
 /// RPC: "databus.read" with request = {since_scn varint, max_events varint,
-/// filter}; response = encoded event list. A read from an SCN older than the
-/// buffer's tail fails NotFound — the client must bootstrap.
+/// filter}; response = encoded event list. The page bound is soft: a page
+/// ends only at a transaction boundary, so it may run past max_events by the
+/// rest of its last transaction. A read from an SCN older than the buffer's
+/// tail fails NotFound — the client must bootstrap.
 ///
 /// Observability: each pull runs under a "databus.relay.poll" span in the
 /// network's registry (chained pulls carry the span across the upstream
@@ -61,14 +63,15 @@ class Relay {
   Result<int64_t> PollOnce();
 
   /// Direct (in-process) read path: copies of the events with
-  /// scn > since_scn matching the filter. The RPC handler runs the same
-  /// scan and encodes its reply straight from the buffer.
+  /// scn > since_scn matching the filter, paged as "databus.read" is. The
+  /// RPC handler runs the same scan and encodes its reply straight from the
+  /// buffer.
   Result<std::vector<Event>> ReadEvents(int64_t since_scn, int64_t max_events,
                                         const Filter& filter) const;
 
-  /// Adjusts the circular-buffer capacity at runtime (trimming the oldest
-  /// events if shrinking). Used by the multi-tenant host to rebalance the
-  /// shared budget when tenants come and go.
+  /// Adjusts the circular-buffer capacity at runtime (evicting the oldest
+  /// transactions if shrinking). Used by the multi-tenant host to rebalance
+  /// the shared budget when tenants come and go.
   void SetBufferCapacity(int64_t capacity_events);
 
   int64_t min_buffered_scn() const;
@@ -79,21 +82,10 @@ class Relay {
   Relay(std::string relay_name, const sqlstore::Database* source,
         net::Address upstream, net::Transport* network, RelayOptions options);
 
-  void AppendEventsLocked(std::vector<Event> events) LIDI_REQUIRES(mu_);
-  /// The one read scan, shared by ReadEvents and the "databus.read"
-  /// handler: NotFound if scn since_scn + 1 was evicted, else appends the
-  /// buffered events with scn > since_scn that match the filter, up to
-  /// max_events. The pointers are valid while mu_ is held.
-  Status ScanLocked(int64_t since_scn, int64_t max_events,
-                    const Filter& filter,
-                    std::vector<const Event*>* matched) const
-      LIDI_REQUIRES(mu_);
-
   const std::string name_;
   const sqlstore::Database* const source_;  // null for chained relays
   const net::Address upstream_;             // empty for direct relays
   net::Transport* const network_;
-  RelayOptions options_ LIDI_GUARDED_BY(mu_);  // capacity adjustable at runtime
   obs::MetricsRegistry* const metrics_;
   obs::Counter* const events_ingested_;
   obs::Counter* const events_served_;
@@ -102,8 +94,9 @@ class Relay {
   /// fetches unlocked, then merges) so serving consumers is never blocked
   /// behind a slow source.
   mutable Mutex mu_{"databus.relay"};
-  std::deque<Event> buffer_ LIDI_GUARDED_BY(mu_);
-  int64_t last_pulled_scn_ LIDI_GUARDED_BY(mu_) = 0;
+  int64_t poll_batch_transactions_ LIDI_GUARDED_BY(mu_);
+  /// PollOnce resumes after its max_scn(), which survives eviction.
+  EventBuffer buffer_ LIDI_GUARDED_BY(mu_);
 };
 
 /// Encodes/decodes the "databus.read" request.

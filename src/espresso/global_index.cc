@@ -1,6 +1,5 @@
 #include "espresso/global_index.h"
 
-#include "avro/codec.h"
 #include "espresso/document.h"
 
 namespace lidi::espresso {
@@ -40,42 +39,13 @@ void GlobalIndexer::ApplyEvent(const databus::Event& event) {
   if (!row.ok()) return;
   auto record = DocumentRecord::FromRow(row.value());
   if (!record.ok()) return;
-  auto schema =
-      registry_->GetDocumentSchema(database_, table, record.value().schema_version);
-  if (!schema.ok()) return;
-
-  std::map<std::string, std::string> fields;
-  std::set<std::string> text_fields;
-  bool any_indexed = false;
-  for (const avro::Field& field : schema.value()->fields()) {
-    if (field.indexed) {
-      any_indexed = true;
-      if (field.text_indexed) text_fields.insert(field.name);
-    }
-  }
-  if (!any_indexed) return;
-
-  Slice payload(record.value().payload);
-  auto datum = avro::Decode(*schema.value(), &payload);
-  if (!datum.ok()) return;
-  for (const avro::Field& field : schema.value()->fields()) {
-    if (!field.indexed) continue;
-    avro::DatumPtr value = datum.value()->GetField(field.name);
-    if (value == nullptr) continue;
-    switch (value->type()) {
-      case avro::Type::kString:
-        fields[field.name] = value->string_value();
-        break;
-      case avro::Type::kInt:
-      case avro::Type::kLong:
-        fields[field.name] = std::to_string(value->long_value());
-        break;
-      default:
-        fields[field.name] = value->ToString();
-    }
-  }
+  auto fields = ExtractIndexedFields(*registry_, database_, table,
+                                     record.value().schema_version,
+                                     record.value().payload);
+  if (!fields.has_value()) return;
   MutexLock lock(&mu_);
-  indexes_[table].IndexDocument(event.key, fields, text_fields);
+  indexes_[table].IndexDocument(event.key, fields->values,
+                                fields->text_fields);
   documents_indexed_.fetch_add(1);
 }
 

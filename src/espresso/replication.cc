@@ -1,27 +1,20 @@
 #include "espresso/replication.h"
 
-#include <algorithm>
-
 namespace lidi::espresso {
 
 Status EspressoRelay::Append(const std::string& database, int partition,
                              std::vector<databus::Event> events) {
   if (events.empty()) return Status::OK();
   MutexLock lock(&mu_);
-  const BufferKey key{database, partition};
-  int64_t& max_scn = max_scn_[key];
+  databus::EventBuffer& buffer = buffers_[{database, partition}];
   const int64_t scn = events.front().scn;
-  if (scn != max_scn + 1) {
+  if (scn != buffer.max_scn() + 1) {
     return Status::ObsoleteVersion(
         "partition " + std::to_string(partition) + " timeline at scn " +
-        std::to_string(max_scn) + ", rejecting txn scn " +
+        std::to_string(buffer.max_scn()) + ", rejecting txn scn " +
         std::to_string(scn));
   }
-  auto& buffer = buffers_[key];
-  for (databus::Event& event : events) {
-    buffer.push_back(std::move(event));
-  }
-  max_scn = scn;
+  buffer.Append(std::move(events));
   return Status::OK();
 }
 
@@ -30,32 +23,21 @@ Result<std::vector<databus::Event>> EspressoRelay::Read(
     int64_t max_events) const {
   MutexLock lock(&mu_);
   auto it = buffers_.find({database, partition});
-  std::vector<databus::Event> out;
-  if (it == buffers_.end()) return out;
-  auto begin = std::lower_bound(
-      it->second.begin(), it->second.end(), since_scn + 1,
-      [](const databus::Event& e, int64_t scn) { return e.scn < scn; });
-  for (; begin != it->second.end() &&
-         static_cast<int64_t>(out.size()) < max_events;
-       ++begin) {
-    out.push_back(*begin);
-  }
-  return out;
+  if (it == buffers_.end()) return std::vector<databus::Event>{};
+  return it->second.Read(since_scn, max_events, databus::Filter{});
 }
 
 int64_t EspressoRelay::MaxScn(const std::string& database,
                               int partition) const {
   MutexLock lock(&mu_);
-  auto it = max_scn_.find({database, partition});
-  return it == max_scn_.end() ? 0 : it->second;
+  auto it = buffers_.find({database, partition});
+  return it == buffers_.end() ? 0 : it->second.max_scn();
 }
 
 int64_t EspressoRelay::TotalEvents() const {
   MutexLock lock(&mu_);
   int64_t total = 0;
-  for (const auto& [key, buffer] : buffers_) {
-    total += static_cast<int64_t>(buffer.size());
-  }
+  for (const auto& [key, buffer] : buffers_) total += buffer.size();
   return total;
 }
 

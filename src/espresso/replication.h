@@ -1,7 +1,6 @@
 #ifndef LIDI_ESPRESSO_REPLICATION_H_
 #define LIDI_ESPRESSO_REPLICATION_H_
 
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -9,6 +8,7 @@
 #include "common/sync.h"
 #include "common/status.h"
 #include "databus/event.h"
+#include "databus/event_buffer.h"
 
 namespace lidi::espresso {
 
@@ -21,7 +21,8 @@ namespace lidi::espresso {
 /// master at a time, which assigns dense increasing SCNs. The relay outlives
 /// storage-node failures — that is the durability story: a change committed
 /// semi-synchronously exists in the relay even if the master dies
-/// immediately after.
+/// immediately after. Each partition's buffer is a databus::EventBuffer,
+/// unbounded: nothing is evicted yet.
 class EspressoRelay {
  public:
   /// Appends the events of one committed transaction (all same partition,
@@ -30,7 +31,9 @@ class EspressoRelay {
   Status Append(const std::string& database, int partition,
                 std::vector<databus::Event> events);
 
-  /// Events for a partition with scn > since_scn.
+  /// Events for a partition with scn > since_scn, paged as
+  /// databus::EventBuffer::Scan pages: up to max_events, then the rest of
+  /// the last transaction.
   Result<std::vector<databus::Event>> Read(const std::string& database,
                                            int partition, int64_t since_scn,
                                            int64_t max_events) const;
@@ -43,9 +46,7 @@ class EspressoRelay {
  private:
   using BufferKey = std::pair<std::string, int>;
   mutable Mutex mu_{"espresso.relay"};
-  std::map<BufferKey, std::deque<databus::Event>> buffers_
-      LIDI_GUARDED_BY(mu_);
-  std::map<BufferKey, int64_t> max_scn_ LIDI_GUARDED_BY(mu_);
+  std::map<BufferKey, databus::EventBuffer> buffers_ LIDI_GUARDED_BY(mu_);
 };
 
 }  // namespace lidi::espresso

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "avro/codec.h"
 #include "common/hash.h"
 
 namespace lidi::espresso {
@@ -215,6 +216,42 @@ Result<std::pair<int, avro::SchemaPtr>> SchemaRegistry::LatestDocumentSchema(
   }
   return std::make_pair(static_cast<int>(it->second.size()),
                         it->second.back());
+}
+
+std::optional<IndexedFields> ExtractIndexedFields(
+    const SchemaRegistry& registry, const std::string& database,
+    const std::string& table, int schema_version, Slice payload) {
+  auto schema = registry.GetDocumentSchema(database, table, schema_version);
+  if (!schema.ok()) return std::nullopt;
+  IndexedFields out;
+  bool any_indexed = false;
+  for (const avro::Field& field : schema.value()->fields()) {
+    if (field.indexed) {
+      any_indexed = true;
+      if (field.text_indexed) out.text_fields.insert(field.name);
+    }
+  }
+  if (!any_indexed) return std::nullopt;
+
+  auto datum = avro::Decode(*schema.value(), &payload);
+  if (!datum.ok()) return std::nullopt;
+  for (const avro::Field& field : schema.value()->fields()) {
+    if (!field.indexed) continue;
+    avro::DatumPtr value = datum.value()->GetField(field.name);
+    if (value == nullptr) continue;
+    switch (value->type()) {
+      case avro::Type::kString:
+        out.values[field.name] = value->string_value();
+        break;
+      case avro::Type::kInt:
+      case avro::Type::kLong:
+        out.values[field.name] = std::to_string(value->long_value());
+        break;
+      default:
+        out.values[field.name] = value->ToString();
+    }
+  }
+  return out;
 }
 
 }  // namespace lidi::espresso

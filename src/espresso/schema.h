@@ -3,11 +3,14 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/sync.h"
 #include "avro/schema.h"
+#include "common/slice.h"
 #include "common/status.h"
 
 namespace lidi::espresso {
@@ -88,6 +91,22 @@ class SchemaRegistry {
   std::map<std::pair<std::string, std::string>, std::vector<avro::SchemaPtr>>
       document_schemas_ LIDI_GUARDED_BY(mu_);
 };
+
+/// What a secondary index takes from one document (paper IV.A: indexes are
+/// built from the document schema's index annotations): the value of each
+/// field the schema marks `indexed`, as text, and which of them are
+/// text-indexed.
+struct IndexedFields {
+  std::map<std::string, std::string> values;
+  std::set<std::string> text_fields;
+};
+
+/// The indexed fields of an Avro `payload` written with `schema_version` of
+/// (database, table). Nothing when that version is unknown, indexes no
+/// field, or the payload does not decode.
+std::optional<IndexedFields> ExtractIndexedFields(
+    const SchemaRegistry& registry, const std::string& database,
+    const std::string& table, int schema_version, Slice payload);
 
 }  // namespace lidi::espresso
 

@@ -1,8 +1,8 @@
 #include "espresso/storage_node.h"
 
 #include <algorithm>
+#include <optional>
 
-#include "avro/codec.h"
 #include "common/coding.h"
 
 namespace lidi::espresso {
@@ -165,7 +165,8 @@ int64_t StorageNode::CatchUp(const std::string& database, int partition) {
     const int64_t since = AppliedScn(database, partition);
     auto events = relay_->Read(database, partition, since, 4096);
     if (!events.ok() || events.value().empty()) break;
-    // Group by scn (transaction) and apply atomically.
+    // Group by scn (transaction) and apply atomically; a page holds whole
+    // transactions.
     std::vector<databus::Event> txn;
     for (databus::Event& event : events.value()) {
       txn.push_back(std::move(event));
@@ -174,10 +175,6 @@ int64_t StorageNode::CatchUp(const std::string& database, int partition) {
         total += static_cast<int64_t>(txn.size());
         txn.clear();
       }
-    }
-    if (!txn.empty()) {
-      // Partial transaction at the buffer head; wait for the rest.
-      break;
     }
   }
   return total;
@@ -200,7 +197,10 @@ Status StorageNode::ApplyEvents(const std::string& database, int partition,
                                 const std::vector<databus::Event>& events) {
   if (events.empty()) return Status::OK();
   auto txn = store_.Begin();
-  for (const databus::Event& event : events) {
+  // Each upsert's document, from the one decode of its row.
+  std::vector<std::optional<DocumentRecord>> documents(events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    const databus::Event& event = events[i];
     EnsureTable(database, event.source);
     const std::string table = StoreTable(database, event.source);
     if (event.op == databus::Event::Op::kDelete) {
@@ -208,6 +208,8 @@ Status StorageNode::ApplyEvents(const std::string& database, int partition,
     } else {
       auto row = sqlstore::DecodeRow(event.payload);
       if (!row.ok()) return row.status();
+      auto record = DocumentRecord::FromRow(row.value());
+      if (record.ok()) documents[i] = std::move(record.value());
       txn.Put(table, event.key, std::move(row.value()));
     }
   }
@@ -215,15 +217,12 @@ Status StorageNode::ApplyEvents(const std::string& database, int partition,
   if (!committed.ok()) return committed.status();
 
   // Maintain the local secondary index and the partition timeline mark.
-  for (const databus::Event& event : events) {
+  for (size_t i = 0; i < events.size(); ++i) {
+    const databus::Event& event = events[i];
     if (event.op == databus::Event::Op::kDelete) {
       UnindexDocument(database, event.source, event.key);
-    } else {
-      auto row = sqlstore::DecodeRow(event.payload);
-      auto record = DocumentRecord::FromRow(row.value());
-      if (record.ok()) {
-        IndexDocument(database, event.source, event.key, record.value());
-      }
+    } else if (documents[i].has_value()) {
+      IndexDocument(database, event.source, event.key, *documents[i]);
     }
   }
   MutexLock lock(&mu_);
@@ -470,42 +469,13 @@ void StorageNode::IndexDocument(const std::string& database,
                                 const std::string& table,
                                 const std::string& key,
                                 const DocumentRecord& record) {
-  auto schema =
-      registry_->GetDocumentSchema(database, table, record.schema_version);
-  if (!schema.ok()) return;
-  // Collect indexed fields from the schema annotations.
-  std::map<std::string, std::string> fields;
-  std::set<std::string> text_fields;
-  bool any_indexed = false;
-  for (const avro::Field& field : schema.value()->fields()) {
-    if (field.indexed) {
-      any_indexed = true;
-      if (field.text_indexed) text_fields.insert(field.name);
-    }
-  }
-  if (!any_indexed) return;
-
-  Slice payload(record.payload);
-  auto datum = avro::Decode(*schema.value(), &payload);
-  if (!datum.ok()) return;
-  for (const avro::Field& field : schema.value()->fields()) {
-    if (!field.indexed) continue;
-    avro::DatumPtr value = datum.value()->GetField(field.name);
-    if (value == nullptr) continue;
-    std::string text;
-    switch (value->type()) {
-      case avro::Type::kString: text = value->string_value(); break;
-      case avro::Type::kInt:
-      case avro::Type::kLong: text = std::to_string(value->long_value()); break;
-      default: text = value->ToString(); break;
-    }
-    fields[field.name] = std::move(text);
-  }
-
+  auto fields = ExtractIndexedFields(*registry_, database, table,
+                                     record.schema_version, record.payload);
+  if (!fields.has_value()) return;
   MutexLock lock(&mu_);
   auto& index = indexes_[{database, table}];
   if (index == nullptr) index = std::make_unique<invidx::InvertedIndex>();
-  index->IndexDocument(key, fields, text_fields);
+  index->IndexDocument(key, fields->values, fields->text_fields);
 }
 
 void StorageNode::UnindexDocument(const std::string& database,

@@ -419,16 +419,6 @@ void Database::SetPartitionFunction(std::function<int(Slice)> fn) {
   partition_fn_ = std::move(fn);
 }
 
-void Database::AddTrigger(Trigger trigger) {
-  MutexLock lock(&mu_);
-  triggers_.push_back(std::move(trigger));
-}
-
-void Database::SetSemiSyncCallback(SemiSyncCallback callback) {
-  MutexLock lock(&mu_);
-  semi_sync_ = std::move(callback);
-}
-
 void Database::Transaction::Put(const std::string& table,
                                 const std::string& primary_key, Row row) {
   Change change;
@@ -495,9 +485,6 @@ Result<int64_t> Database::CommitChanges(std::vector<Change>* changes) {
   // The commit lock serializes transactions, making binlog order the commit
   // order (timeline consistency downstream depends on this).
   MutexLock commit_lock(&commit_mu_);
-
-  std::vector<Trigger> triggers;
-  SemiSyncCallback semi_sync;
   {
     MutexLock lock(&mu_);
     // Whether each key this transaction has already written is present
@@ -525,8 +512,6 @@ Result<int64_t> Database::CommitChanges(std::vector<Change>* changes) {
       change.partition =
           partition_fn_ ? partition_fn_(change.primary_key) : -1;
     }
-    triggers = triggers_;
-    semi_sync = semi_sync_;
   }
 
   // Binlog first: if the durable record cannot be written, the commit fails
@@ -542,23 +527,8 @@ Result<int64_t> Database::CommitChanges(std::vector<Change>* changes) {
   }
   const CommittedTransaction& txn = *appended.value();
 
-  {
-    MutexLock lock(&mu_);
-    ApplyLocked(txn);
-  }
-
-  if (semi_sync) {
-    Status s = semi_sync(txn);
-    if (!s.ok()) {
-      // The write reached the binlog but not the second location; the paper's
-      // durability contract is violated, surface it to the committer.
-      return Status::Unavailable("semi-sync replication failed: " +
-                                 s.message());
-    }
-  }
-  for (const Trigger& trigger : triggers) {
-    for (const Change& change : txn.changes) trigger(change, txn.scn);
-  }
+  MutexLock lock(&mu_);
+  ApplyLocked(txn);
   return txn.scn;
 }
 

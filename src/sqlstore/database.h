@@ -197,18 +197,6 @@ class Binlog {
   mutable int64_t read_calls_ LIDI_GUARDED_BY(mu_) = 0;
 };
 
-/// Row-level trigger (the *other* capture approach of Section III.C; also
-/// the in-server processing the paper contrasts with Databus' user-space
-/// processing). Fired synchronously inside commit.
-using Trigger = std::function<void(const Change& change, int64_t scn)>;
-
-/// Callback invoked before a commit is acknowledged — the semi-synchronous
-/// replication hook (Section IV.B Robustness: "Each change is written to two
-/// places before being committed -- the local MySQL binlog and the Databus
-/// relay"). Returning non-OK fails the commit.
-using SemiSyncCallback =
-    std::function<Status(const CommittedTransaction& txn)>;
-
 /// A transactional, binlogged row store — the primary-database substrate
 /// standing in for Oracle/MySQL (see DESIGN.md). Transactions are atomic
 /// and serialized by a commit lock, giving the strong commit ordering the
@@ -231,15 +219,9 @@ class Database {
   /// partitioning). Affects Change::partition for subsequent commits.
   void SetPartitionFunction(std::function<int(Slice)> fn);
 
-  /// Registers a trigger fired (synchronously) for every committed change.
-  void AddTrigger(Trigger trigger);
-
-  /// Installs the semi-sync commit hook.
-  void SetSemiSyncCallback(SemiSyncCallback callback);
-
   /// A read-modify-write unit. Writes are buffered until Commit, which
-  /// atomically applies them, appends one binlog transaction and fires
-  /// triggers/semi-sync. Not thread-safe itself; one per thread.
+  /// atomically applies them and appends one binlog transaction. Not
+  /// thread-safe itself; one per thread.
   class Transaction {
    public:
     explicit Transaction(Database* db) : db_(db) {}
@@ -250,8 +232,8 @@ class Database {
     void Delete(const std::string& table, const std::string& primary_key);
 
     /// Atomically applies all buffered changes. Returns the assigned SCN.
-    /// Fails (and applies nothing) if any table is missing or the semi-sync
-    /// hook rejects. The transaction must not be reused after Commit.
+    /// Fails (and applies nothing) if any table is missing or the binlog
+    /// append fails. The transaction must not be reused after Commit.
     Result<int64_t> Commit();
 
     /// Discards buffered changes.
@@ -290,8 +272,7 @@ class Database {
   /// Crash-restart entry point: rebuilds the in-memory tables from the
   /// transactions the binlog recovered on construction (construct with the
   /// same data_dir, then call this once, before serving). Creates missing
-  /// tables. Triggers and semi-sync hooks are NOT fired — every replayed
-  /// change was acknowledged in a previous life. Returns rows applied.
+  /// tables. Returns rows applied.
   int64_t ReplayBinlog();
 
  private:
@@ -302,14 +283,12 @@ class Database {
 
   const std::string name_;
   /// Lock order: commit_mu_ -> mu_ -> binlog_.mu_ (Append). mu_ is never
-  /// held across the binlog append, triggers, or the semi-sync hook.
+  /// held across the binlog append.
   mutable Mutex mu_{"sqlstore.database"};
   /// Table name -> rows by primary key (hash-indexed; Scan sorts).
   std::map<std::string, std::unordered_map<std::string, Row>> tables_
       LIDI_GUARDED_BY(mu_);
   std::function<int(Slice)> partition_fn_ LIDI_GUARDED_BY(mu_);
-  std::vector<Trigger> triggers_ LIDI_GUARDED_BY(mu_);
-  SemiSyncCallback semi_sync_ LIDI_GUARDED_BY(mu_);
   // tsa-ok: Binlog is internally synchronized (its own mutex, a leaf in
   // the commit lock order documented above).
   Binlog binlog_;

@@ -7,6 +7,7 @@
 #include "databus/bootstrap.h"
 #include "databus/client.h"
 #include "databus/event.h"
+#include "databus/event_buffer.h"
 #include "databus/relay.h"
 #include "net/network.h"
 #include "sqlstore/database.h"
@@ -109,6 +110,109 @@ TEST(FilterTest, SerializationRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// Event buffer
+// ---------------------------------------------------------------------------
+
+// One transaction of `changes` events at `scn`: keys "<scn>.<i>" on
+// partitions 0, 1, 2, ...
+std::vector<Event> Txn(int64_t scn, int changes) {
+  std::vector<Event> events(changes);
+  for (int i = 0; i < changes; ++i) {
+    events[i].scn = scn;
+    events[i].source = "t";
+    events[i].key = std::to_string(scn) + "." + std::to_string(i);
+    events[i].partition = i;
+    events[i].end_of_txn = i + 1 == changes;
+  }
+  return events;
+}
+
+std::vector<std::string> Keys(const std::vector<const Event*>& events) {
+  std::vector<std::string> keys;
+  for (const Event* event : events) keys.push_back(event->key);
+  return keys;
+}
+
+TEST(EventBufferTest, NotFoundExactlyBelowTheWindow) {
+  EventBuffer buffer(4);
+  for (int64_t scn = 1; scn <= 6; ++scn) buffer.Append(Txn(scn, 1));
+  ASSERT_EQ(buffer.min_scn(), 3);
+  std::vector<const Event*> matched;
+  // scn 2 was evicted: a reader at 1 would miss it.
+  EXPECT_TRUE(buffer.Scan(1, 100, Filter{}, &matched).IsNotFound());
+  EXPECT_TRUE(matched.empty());
+  ASSERT_OK(buffer.Scan(2, 100, Filter{}, &matched));
+  EXPECT_EQ(Keys(matched),
+            (std::vector<std::string>{"3.0", "4.0", "5.0", "6.0"}));
+  matched.clear();
+  ASSERT_OK(buffer.Scan(6, 100, Filter{}, &matched));
+  EXPECT_TRUE(matched.empty());
+}
+
+TEST(EventBufferTest, HighestScnSurvivesTheEvictionOfEveryEvent) {
+  EventBuffer buffer(2);
+  buffer.Append(Txn(1, 1));
+  // Larger than the capacity: evicted whole, after scn 1.
+  buffer.Append(Txn(2, 3));
+  EXPECT_EQ(buffer.size(), 0);
+  EXPECT_EQ(buffer.min_scn(), 0);
+  EXPECT_EQ(buffer.max_scn(), 2);
+  EXPECT_TRUE(buffer.Read(0, 100, Filter{}).status().IsNotFound());
+  EXPECT_TRUE(buffer.Read(1, 100, Filter{}).status().IsNotFound());
+  auto head = buffer.Read(2, 100, Filter{});
+  ASSERT_OK(head);
+  EXPECT_TRUE(head.value().empty());
+
+  buffer.Append(Txn(3, 1));
+  EXPECT_TRUE(buffer.Read(1, 100, Filter{}).status().IsNotFound());
+  auto next = buffer.Read(2, 100, Filter{});
+  ASSERT_OK(next);
+  ASSERT_EQ(next.value().size(), 1u);
+  EXPECT_EQ(next.value()[0].scn, 3);
+}
+
+TEST(EventBufferTest, SetCapacityTrimsWholeTransactions) {
+  EventBuffer buffer;
+  buffer.Append(Txn(1, 2));
+  buffer.Append(Txn(2, 3));
+  buffer.Append(Txn(3, 1));
+  EXPECT_EQ(buffer.size(), 6);
+  // Dropping scn 1 leaves 4 events, still above 3, so scn 2 goes too.
+  buffer.SetCapacity(3);
+  EXPECT_EQ(buffer.size(), 1);
+  EXPECT_EQ(buffer.min_scn(), 3);
+  EXPECT_TRUE(buffer.Read(1, 100, Filter{}).status().IsNotFound());
+  buffer.SetCapacity(10);
+  buffer.Append(Txn(4, 2));
+  EXPECT_EQ(buffer.size(), 3);
+  EXPECT_EQ(buffer.min_scn(), 3);
+}
+
+TEST(EventBufferTest, FilterAndMaxEventsEndAPageWithItsTransaction) {
+  EventBuffer buffer;
+  for (int64_t scn = 1; scn <= 3; ++scn) buffer.Append(Txn(scn, 4));
+  Filter even;
+  even.mod_base = 2;
+  even.mod_residues = {0};
+  std::vector<const Event*> matched;
+  // The bound is met exactly at the end of scn 1's matches.
+  ASSERT_OK(buffer.Scan(0, 2, even, &matched));
+  EXPECT_EQ(Keys(matched), (std::vector<std::string>{"1.0", "1.2"}));
+  // The third match opens scn 2, so the page takes scn 2's other match.
+  matched.clear();
+  ASSERT_OK(buffer.Scan(0, 3, even, &matched));
+  EXPECT_EQ(Keys(matched),
+            (std::vector<std::string>{"1.0", "1.2", "2.0", "2.2"}));
+  // Resuming after the last SCN handed out.
+  matched.clear();
+  ASSERT_OK(buffer.Scan(2, 3, even, &matched));
+  EXPECT_EQ(Keys(matched), (std::vector<std::string>{"3.0", "3.2"}));
+  matched.clear();
+  ASSERT_OK(buffer.Scan(0, 0, even, &matched));
+  EXPECT_TRUE(matched.empty());
+}
+
+// ---------------------------------------------------------------------------
 // Relay
 // ---------------------------------------------------------------------------
 
@@ -186,6 +290,67 @@ TEST_F(DatabusTest, RelayEvictionForcesBootstrapError) {
   EXPECT_TRUE(relay.ReadEvents(16, 100, Filter{}).ok());
 }
 
+// A transaction that straddled the capacity used to lose its head and keep
+// its tail, and a reader from scn 0 got the tail as if it were whole.
+TEST_F(DatabusTest, EvictionDropsWholeTransactions) {
+  RelayOptions options;
+  options.buffer_capacity_events = 5;
+  Relay relay("relay-1", &db_, &network_, options);
+  auto txn = db_.Begin();
+  for (int i = 0; i < 3; ++i) {
+    txn.Put("profiles", "t" + std::to_string(i), Row{{"name", "t"}});
+  }
+  ASSERT_OK(txn.Commit());
+  WriteProfiles(0, 3);
+  ASSERT_OK(relay.PollOnce());
+  EXPECT_EQ(relay.buffered_events(), 3);
+  EXPECT_EQ(relay.min_buffered_scn(), 2);
+  EXPECT_TRUE(relay.ReadEvents(0, 100, Filter{}).status().IsNotFound());
+  auto events = relay.ReadEvents(1, 100, Filter{});
+  ASSERT_OK(events);
+  EXPECT_EQ(events.value().size(), 3u);
+}
+
+TEST_F(DatabusTest, SetBufferCapacityTrims) {
+  Relay relay("relay-1", &db_, &network_);
+  WriteProfiles(0, 10);
+  ASSERT_OK(relay.PollOnce());
+  relay.SetBufferCapacity(4);
+  EXPECT_EQ(relay.buffered_events(), 4);
+  EXPECT_EQ(relay.min_buffered_scn(), 7);
+  EXPECT_EQ(relay.max_buffered_scn(), 10);
+  EXPECT_TRUE(relay.ReadEvents(5, 100, Filter{}).status().IsNotFound());
+  EXPECT_OK(relay.ReadEvents(6, 100, Filter{}));
+}
+
+// A transaction larger than the whole buffer is evicted on arrival; the
+// relay still pulls on from after it instead of from scn 0 again.
+TEST_F(DatabusTest, RelayPullsOnAfterEvictingEveryEvent) {
+  RelayOptions options;
+  options.buffer_capacity_events = 2;
+  Relay relay("relay-1", &db_, &network_, options);
+  auto txn = db_.Begin();
+  for (int i = 0; i < 3; ++i) {
+    txn.Put("profiles", "t" + std::to_string(i), Row{});
+  }
+  ASSERT_OK(txn.Commit());
+  auto polled = relay.PollOnce();
+  ASSERT_OK(polled);
+  EXPECT_EQ(polled.value(), 3);
+  EXPECT_EQ(relay.buffered_events(), 0);
+  EXPECT_EQ(relay.max_buffered_scn(), 0);
+  EXPECT_TRUE(relay.ReadEvents(0, 100, Filter{}).status().IsNotFound());
+  polled = relay.PollOnce();
+  ASSERT_OK(polled);
+  EXPECT_EQ(polled.value(), 0);
+  WriteProfiles(0, 1);
+  ASSERT_OK(relay.PollOnce());
+  auto events = relay.ReadEvents(1, 100, Filter{});
+  ASSERT_OK(events);
+  ASSERT_EQ(events.value().size(), 1u);
+  EXPECT_EQ(events.value()[0].scn, 2);
+}
+
 TEST_F(DatabusTest, ReadRequestRejectsOutOfRangeScn) {
   Relay relay("relay-1", &db_, &network_);
   WriteProfiles(0, 5);
@@ -241,6 +406,27 @@ TEST_F(DatabusTest, ChainedRelayReplicatesStream) {
   auto events = chained.ReadEvents(0, 100, Filter{});
   ASSERT_TRUE(events.ok());
   EXPECT_EQ(events.value().size(), 10u);
+}
+
+// A chained relay pulls 4 x poll_batch_transactions events per call; a
+// transaction larger than that used to arrive cut, and the rest was never
+// pulled.
+TEST_F(DatabusTest, ChainedRelayPullsATransactionLargerThanItsPage) {
+  Relay primary("relay-1", &db_, &network_);
+  Relay chained("relay-2", net::Address("relay-1"), &network_,
+                RelayOptions{.poll_batch_transactions = 1});
+  auto txn = db_.Begin();
+  for (int i = 0; i < 10; ++i) {
+    txn.Put("profiles", "t" + std::to_string(i), Row{});
+  }
+  ASSERT_OK(txn.Commit());
+  WriteProfiles(0, 1);
+  ASSERT_OK(primary.PollOnce());
+  while (chained.PollOnce().value() > 0) {
+  }
+  auto events = chained.ReadEvents(0, 100, Filter{});
+  ASSERT_OK(events);
+  EXPECT_EQ(events.value().size(), 11u);
 }
 
 TEST_F(DatabusTest, RelayIsStatelessAcrossRestart) {
@@ -402,6 +588,28 @@ TEST_F(DatabusTest, ClientIncrementalConsumption) {
   for (size_t i = 1; i < consumer.events.size(); ++i) {
     EXPECT_GT(consumer.events[i].scn, consumer.events[i - 1].scn);
   }
+}
+
+// The client asks for 4096 events per poll; a larger transaction used to
+// reach it cut, with no error, and the poll after resumed past its end.
+TEST_F(DatabusTest, ClientReceivesATransactionLargerThanOnePage) {
+  Relay relay("relay-1", &db_, &network_);
+  RecordingConsumer consumer;
+  DatabusClient client("client-1", "relay-1", "", &network_, &consumer);
+  auto txn = db_.Begin();
+  for (int i = 0; i < 5000; ++i) {
+    txn.Put("profiles", "t" + std::to_string(i), Row{{"name", "t"}});
+  }
+  ASSERT_OK(txn.Commit());
+  WriteProfiles(0, 1);
+  ASSERT_OK(relay.PollOnce());
+  auto r = client.DrainToHead();
+  ASSERT_OK(r);
+  EXPECT_EQ(r.value(), 5001);
+  ASSERT_EQ(consumer.events.size(), 5001u);
+  EXPECT_EQ(consumer.events[4999].key, "t4999");
+  EXPECT_TRUE(consumer.events[4999].end_of_txn);
+  EXPECT_EQ(client.checkpoint_scn(), 2);
 }
 
 TEST_F(DatabusTest, ClientRetriesFailingConsumer) {

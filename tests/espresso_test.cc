@@ -172,6 +172,26 @@ TEST(EspressoRelayTest, RejectsTimelineGapsAndStaleMasters) {
   EXPECT_TRUE(relay.Append("db", 0, {MakeEvent(1, "b")}).IsObsoleteVersion());
 }
 
+TEST(EspressoRelayTest, FencedAppendLeavesTheBufferUnchanged) {
+  EspressoRelay relay;
+  ASSERT_OK(relay.Append("db", 0, {MakeEvent(1, "a")}));
+  ASSERT_OK(relay.Append("db", 0, {MakeEvent(2, "b")}));
+  EXPECT_TRUE(relay.Append("db", 0, {MakeEvent(4, "gap")}).IsObsoleteVersion());
+  EXPECT_TRUE(
+      relay.Append("db", 0, {MakeEvent(2, "stale")}).IsObsoleteVersion());
+  EXPECT_TRUE(relay.Append("db", 1, {MakeEvent(2, "gap")}).IsObsoleteVersion());
+  EXPECT_EQ(relay.MaxScn("db", 0), 2);
+  EXPECT_EQ(relay.MaxScn("db", 1), 0);
+  EXPECT_EQ(relay.TotalEvents(), 2);
+  auto events = relay.Read("db", 0, 0, 100);
+  ASSERT_OK(events);
+  ASSERT_EQ(events.value().size(), 2u);
+  EXPECT_EQ(events.value()[0].key, "a");
+  EXPECT_EQ(events.value()[1].key, "b");
+  ASSERT_OK(relay.Append("db", 0, {MakeEvent(3, "c")}));
+  ASSERT_OK(relay.Append("db", 1, {MakeEvent(1, "d")}));
+}
+
 // ---------------------------------------------------------------------------
 // Full Espresso cluster
 // ---------------------------------------------------------------------------
@@ -434,6 +454,38 @@ TEST_F(EspressoClusterTest, FailoverPromotesSlaveWithoutDataLoss) {
   auto doc = avro::Datum::Record("Artist");
   doc->SetField("name", avro::Datum::String("after-failover"));
   EXPECT_TRUE(router_->PutDocument("/Music/Artist/Post_Failover", *doc).ok());
+}
+
+// A slave catches up 4096 events per relay read. A larger transaction used
+// to stop it at that page for good: after failover the new master held none
+// of the transaction's acked documents, and its next write was fenced.
+TEST_F(EspressoClusterTest, TransactionLargerThanACatchUpPageSurvivesFailover) {
+  constexpr int kDocs = 4097;
+  std::vector<avro::DatumPtr> songs;
+  std::vector<Router::TxnUpdate> updates;
+  for (int i = 0; i < kDocs; ++i) {
+    songs.push_back(Song("t" + std::to_string(i), "l", 2000));
+    updates.push_back(
+        {"Song", "Big/Album/S" + std::to_string(i), songs.back().get()});
+  }
+  ASSERT_OK(router_->PostTransaction("Music", "Big", updates));
+  const auto db_schema = registry_.GetDatabase("Music").value();
+  const int partition = PartitionOf(db_schema, "Big");
+  const std::string master = controller_->MasterOf("Music", partition);
+
+  // Fail the master over before its slave has caught up.
+  network_.SetNodeDown(master);
+  zk_.CloseSession(sessions_[master]);
+  controller_->RebalanceToConvergence();
+  StorageNode* promoted = NodeByName(controller_->MasterOf("Music", partition));
+  ASSERT_NE(promoted, nullptr);
+  ASSERT_NE(promoted->name(), master);
+  EXPECT_EQ(promoted->AppliedScn("Music", partition),
+            relay_.MaxScn("Music", partition));
+  EXPECT_EQ(promoted->DocumentCount("Music", "Song"), kDocs);
+  EXPECT_OK(promoted->LocalGet("Music", "Song", "Big/Album/S4096"));
+  EXPECT_OK(router_->PutDocument("/Music/Song/Big/Album/After",
+                                 *Song("after", "l", 2001)));
 }
 
 TEST_F(EspressoClusterTest, StaleMasterIsFenced) {

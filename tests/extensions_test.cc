@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "avro/codec.h"
 #include "common/clock.h"
 #include "databus/client.h"
 #include "databus/relay.h"
@@ -245,6 +246,49 @@ TEST(GlobalIndexTest, IndexesAcrossPartitionsViaUpdateStream) {
   auto after_delete = indexer.Query("docs", "body:\"needle phrase\"");
   ASSERT_TRUE(after_delete.ok());
   EXPECT_EQ(after_delete.value().size(), 2u);
+}
+
+// The indexer reads 4096 events per relay read. A larger transaction used
+// to be cut there with its SCN marked applied, so its last document was
+// never indexed.
+TEST(GlobalIndexTest, IndexesATransactionLargerThanOnePage) {
+  espresso::SchemaRegistry registry;
+  ASSERT_OK(registry.CreateDatabase(
+      {"db", espresso::DatabaseSchema::Partitioning::kHash, 8, 2}));
+  ASSERT_OK(registry.CreateTable("db", {"docs", 1}));
+  auto version = registry.PostDocumentSchema("db", "docs", R"({
+    "type":"record","name":"Doc","fields":[
+      {"name":"title","type":"string","indexed":true}]})");
+  ASSERT_OK(version);
+  auto schema = registry.GetDocumentSchema("db", "docs", version.value());
+  ASSERT_OK(schema);
+  const int partition =
+      espresso::PartitionOf(registry.GetDatabase("db").value(), "r");
+
+  constexpr int kDocs = 4097;
+  std::vector<databus::Event> txn(kDocs);
+  for (int i = 0; i < kDocs; ++i) {
+    auto doc = avro::Datum::Record("Doc");
+    doc->SetField("title", avro::Datum::String("t" + std::to_string(i)));
+    espresso::DocumentRecord record;
+    record.schema_version = version.value();
+    ASSERT_OK(avro::Encode(*schema.value(), *doc, &record.payload));
+    txn[i].scn = 1;
+    txn[i].source = "docs";
+    txn[i].key = "r/d" + std::to_string(i);
+    txn[i].partition = partition;
+    txn[i].end_of_txn = i + 1 == kDocs;
+    sqlstore::EncodeRow(record.ToRow(), &txn[i].payload);
+  }
+  espresso::EspressoRelay relay;
+  ASSERT_OK(relay.Append("db", partition, std::move(txn)));
+
+  espresso::GlobalIndexer indexer("db", &registry, &relay);
+  EXPECT_EQ(indexer.CatchUp(), kDocs);
+  EXPECT_EQ(indexer.documents_indexed(), kDocs);
+  auto last = indexer.Query("docs", "title:t4096");
+  ASSERT_OK(last);
+  EXPECT_EQ(last.value(), std::vector<std::string>{"r/d4096"});
 }
 
 // ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ A check without both trees fails the driver.
 
 The comparison is exact, not substring: a fixture failing with the right
 exit code but different file:line or message text is a regression in the
-analyzer's diagnostics and fails this driver. The token backend is forced so
-the goldens are stable across environments with and without libclang.
+analyzer's diagnostics and fails the run.
 
 Usage: run_fixtures.py <path-to-lidi_check.py>
 """
@@ -27,8 +26,8 @@ import sys
 
 def run(checker, root, check):
     proc = subprocess.run(
-        [sys.executable, checker, "--root", root, "--backend", "token",
-         "--checks", check, "--quiet"],
+        [sys.executable, checker, "--root", root, "--checks", check,
+         "--quiet"],
         capture_output=True, text=True)
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
     return proc.returncode, lines

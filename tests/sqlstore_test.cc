@@ -130,16 +130,12 @@ TEST(DatabaseTest, InsertVsUpdateOpResolved) {
 }
 
 // A change resolves against the table as the transaction's own earlier
-// changes left it, in the binlog and in the triggers alike.
+// changes left it.
 TEST(DatabaseTest, OpsResolveAgainstEarlierChangesOfTheSameTransaction) {
   Database db("d");
   ASSERT_OK(db.CreateTable("t"));
   ASSERT_OK(db.CreateTable("u"));
   ASSERT_OK(db.Put("t", "old", Row{{"v", "0"}}));
-  std::vector<Change::Op> fired;
-  db.AddTrigger([&fired](const Change& change, int64_t) {
-    fired.push_back(change.op);
-  });
   auto txn = db.Begin();
   txn.Put("t", "new", Row{{"v", "1"}});  // insert
   txn.Put("t", "new", Row{{"v", "2"}});  // update: the put above made it
@@ -151,7 +147,6 @@ TEST(DatabaseTest, OpsResolveAgainstEarlierChangesOfTheSameTransaction) {
   const std::vector<Change::Op> expected = {
       Change::Op::kInsert, Change::Op::kUpdate, Change::Op::kInsert,
       Change::Op::kDelete, Change::Op::kInsert};
-  EXPECT_EQ(fired, expected);
   const auto txns = db.binlog().ReadAfter(1, 10);
   ASSERT_EQ(txns.size(), 1u);
   std::vector<Change::Op> logged;
@@ -172,46 +167,6 @@ TEST(DatabaseTest, PartitionFunctionStampsChanges) {
   const auto txns = db.binlog().ReadAfter(0, 10);
   const int expected = static_cast<int>(Fnv1a64("some-key") % 8);
   EXPECT_EQ(txns[0]->changes[0].partition, expected);
-}
-
-TEST(DatabaseTest, TriggersFireOnCommit) {
-  Database db("d");
-  ASSERT_OK(db.CreateTable("t"));
-  std::vector<std::string> seen;
-  db.AddTrigger([&seen](const Change& change, int64_t scn) {
-    seen.push_back(change.primary_key + "@" + std::to_string(scn));
-  });
-  ASSERT_OK(db.Put("t", "k1", Row{}));
-  ASSERT_OK(db.Put("t", "k2", Row{}));
-  EXPECT_EQ(seen, (std::vector<std::string>{"k1@1", "k2@2"}));
-}
-
-TEST(DatabaseTest, SemiSyncFailureFailsCommit) {
-  Database db("d");
-  ASSERT_OK(db.CreateTable("t"));
-  bool relay_up = false;
-  db.SetSemiSyncCallback([&relay_up](const CommittedTransaction&) {
-    return relay_up ? Status::OK() : Status::Unavailable("relay down");
-  });
-  EXPECT_FALSE(db.Put("t", "k", Row{}).ok());
-  relay_up = true;
-  EXPECT_TRUE(db.Put("t", "k", Row{}).ok());
-}
-
-TEST(DatabaseTest, SemiSyncSeesFullTransaction) {
-  Database db("d");
-  ASSERT_OK(db.CreateTable("a"));
-  ASSERT_OK(db.CreateTable("b"));
-  size_t observed_changes = 0;
-  db.SetSemiSyncCallback([&](const CommittedTransaction& txn) {
-    observed_changes = txn.changes.size();
-    return Status::OK();
-  });
-  auto txn = db.Begin();
-  txn.Put("a", "k", Row{});
-  txn.Put("b", "k", Row{});
-  ASSERT_TRUE(txn.Commit().ok());
-  EXPECT_EQ(observed_changes, 2u);
 }
 
 TEST(DatabaseTest, ScanIteratesInKeyOrder) {
