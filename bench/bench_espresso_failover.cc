@@ -4,8 +4,11 @@
 // Paper (IV.B): "When a master partition fails, a slave partition is
 // selected to take over. The slave partition first consumes all outstanding
 // changes to the partition from the Databus relay, and then becomes a
-// master partition." Durability: "Each change is written to two places
-// before being committed — the local MySQL binlog and the Databus relay."
+// master partition." Durability: the paper writes "each change ... to two
+// places before being committed — the local MySQL binlog and the Databus
+// relay". Here the relay is the one log (DESIGN.md §1): a change is acked
+// once it is in the relay, which outlives the master; a storage node's
+// in-memory document table is not a durable copy.
 
 #include <set>
 

@@ -40,11 +40,10 @@
 #      schedules crash/restart every tier, so this is where use-after-free
 #      on teardown paths would surface — then over the transport (-L net),
 #      elasticity (-L rebalance), crash/fault-injection (-L faultfs) and
-#      codec (-L codec: common_test, databus_test, kafka_test,
-#      property_kafka_test, sqlstore_test and voldemort_test — CRC-32, Kafka
-#      message-set and produce-request, Databus read-request and event-list,
-#      Voldemort wire and vector-clock decoding, and the binlog golden
-#      record and recovery harness; about a second) suites.
+#      codec (-L codec: common_test, databus_test, espresso_test,
+#      kafka_test, property_kafka_test, sqlstore_test and voldemort_test —
+#      the decoders of CRC-32, Kafka, Databus, Espresso and Voldemort wire
+#      bytes and of binlog records; about a second) suites.
 #
 # Nightly-style deep sweep (not part of the merge gate; run it before
 # release branches or after touching crash/recovery paths):
@@ -150,9 +149,9 @@ if printf 'int main(){return 0;}' | \
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L faultfs
   say "ASan+UBSan (codec suites, ctest -L codec)"
   # Decoders of untrusted bytes: CRC-32 over every length and alignment,
-  # torn and corrupt message sets, out-of-range Databus read requests,
-  # element counts beyond their input, seeded damaged binlog files, and the
-  # watches a destroyed producer leaves behind.
+  # torn and corrupt message sets, out-of-range Databus requests and events,
+  # a torn Espresso snapshot, element counts beyond their input, seeded
+  # damaged binlog files, and the watches a destroyed producer leaves behind.
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" -L codec
 else
   echo "check: no -fsanitize=address,undefined; skipping ASan+UBSan stage"

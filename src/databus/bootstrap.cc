@@ -76,12 +76,11 @@ Result<int64_t> BootstrapServer::PollRelayOnce() {
 int64_t BootstrapServer::ApplyLogOnce(int64_t max_rows) {
   MutexLock lock(&mu_);
   int64_t applied = 0;
-  while (apply_cursor_ < log_.size() && applied < max_rows) {
-    const Event& event = log_[apply_cursor_++];
-    SnapshotEntry& entry = snapshot_[{event.source, event.key}];
-    entry.scn = event.scn;
-    entry.last_event = event;
+  while (!log_.empty() && applied < max_rows) {
+    Event& event = log_.front();
     applied_scn_ = std::max(applied_scn_, event.scn);
+    snapshot_[{event.source, event.key}] = std::move(event);
+    log_.pop_front();
     ++applied;
   }
   rows_applied_->Add(applied);
@@ -95,13 +94,10 @@ Result<std::vector<Event>> BootstrapServer::ConsolidatedDelta(
   // tail the applier has not folded yet — the replay that guarantees
   // consistency while the (long) snapshot scan runs.
   std::map<std::pair<std::string, std::string>, Event> result;
-  for (const auto& [key, entry] : snapshot_) {
-    if (entry.scn > since_scn && filter.Matches(entry.last_event)) {
-      result[key] = entry.last_event;
-    }
+  for (const auto& [key, event] : snapshot_) {
+    if (event.scn > since_scn && filter.Matches(event)) result[key] = event;
   }
-  for (size_t i = apply_cursor_; i < log_.size(); ++i) {
-    const Event& event = log_[i];
+  for (const Event& event : log_) {
     if (event.scn > since_scn && filter.Matches(event)) {
       result[{event.source, event.key}] = event;
     }
@@ -121,13 +117,9 @@ Result<SnapshotResult> BootstrapServer::ConsistentSnapshot(
   SnapshotResult result;
   // Live rows: snapshot entries overlaid with the unapplied log tail,
   // dropping deletes.
-  std::map<std::pair<std::string, std::string>, Event> live;
-  for (const auto& [key, entry] : snapshot_) {
-    live[key] = entry.last_event;
-  }
+  std::map<std::pair<std::string, std::string>, Event> live = snapshot_;
   int64_t max_scn = applied_scn_;
-  for (size_t i = apply_cursor_; i < log_.size(); ++i) {
-    const Event& event = log_[i];
+  for (const Event& event : log_) {
     live[{event.source, event.key}] = event;
     max_scn = std::max(max_scn, event.scn);
   }

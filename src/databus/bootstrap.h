@@ -1,6 +1,7 @@
 #ifndef LIDI_DATABUS_BOOTSTRAP_H_
 #define LIDI_DATABUS_BOOTSTRAP_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,8 +27,9 @@ struct SnapshotResult {
 /// look-back queries, isolating the source database from those clients.
 ///
 /// Internally keeps two storages, exactly as Figure III.3:
-///  - Log storage: the LogWriter appends every relay event (append-only);
-///  - Snapshot storage: the LogApplier folds log rows into last-event-per-key.
+///  - Log storage: the LogWriter appends every relay event;
+///  - Snapshot storage: the LogApplier folds log rows into last-event-per-key,
+///    and each row it folds leaves log storage, so each event is kept once.
 ///
 /// Query types:
 ///  - consolidated delta since T: only the LAST of multiple updates to the
@@ -54,7 +56,7 @@ class BootstrapServer {
   /// Returns events fetched.
   Result<int64_t> PollRelayOnce();
 
-  /// LogApplier step: folds up to `max_rows` pending log rows into snapshot
+  /// LogApplier step: moves up to `max_rows` pending log rows into snapshot
   /// storage. Returns rows applied. (Separated from PollRelayOnce so tests
   /// can exercise the log/snapshot split; call both in a loop in practice.)
   int64_t ApplyLogOnce(int64_t max_rows = 1 << 20);
@@ -68,16 +70,12 @@ class BootstrapServer {
   /// Consistent snapshot: every live row and the scn to resume from.
   Result<SnapshotResult> ConsistentSnapshot(const Filter& filter) const;
 
+  /// Events in log storage: fetched from the relay and not yet applied.
   int64_t log_size() const;
   int64_t snapshot_keys() const;
   int64_t applied_scn() const;
 
  private:
-  struct SnapshotEntry {
-    int64_t scn = 0;
-    Event last_event;  // the full last event (upsert or delete)
-  };
-
   const std::string name_;
   const net::Address relay_;
   net::Transport* const network_;
@@ -87,13 +85,11 @@ class BootstrapServer {
 
   /// Never held across the relay pull (PollRelayOnce fetches unlocked).
   mutable Mutex mu_{"databus.bootstrap"};
-  std::vector<Event> log_ LIDI_GUARDED_BY(mu_);   // append-only log storage
-  std::map<std::pair<std::string, std::string>, SnapshotEntry> snapshot_
-      LIDI_GUARDED_BY(mu_);                       // (source, key) -> last
+  std::deque<Event> log_ LIDI_GUARDED_BY(mu_);    // unapplied log tail
+  std::map<std::pair<std::string, std::string>, Event> snapshot_
+      LIDI_GUARDED_BY(mu_);  // (source, key) -> last event (upsert or delete)
   int64_t log_fetched_scn_ LIDI_GUARDED_BY(mu_) =
       0;                                          // high-water mark from relay
-  size_t apply_cursor_ LIDI_GUARDED_BY(mu_) =
-      0;                                          // log index applier reached
   int64_t applied_scn_ LIDI_GUARDED_BY(mu_) = 0;
 };
 

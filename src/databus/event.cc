@@ -1,5 +1,7 @@
 #include "databus/event.h"
 
+#include <limits>
+
 #include "common/coding.h"
 
 namespace lidi::databus {
@@ -23,11 +25,21 @@ Result<Event> DecodeEvent(Slice* input) {
     return Status::Corruption("truncated event header");
   }
   if (input->empty()) return Status::Corruption("truncated event op");
-  event.op = static_cast<Event::Op>((*input)[0]);
+  const auto op = static_cast<uint8_t>((*input)[0]);
+  if (op > static_cast<uint8_t>(Event::Op::kDelete)) {
+    return Status::Corruption("event op " + std::to_string(op) +
+                              " out of range");
+  }
+  event.op = static_cast<Event::Op>(op);
   input->RemovePrefix(1);
   int64_t partition;
   if (!GetZigZag64(input, &partition)) {
     return Status::Corruption("truncated event partition");
+  }
+  if (partition < std::numeric_limits<int>::min() ||
+      partition > std::numeric_limits<int>::max()) {
+    return Status::Corruption("event partition " + std::to_string(partition) +
+                              " out of range");
   }
   if (input->empty()) return Status::Corruption("truncated event txn marker");
   event.end_of_txn = (*input)[0] != 0;
@@ -91,15 +103,26 @@ Result<Filter> Filter::DecodeFrom(Slice* input) {
     }
     f.sources.insert(s.ToString());
   }
+  // mod_base and the residues land in int; a wider value must not wrap to
+  // 0 or below, which would switch the filter off.
+  constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
   uint64_t mod_base, residue_count;
   if (!GetVarint64(input, &mod_base) || !GetVarint64(input, &residue_count)) {
     return Status::Corruption("truncated filter mod");
+  }
+  if (mod_base > kIntMax) {
+    return Status::Corruption("filter mod_base " + std::to_string(mod_base) +
+                              " out of range");
   }
   f.mod_base = static_cast<int>(mod_base);
   for (uint64_t i = 0; i < residue_count; ++i) {
     uint64_t r;
     if (!GetVarint64(input, &r)) {
       return Status::Corruption("truncated filter residue");
+    }
+    if (r > kIntMax) {
+      return Status::Corruption("filter residue " + std::to_string(r) +
+                                " out of range");
     }
     f.mod_residues.insert(static_cast<int>(r));
   }

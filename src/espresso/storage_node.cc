@@ -1,7 +1,6 @@
 #include "espresso/storage_node.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/coding.h"
 
@@ -14,8 +13,7 @@ StorageNode::StorageNode(std::string name, SchemaRegistry* registry,
       registry_(registry),
       relay_(relay),
       network_(network),
-      clock_(clock),
-      store_(name_ + "-mysql") {
+      clock_(clock) {
   network_->Register(name_, "espresso.get",
                      [this](Slice req) { return HandleGet(req); });
   network_->Register(name_, "espresso.get-cond", [this](Slice req) {
@@ -45,13 +43,6 @@ void StorageNode::SetMasterLookup(
 std::string StorageNode::ResourceIdOf(const std::string& key) {
   const size_t slash = key.find('/');
   return slash == std::string::npos ? key : key.substr(0, slash);
-}
-
-void StorageNode::EnsureTable(const std::string& database,
-                              const std::string& table) {
-  // discard-ok: AlreadyExists is the steady state here, and CreateTable on
-  // the in-process store has no other failure mode.
-  (void)store_.CreateTable(StoreTable(database, table));
 }
 
 bool StorageNode::IsMasterOf(const std::string& database,
@@ -96,12 +87,15 @@ Status StorageNode::HandleTransition(const helix::Transition& transition) {
             network_->Call(name_, master, "espresso.fetch-partition", request);
         if (!snapshot.ok()) return snapshot.status();
         // Response: snapshot scn, count, then (table, key, record) triples.
+        // The whole snapshot is decoded before any of it is installed: a
+        // torn reply leaves the partition empty at SCN 0.
         Slice input(snapshot.value());
         uint64_t snapshot_scn, count;
         if (!GetVarint64(&input, &snapshot_scn) ||
             !GetVarint64(&input, &count)) {
           return Status::Corruption("bad fetch-partition response");
         }
+        std::vector<DocumentWrite> writes;
         for (uint64_t i = 0; i < count; ++i) {
           Slice table, key;
           DocumentRecord record;
@@ -111,20 +105,11 @@ Status StorageNode::HandleTransition(const helix::Transition& transition) {
           }
           Status s = DecodeDocumentRecord(&input, &record);
           if (!s.ok()) return s;
-          EnsureTable(database, table.ToString());
-          auto put = store_.Put(StoreTable(database, table.ToString()),
-                                key.ToString(), record.ToRow());
-          if (!put.ok()) {
-            // applied_scn_ advances after this loop; a dropped row with an
-            // advanced SCN is a permanently invisible document (catch-up
-            // starts past it).
-            return put.status();
-          }
-          IndexDocument(database, table.ToString(), key.ToString(), record);
+          writes.push_back(
+              {table.ToString(), key.ToString(), std::move(record)});
         }
-        MutexLock lock(&mu_);
-        applied_scn_[{database, partition}] =
-            static_cast<int64_t>(snapshot_scn);
+        Apply(database, partition, static_cast<int64_t>(snapshot_scn),
+              std::move(writes));
       }
     }
     {
@@ -166,13 +151,23 @@ int64_t StorageNode::CatchUp(const std::string& database, int partition) {
     auto events = relay_->Read(database, partition, since, 4096);
     if (!events.ok() || events.value().empty()) break;
     // Group by scn (transaction) and apply atomically; a page holds whole
-    // transactions.
-    std::vector<databus::Event> txn;
+    // transactions. A row that does not decode stops the partition at the
+    // transaction before it.
+    std::vector<DocumentWrite> txn;
     for (databus::Event& event : events.value()) {
-      txn.push_back(std::move(event));
-      if (txn.back().end_of_txn) {
-        if (!ApplyEvents(database, partition, txn).ok()) return total;
+      DocumentWrite& write = txn.emplace_back();
+      write.table = std::move(event.source);
+      write.key = std::move(event.key);
+      if (event.op == databus::Event::Op::kUpsert) {
+        auto row = sqlstore::DecodeRow(event.payload);
+        if (!row.ok()) return total;
+        auto record = DocumentRecord::FromRow(row.value());
+        if (!record.ok()) return total;
+        write.record = std::move(record.value());
+      }
+      if (event.end_of_txn) {
         total += static_cast<int64_t>(txn.size());
+        Apply(database, partition, event.scn, std::move(txn));
         txn.clear();
       }
     }
@@ -193,79 +188,82 @@ int64_t StorageNode::CatchUpAll() {
   return total;
 }
 
-Status StorageNode::ApplyEvents(const std::string& database, int partition,
-                                const std::vector<databus::Event>& events) {
-  if (events.empty()) return Status::OK();
-  auto txn = store_.Begin();
-  // Each upsert's document, from the one decode of its row.
-  std::vector<std::optional<DocumentRecord>> documents(events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    const databus::Event& event = events[i];
-    EnsureTable(database, event.source);
-    const std::string table = StoreTable(database, event.source);
-    if (event.op == databus::Event::Op::kDelete) {
-      txn.Delete(table, event.key);
-    } else {
-      auto row = sqlstore::DecodeRow(event.payload);
-      if (!row.ok()) return row.status();
-      auto record = DocumentRecord::FromRow(row.value());
-      if (record.ok()) documents[i] = std::move(record.value());
-      txn.Put(table, event.key, std::move(row.value()));
-    }
-  }
-  auto committed = txn.Commit();
-  if (!committed.ok()) return committed.status();
-
-  // Maintain the local secondary index and the partition timeline mark.
-  for (size_t i = 0; i < events.size(); ++i) {
-    const databus::Event& event = events[i];
-    if (event.op == databus::Event::Op::kDelete) {
-      UnindexDocument(database, event.source, event.key);
-    } else if (documents[i].has_value()) {
-      IndexDocument(database, event.source, event.key, *documents[i]);
+void StorageNode::Apply(const std::string& database, int partition,
+                        int64_t scn, std::vector<DocumentWrite> writes) {
+  // Index fields come from the Avro payload; decode them before the lock.
+  std::vector<std::optional<IndexedFields>> fields(writes.size());
+  for (size_t i = 0; i < writes.size(); ++i) {
+    const DocumentWrite& write = writes[i];
+    if (write.record.has_value()) {
+      fields[i] = ExtractIndexedFields(*registry_, database, write.table,
+                                       write.record->schema_version,
+                                       write.record->payload);
     }
   }
   MutexLock lock(&mu_);
-  applied_scn_[{database, partition}] =
-      std::max(applied_scn_[{database, partition}], events.back().scn);
-  return Status::OK();
+  for (size_t i = 0; i < writes.size(); ++i) {
+    DocumentWrite& write = writes[i];
+    auto& documents = documents_[{database, write.table}];
+    if (!write.record.has_value()) {
+      documents.erase(write.key);
+      auto index = indexes_.find({database, write.table});
+      if (index != indexes_.end()) index->second->RemoveDocument(write.key);
+      continue;
+    }
+    if (fields[i].has_value()) {
+      auto& index = indexes_[{database, write.table}];
+      if (index == nullptr) index = std::make_unique<invidx::InvertedIndex>();
+      index->IndexDocument(write.key, fields[i]->values,
+                           fields[i]->text_fields);
+    }
+    documents.insert_or_assign(std::move(write.key),
+                               std::move(*write.record));
+  }
+  int64_t& applied = applied_scn_[{database, partition}];
+  applied = std::max(applied, scn);
 }
 
 Status StorageNode::MasterCommit(const std::string& database, int partition,
-                                 const std::vector<DocumentUpdate>& updates) {
+                                 std::vector<DocumentUpdate> updates) {
   if (!IsMasterOf(database, partition)) {
     return Status::Unavailable(name_ + " is not master of " + database + "/p" +
                                std::to_string(partition));
   }
+  // An empty transaction appends nothing to the relay, so it takes no SCN.
+  if (updates.empty()) return Status::OK();
   // SCN allocation, relay append and apply form one step: two concurrent
   // commits that both read AppliedScn()+1 would pick the same SCN, and the
   // relay would fence the second as if this node were a stale master.
   MutexLock commit(&commit_mu_);
   const int64_t scn = AppliedScn(database, partition) + 1;
   std::vector<databus::Event> events;
+  std::vector<DocumentWrite> writes;
   for (size_t i = 0; i < updates.size(); ++i) {
-    const DocumentUpdate& update = updates[i];
+    DocumentUpdate& update = updates[i];
     databus::Event event;
     event.scn = scn;
     event.source = update.table;
     event.key = update.key;
     event.partition = partition;
     event.end_of_txn = i + 1 == updates.size();
+    DocumentWrite write{std::move(update.table), std::move(update.key), {}};
     if (update.is_delete) {
       event.op = databus::Event::Op::kDelete;
     } else {
       DocumentRecord record;
-      record.payload = update.payload;
-      record.schema_version = update.schema_version;
       record.etag = ComputeEtag(update.payload);
+      record.payload = std::move(update.payload);
+      record.schema_version = update.schema_version;
       record.timestamp_millis = clock_->NowMillis();
       sqlstore::EncodeRow(record.ToRow(), &event.payload);
+      write.record = std::move(record);
     }
     events.push_back(std::move(event));
+    writes.push_back(std::move(write));
   }
-  // Semi-synchronous commit: the change must reach the relay (the second
-  // durable location) before it is applied and acknowledged.
-  Status s = relay_->Append(database, partition, events);
+  // Semi-synchronous commit: the change must reach the relay (the one log,
+  // which outlives this node) before it is applied and acknowledged.
+  Status s = relay_->Append(database, partition, std::move(events));
   if (!s.ok()) {
     if (s.IsObsoleteVersion()) {
       // Another node owns this partition's timeline: we are a stale master.
@@ -273,7 +271,8 @@ Status StorageNode::MasterCommit(const std::string& database, int partition,
     }
     return s;
   }
-  return ApplyEvents(database, partition, events);
+  Apply(database, partition, scn, std::move(writes));
+  return Status::OK();
 }
 
 Result<std::string> StorageNode::HandleGet(Slice request) const {
@@ -314,9 +313,14 @@ Result<std::string> StorageNode::HandleConditionalGet(Slice request) const {
 Result<DocumentRecord> StorageNode::LocalGet(const std::string& database,
                                              const std::string& table,
                                              const std::string& key) const {
-  auto row = store_.Get(StoreTable(database, table), key);
-  if (!row.ok()) return row.status();
-  return DocumentRecord::FromRow(row.value());
+  MutexLock lock(&mu_);
+  auto documents = documents_.find({database, table});
+  if (documents == documents_.end()) {
+    return Status::NotFound("no table " + database + "/" + table);
+  }
+  auto it = documents->second.find(key);
+  if (it == documents->second.end()) return Status::NotFound(key);
+  return it->second;
 }
 
 Result<std::string> StorageNode::HandlePut(Slice request) {
@@ -383,7 +387,7 @@ Result<std::string> StorageNode::HandleTxn(Slice request) {
     }
   }
   const int partition = PartitionOf(db_schema.value(), resource_id);
-  s = MasterCommit(database, partition, updates);
+  s = MasterCommit(database, partition, std::move(updates));
   if (!s.ok()) return s;
   return std::string("ok");
 }
@@ -431,64 +435,42 @@ Result<std::string> StorageNode::HandleFetchPartition(Slice request) const {
   auto db_schema = registry_->GetDatabase(database);
   if (!db_schema.ok()) return db_schema.status();
 
+  const std::vector<std::string> tables = registry_->Tables(database);
   std::string body;
-  int64_t count = 0;
-  for (const std::string& table : registry_->Tables(database)) {
-    Status scan =
-        store_.Scan(StoreTable(database, table),
-                    [&](const std::string& key, const sqlstore::Row& row) {
-                      if (PartitionOf(db_schema.value(), ResourceIdOf(key)) ==
-                          static_cast<int>(partition)) {
-                        PutLengthPrefixed(&body, table);
-                        PutLengthPrefixed(&body, key);
-                        auto record = DocumentRecord::FromRow(row);
-                        if (record.ok()) {
-                          EncodeDocumentRecord(record.value(), &body);
-                          ++count;
-                        }
-                      }
-                      return true;
-                    });
-    if (!scan.ok() && !scan.IsNotFound()) {
-      // A registered-but-never-written table is legitimately absent
-      // (NotFound == empty); any other failure must not masquerade as an
-      // empty partition — the bootstrap consumer would trust the snapshot's
-      // SCN and skip catch-up for rows it never received.
-      return scan;
+  uint64_t count = 0;
+  // The documents and the SCN they reach are read in one critical section,
+  // so the snapshot holds every commit its SCN covers and none after it.
+  MutexLock lock(&mu_);
+  for (const std::string& table : tables) {
+    auto documents = documents_.find({database, table});
+    if (documents == documents_.end()) continue;
+    for (const auto& [key, record] : documents->second) {
+      if (PartitionOf(db_schema.value(), ResourceIdOf(key)) !=
+          static_cast<int>(partition)) {
+        continue;
+      }
+      PutLengthPrefixed(&body, table);
+      PutLengthPrefixed(&body, key);
+      EncodeDocumentRecord(record, &body);
+      ++count;
     }
   }
+  auto applied = applied_scn_.find({database, static_cast<int>(partition)});
   std::string out;
   PutVarint64(&out, static_cast<uint64_t>(
-                        AppliedScn(database, static_cast<int>(partition))));
-  PutVarint64(&out, static_cast<uint64_t>(count));
+                        applied == applied_scn_.end() ? 0 : applied->second));
+  PutVarint64(&out, count);
   out += body;
   return out;
 }
 
-void StorageNode::IndexDocument(const std::string& database,
-                                const std::string& table,
-                                const std::string& key,
-                                const DocumentRecord& record) {
-  auto fields = ExtractIndexedFields(*registry_, database, table,
-                                     record.schema_version, record.payload);
-  if (!fields.has_value()) return;
-  MutexLock lock(&mu_);
-  auto& index = indexes_[{database, table}];
-  if (index == nullptr) index = std::make_unique<invidx::InvertedIndex>();
-  index->IndexDocument(key, fields->values, fields->text_fields);
-}
-
-void StorageNode::UnindexDocument(const std::string& database,
-                                  const std::string& table,
-                                  const std::string& key) {
-  MutexLock lock(&mu_);
-  auto it = indexes_.find({database, table});
-  if (it != indexes_.end()) it->second->RemoveDocument(key);
-}
-
 int64_t StorageNode::DocumentCount(const std::string& database,
                                    const std::string& table) const {
-  return store_.RowCount(StoreTable(database, table));
+  MutexLock lock(&mu_);
+  auto documents = documents_.find({database, table});
+  return documents == documents_.end()
+             ? 0
+             : static_cast<int64_t>(documents->second.size());
 }
 
 }  // namespace lidi::espresso

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,19 +16,19 @@
 #include "helix/helix.h"
 #include "invidx/inverted_index.h"
 #include "net/transport.h"
-#include "sqlstore/database.h"
 
 namespace lidi::espresso {
 
 /// An Espresso storage node (paper Section IV.B): masters some partitions
-/// and slaves others; maintains a consistent view of each document in a
-/// local data store (sqlstore, the MySQL stand-in) and a local secondary
-/// index (invidx, the Lucene stand-in) built from the index constraints in
-/// the document schema.
+/// and slaves others; maintains a consistent view of each document in its
+/// own in-memory document table and a local secondary index (invidx, the
+/// Lucene stand-in) built from the index constraints in the document schema.
+/// The relay is the one log: the node keeps no binlog of its own, and a
+/// restarted node re-bootstraps from a master.
 ///
 /// Writes to master partitions are committed semi-synchronously: the change
 /// is appended to the Espresso relay (one event buffer per partition) before
-/// the commit is acknowledged, then applied to the local store and index.
+/// the commit is acknowledged, then applied to the document table and index.
 /// Slave partitions consume their relay buffer in SCN order (timeline
 /// consistency) via CatchUp.
 ///
@@ -82,25 +83,24 @@ class StorageNode {
   Result<std::string> HandleTxn(Slice request);
   Result<std::string> HandleFetchPartition(Slice request) const;
 
+  /// One document a transaction writes: its new record, or none when the
+  /// transaction deletes it.
+  struct DocumentWrite {
+    std::string table;
+    std::string key;
+    std::optional<DocumentRecord> record;
+  };
+
   /// Commits updates to a master partition: assigns the next SCN, appends
   /// to the relay (semi-sync), then applies locally, all under commit_mu_.
   Status MasterCommit(const std::string& database, int partition,
-                      const std::vector<DocumentUpdate>& updates);
+                      std::vector<DocumentUpdate> updates);
 
-  /// Applies one transaction's events to the local store + index.
-  Status ApplyEvents(const std::string& database, int partition,
-                     const std::vector<databus::Event>& events);
-
-  void IndexDocument(const std::string& database, const std::string& table,
-                     const std::string& key, const DocumentRecord& record);
-  void UnindexDocument(const std::string& database, const std::string& table,
-                       const std::string& key);
-
-  std::string StoreTable(const std::string& database,
-                         const std::string& table) const {
-    return database + "/" + table;
-  }
-  void EnsureTable(const std::string& database, const std::string& table);
+  /// Publishes one transaction's (or one snapshot's) writes to the document
+  /// table and index, and raises the partition's applied SCN to `scn`, in
+  /// one critical section.
+  void Apply(const std::string& database, int partition, int64_t scn,
+             std::vector<DocumentWrite> writes);
 
   static std::string ResourceIdOf(const std::string& key);
 
@@ -110,25 +110,27 @@ class StorageNode {
   net::Transport* const network_;
   const Clock* const clock_;
 
-  // tsa-ok: sqlstore::Database is internally synchronized (its own
-  // commit/table lock hierarchy); mu_ guards the replica-role state only.
-  sqlstore::Database store_;
-
   /// Serialises MasterCommit from SCN allocation through the relay append
   /// to the local apply, so concurrent writes on this master take distinct,
-  /// dense SCNs. Held across the relay and the local store (both in-process)
-  /// and taken before mu_; never held across the network.
+  /// dense SCNs. Held across the in-process relay and taken before mu_;
+  /// never held across the network.
   Mutex commit_mu_{"espresso.storage_node.commit"};
 
-  /// Guards replica-role state and the index map. Never held across the
-  /// relay, the network, or the local store (commits run on the sqlstore
-  /// locks); index entries are created under it but searched via a stable
-  /// pointer after release (entries are never erased).
+  /// Guards replica-role state, the documents together with the SCN each
+  /// partition has applied (a snapshot reads both in one critical section),
+  /// and the index map. Never held across the relay or the network; index
+  /// entries are created under it but searched via a stable pointer after
+  /// release (entries are never erased).
   mutable Mutex mu_{"espresso.storage_node"};
   std::set<std::pair<std::string, int>> master_of_ LIDI_GUARDED_BY(mu_);
   std::set<std::pair<std::string, int>> slave_of_ LIDI_GUARDED_BY(mu_);
   std::map<std::pair<std::string, int>, int64_t> applied_scn_
       LIDI_GUARDED_BY(mu_);
+  /// (database, table) -> key -> document. A table appears once a write to
+  /// it is applied.
+  std::map<std::pair<std::string, std::string>,
+           std::map<std::string, DocumentRecord>>
+      documents_ LIDI_GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>,
            std::unique_ptr<invidx::InvertedIndex>>
       indexes_ LIDI_GUARDED_BY(mu_);

@@ -9,8 +9,10 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/sync.h"
@@ -427,6 +429,90 @@ TEST(ThreadStressTest, ConcurrentWritesToOnePartitionAreNotFenced) {
   // One SCN per commit, dense on the relay and applied on the master.
   EXPECT_EQ(relay.MaxScn("db", 0), kWrites);
   EXPECT_EQ(node.AppliedScn("db", 0), kWrites);
+}
+
+// ---------------------------------------------------------------------------
+// Bootstrapping a replica while its master takes writes (paper IV.B: a new
+// replica loads a snapshot of the master, then catches up from the relay
+// after the SCN the snapshot claims). The snapshot must hold every commit
+// that SCN covers: catch-up never replays them. Each round preloads a
+// master, keeps one writer committing through the router while a fresh node
+// runs OFFLINE->SLAVE, then checks every acked document on the replica.
+// ---------------------------------------------------------------------------
+
+TEST(ThreadStressTest, ReplicaBootstrappedDuringWritesHoldsEveryAckedDocument) {
+  constexpr int kRounds = 10;
+  constexpr int kPreloaded = 2000;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    net::Network network;
+    zk::ZooKeeper zookeeper;
+    espresso::SchemaRegistry registry;
+    ASSERT_OK(registry.CreateDatabase(
+        {"db", espresso::DatabaseSchema::Partitioning::kHash, 1, 1}));
+    ASSERT_OK(registry.CreateTable("db", {"docs", 0}));
+    ASSERT_OK(registry.PostDocumentSchema("db", "docs", R"({
+      "type":"record","name":"D","fields":[{"name":"v","type":"string"}]})"));
+    espresso::EspressoRelay relay;
+    helix::HelixController controller("c", &zookeeper);
+    ASSERT_OK(controller.AddResource({"db", 1, 1}));
+    espresso::StorageNode master("esn-0", &registry, &relay, &network,
+                                 SystemClock::Default());
+    ASSERT_OK(controller.ConnectParticipant(
+        master.name(), [&master](const helix::Transition& t) {
+          return master.HandleTransition(t);
+        }));
+    controller.RebalanceToConvergence();
+    ASSERT_TRUE(master.IsMasterOf("db", 0));
+    espresso::Router router("router", &registry, &controller, &network);
+    auto put = [&router](const std::string& key) {
+      auto doc = avro::Datum::Record("D");
+      doc->SetField("v", avro::Datum::String(key));
+      return router.PutDocument("/db/docs/" + key, *doc).ok();
+    };
+    std::vector<std::string> acked;
+    for (int i = 0; i < kPreloaded; ++i) {
+      acked.push_back("p" + std::to_string(i));
+      ASSERT_TRUE(put(acked.back()));
+    }
+
+    // Not a Helix participant: the test runs its transition itself.
+    espresso::StorageNode replica("esn-1", &registry, &relay, &network,
+                                  SystemClock::Default());
+    replica.SetMasterLookup(
+        [](const std::string&, int) { return std::string("esn-0"); });
+    std::atomic<bool> stop{false};
+    std::atomic<int> attempts{0};
+    std::vector<std::string> written;  // the writer's until it is joined
+    int failed = 0;
+    std::thread writer([&] {
+      for (int i = 0; !stop.load(); ++i) {
+        const std::string key = "w" + std::to_string(i);
+        if (put(key)) {
+          written.push_back(key);
+        } else {
+          ++failed;
+        }
+        attempts.fetch_add(1);
+      }
+    });
+    while (attempts.load() < 20) std::this_thread::yield();
+    const Status bootstrapped = replica.HandleTransition(
+        {replica.name(), "db", 0, helix::ReplicaState::kOffline,
+         helix::ReplicaState::kSlave});
+    stop.store(true);
+    writer.join();
+    ASSERT_OK(bootstrapped);
+    EXPECT_EQ(failed, 0);
+    replica.CatchUp("db", 0);
+    ASSERT_EQ(replica.AppliedScn("db", 0), relay.MaxScn("db", 0));
+    acked.insert(acked.end(), written.begin(), written.end());
+    int missing = 0;
+    for (const std::string& key : acked) {
+      if (!replica.LocalGet("db", "docs", key).ok()) ++missing;
+    }
+    EXPECT_EQ(missing, 0) << "of " << acked.size() << " acked documents";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <limits>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "databus/bootstrap.h"
@@ -72,6 +75,64 @@ TEST(EventCodecTest, ListCountBeyondItsInputIsCorruption) {
   EXPECT_EQ(DecodeEventList(buf).status().code(), Code::kCorruption);
 }
 
+// An event's op and partition are range-checked as they decode: an op above
+// kDelete, or a partition outside int, is Corruption, not a cast value.
+std::string RawEvent(uint8_t op, int64_t partition) {
+  std::string out;
+  PutVarint64(&out, 1);
+  PutLengthPrefixed(&out, "t");
+  PutLengthPrefixed(&out, "k");
+  out.push_back(static_cast<char>(op));
+  PutZigZag64(&out, partition);
+  out.push_back(1);
+  PutLengthPrefixed(&out, "");
+  return out;
+}
+
+Result<Event> DecodeRawEvent(const std::string& bytes) {
+  Slice in(bytes);
+  return DecodeEvent(&in);
+}
+
+TEST(EventCodecTest, OpAboveDeleteIsCorruption) {
+  auto upsert = DecodeRawEvent(RawEvent(0, 0));
+  ASSERT_OK(upsert);
+  EXPECT_EQ(upsert.value().op, Event::Op::kUpsert);
+  auto del = DecodeRawEvent(RawEvent(1, 0));
+  ASSERT_OK(del);
+  EXPECT_EQ(del.value().op, Event::Op::kDelete);
+  for (int op : {2, 7, 255}) {
+    EXPECT_EQ(DecodeRawEvent(RawEvent(static_cast<uint8_t>(op), 0))
+                  .status()
+                  .code(),
+              Code::kCorruption)
+        << op;
+  }
+  // The list decoder, which every client reply goes through, stops too.
+  std::string list;
+  PutVarint64(&list, 1);
+  list += RawEvent(7, 0);
+  EXPECT_EQ(DecodeEventList(list).status().code(), Code::kCorruption);
+}
+
+TEST(EventCodecTest, PartitionOutsideIntIsCorruption) {
+  constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  for (int64_t partition : {kIntMin, int64_t{-1}, int64_t{0}, kIntMax}) {
+    auto event = DecodeRawEvent(RawEvent(0, partition));
+    ASSERT_OK(event);
+    EXPECT_EQ(event.value().partition, partition);
+  }
+  // 2^32 used to arrive as partition 0, and 2^31 as a negative one.
+  for (int64_t partition :
+       {kIntMax + 1, kIntMin - 1, int64_t{1} << 32,
+        std::numeric_limits<int64_t>::min()}) {
+    EXPECT_EQ(DecodeRawEvent(RawEvent(0, partition)).status().code(),
+              Code::kCorruption)
+        << partition;
+  }
+}
+
 TEST(FilterTest, SourceAndPartitionFilters) {
   Event e;
   e.source = "profiles";
@@ -107,6 +168,49 @@ TEST(FilterTest, SerializationRoundTrip) {
   EXPECT_EQ(decoded.value().sources, f.sources);
   EXPECT_EQ(decoded.value().mod_base, f.mod_base);
   EXPECT_EQ(decoded.value().mod_residues, f.mod_residues);
+}
+
+// A filter with no sources, `mod_base` and `residues`, as the wire carries it.
+std::string RawFilter(uint64_t mod_base,
+                      const std::vector<uint64_t>& residues) {
+  std::string out;
+  PutVarint64(&out, 0);
+  PutVarint64(&out, mod_base);
+  PutVarint64(&out, residues.size());
+  for (uint64_t residue : residues) PutVarint64(&out, residue);
+  return out;
+}
+
+Result<Filter> DecodeRawFilter(const std::string& bytes) {
+  Slice in(bytes);
+  return Filter::DecodeFrom(&in);
+}
+
+// mod_base and the residues land in int. A mod_base of 2^32 used to arrive as
+// 0 and one of 2^31 as a negative number; either way the filter switched off
+// and matched every partition.
+TEST(FilterTest, ModBaseAndResiduesOutsideIntAreCorruption) {
+  constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+  for (uint64_t mod_base : {kIntMax + 1, uint64_t{1} << 32, ~uint64_t{0}}) {
+    EXPECT_EQ(DecodeRawFilter(RawFilter(mod_base, {0})).status().code(),
+              Code::kCorruption)
+        << mod_base;
+  }
+  for (uint64_t residue : {kIntMax + 1, uint64_t{1} << 32, ~uint64_t{0}}) {
+    EXPECT_EQ(DecodeRawFilter(RawFilter(4, {1, residue})).status().code(),
+              Code::kCorruption)
+        << residue;
+  }
+  // The smallest encoding and the largest values in range decode.
+  auto off = DecodeRawFilter(RawFilter(0, {}));
+  ASSERT_OK(off);
+  EXPECT_EQ(off.value().mod_base, 0);
+  EXPECT_TRUE(off.value().mod_residues.empty());
+  auto widest = DecodeRawFilter(RawFilter(kIntMax, {0, kIntMax}));
+  ASSERT_OK(widest);
+  EXPECT_EQ(widest.value().mod_base, std::numeric_limits<int>::max());
+  EXPECT_EQ(widest.value().mod_residues,
+            (std::set<int>{0, std::numeric_limits<int>::max()}));
 }
 
 // ---------------------------------------------------------------------------
@@ -377,6 +481,32 @@ TEST_F(DatabusTest, ReadRequestRejectsOutOfRangeScn) {
   EXPECT_EQ(events.value().size(), 5u);
 }
 
+TEST_F(DatabusTest, ReadRequestRejectsOutOfRangeFilter) {
+  Relay relay("relay-1", &db_, &network_);
+  WriteProfiles(0, 5);  // unpartitioned: every event has residue 0
+  ASSERT_OK(relay.PollOnce());
+  auto read = [&](uint64_t mod_base, uint64_t residue) {
+    std::string request;
+    PutVarint64(&request, 0);
+    PutVarint64(&request, 100);
+    request += RawFilter(mod_base, {residue});
+    return network_.Call("client", "relay-1", "databus.read", request);
+  };
+  constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+  // Residue 1 of 2^32 used to be served as an unfiltered read: all 5 events.
+  EXPECT_EQ(read(uint64_t{1} << 32, 1).status().code(), Code::kCorruption);
+  EXPECT_EQ(read(kIntMax + 1, 1).status().code(), Code::kCorruption);
+  EXPECT_EQ(read(4, uint64_t{1} << 32).status().code(), Code::kCorruption);
+  // The largest values in range are served, and filter.
+  for (uint64_t residue : {uint64_t{0}, uint64_t{1}, kIntMax}) {
+    auto reply = read(kIntMax, residue);
+    ASSERT_OK(reply);
+    auto events = DecodeEventList(reply.value());
+    ASSERT_OK(events);
+    EXPECT_EQ(events.value().size(), residue == 0 ? 5u : 0u) << residue;
+  }
+}
+
 TEST_F(DatabusTest, RelayServerSideFiltering) {
   db_.SetPartitionFunction([](Slice key) {
     return key.empty() ? 0 : (key[key.size() - 1] - '0') % 4;
@@ -460,6 +590,48 @@ TEST_F(DatabusTest, BootstrapLogAndSnapshotStorages) {
   EXPECT_EQ(bootstrap.ApplyLogOnce(), 10);
   EXPECT_EQ(bootstrap.snapshot_keys(), 10);
   EXPECT_EQ(bootstrap.applied_scn(), 10);
+}
+
+// Log storage keeps only what the applier has not folded in yet, so the
+// server holds one event per live key, not the stream's whole history.
+TEST_F(DatabusTest, BootstrapLogKeepsOnlyTheUnappliedTail) {
+  Relay relay("relay-1", &db_, &network_);
+  BootstrapServer bootstrap("bootstrap-1", "relay-1", &network_);
+  for (int round = 0; round < 50; ++round) {
+    for (int k = 0; k < 100; ++k) {
+      ASSERT_OK(db_.Put("profiles", "m" + std::to_string(k),
+                        Row{{"v", std::to_string(round)}}));
+    }
+    ASSERT_OK(relay.PollOnce());
+  }
+  ASSERT_OK(bootstrap.PollRelayOnce());
+  ASSERT_EQ(bootstrap.log_size(), 5000);
+
+  // Part applied: the tail still answers queries.
+  EXPECT_EQ(bootstrap.ApplyLogOnce(4900), 4900);
+  EXPECT_EQ(bootstrap.log_size(), 100);
+  EXPECT_EQ(bootstrap.snapshot_keys(), 100);
+  auto delta = bootstrap.ConsolidatedDelta(4950, Filter{});
+  ASSERT_OK(delta);
+  EXPECT_EQ(delta.value().size(), 50u);
+
+  EXPECT_EQ(bootstrap.ApplyLogOnce(), 100);
+  EXPECT_EQ(bootstrap.log_size(), 0);  // 5,000 before each event left the log
+  EXPECT_EQ(bootstrap.snapshot_keys(), 100);
+  EXPECT_EQ(bootstrap.applied_scn(), 5000);
+  auto snapshot = bootstrap.ConsistentSnapshot(Filter{});
+  ASSERT_OK(snapshot);
+  EXPECT_EQ(snapshot.value().snapshot_scn, 5000);
+  ASSERT_EQ(snapshot.value().rows.size(), 100u);
+  for (const Event& row : snapshot.value().rows) {
+    EXPECT_GT(row.scn, 4900);
+    auto decoded = sqlstore::DecodeRow(row.payload);
+    ASSERT_OK(decoded);
+    EXPECT_EQ(decoded.value(), (Row{{"v", "49"}}));
+  }
+  delta = bootstrap.ConsolidatedDelta(4950, Filter{});
+  ASSERT_OK(delta);
+  EXPECT_EQ(delta.value().size(), 50u);
 }
 
 TEST_F(DatabusTest, ConsolidatedDeltaReturnsOnlyLastUpdatePerKey) {
@@ -659,7 +831,7 @@ TEST_F(DatabusTest, ClientFallsBackToBootstrapWhenRelayEvicts) {
     ASSERT_TRUE(bootstrap.PollRelayOnce().ok());
   }
   bootstrap.ApplyLogOnce();
-  ASSERT_EQ(bootstrap.log_size(), 30);
+  ASSERT_EQ(bootstrap.applied_scn(), 30);
   EXPECT_EQ(relay.buffered_events(), 5);
 
   RecordingConsumer consumer;

@@ -4,6 +4,7 @@
 
 #include "avro/codec.h"
 #include "common/clock.h"
+#include "common/coding.h"
 #include "espresso/document.h"
 #include "espresso/replication.h"
 #include "espresso/router.h"
@@ -375,6 +376,22 @@ TEST_F(EspressoClusterTest, MultiTableTransaction) {
       router_->GetDocument("/Music/Song/Elton_John/Greatest_Hits/Candle").ok());
 }
 
+// An espresso.txn with no updates commits nothing and takes no SCN: the
+// partition's next write still extends the relay's timeline.
+TEST_F(EspressoClusterTest, EmptyTransactionTakesNoScn) {
+  const int partition =
+      PartitionOf(registry_.GetDatabase("Music").value(), "Akon");
+  const std::string master = controller_->MasterOf("Music", partition);
+  std::string request;
+  EncodeTxnRequest("Music", "Akon", {}, &request);
+  ASSERT_OK(network_.Call("test", master, "espresso.txn", request));
+  EXPECT_EQ(NodeByName(master)->AppliedScn("Music", partition), 0);
+  auto doc = avro::Datum::Record("Artist");
+  doc->SetField("name", avro::Datum::String("Akon"));
+  ASSERT_OK(router_->PutDocument("/Music/Artist/Akon", *doc));
+  EXPECT_EQ(relay_.MaxScn("Music", partition), 1);
+}
+
 TEST_F(EspressoClusterTest, TransactionRejectsForeignResourceId) {
   auto song = Song("t", "l", 1);
   std::vector<Router::TxnUpdate> updates;
@@ -563,6 +580,53 @@ TEST_F(EspressoClusterTest, NewNodeBootstrapsFromSnapshotAndRelay) {
     if (raw->IsMasterOf("Music", p) || raw->IsSlaveOf("Music", p)) ++held;
   }
   EXPECT_GT(held, 0);
+}
+
+// OFFLINE->SLAVE decodes the master's whole snapshot before installing any
+// of it. A reply torn inside its second row leaves the new node with no
+// document of the partition, none indexed, at SCN 0, and not a replica.
+TEST_F(EspressoClusterTest, TruncatedSnapshotInstallsNothing) {
+  const int partition =
+      PartitionOf(registry_.GetDatabase("Music").value(), "Prince");
+  auto schema = registry_.GetDocumentSchema("Music", "Song", 1);
+  ASSERT_OK(schema);
+  DocumentRecord record;
+  ASSERT_OK(avro::Encode(*schema.value(), *Song("t", "hello", 1984),
+                         &record.payload));
+  record.schema_version = 1;
+  record.etag = ComputeEtag(record.payload);
+  std::string reply;
+  PutVarint64(&reply, 2);  // snapshot SCN
+  PutVarint64(&reply, 2);  // rows
+  for (const char* key : {"Prince/Album/One", "Prince/Album/Two"}) {
+    PutLengthPrefixed(&reply, "Song");
+    PutLengthPrefixed(&reply, key);
+    EncodeDocumentRecord(record, &reply);
+  }
+  reply.resize(reply.size() - 3);  // inside the second row's record
+  network_.Register("fake-master", "espresso.fetch-partition",
+                    [reply](Slice) { return Result<std::string>(reply); });
+
+  StorageNode node("esn-new", &registry_, &relay_, &network_, &clock_);
+  node.SetMasterLookup(
+      [](const std::string&, int) { return std::string("fake-master"); });
+  const Status s = node.HandleTransition({node.name(), "Music", partition,
+                                          helix::ReplicaState::kOffline,
+                                          helix::ReplicaState::kSlave});
+  EXPECT_EQ(s.code(), Code::kCorruption) << s.ToString();
+  EXPECT_EQ(node.AppliedScn("Music", partition), 0);
+  EXPECT_FALSE(node.IsSlaveOf("Music", partition));
+  EXPECT_TRUE(
+      node.LocalGet("Music", "Song", "Prince/Album/One").status().IsNotFound());
+  EXPECT_EQ(node.DocumentCount("Music", "Song"), 0);
+  std::string query;
+  EncodeQueryRequest("Music", "Song", "Prince", "lyrics:hello", &query);
+  auto response = network_.Call("test", node.name(), "espresso.query", query);
+  ASSERT_OK(response);
+  std::vector<std::pair<std::string, DocumentRecord>> results;
+  ASSERT_OK(DecodeQueryResponse(response.value(), &results));
+  EXPECT_TRUE(results.empty());
+  network_.Unregister("fake-master");
 }
 
 TEST_F(EspressoClusterTest, WritesToNonMasterRejected) {
