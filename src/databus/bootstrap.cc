@@ -52,13 +52,13 @@ Result<int64_t> BootstrapServer::PollRelayOnce() {
   }
   std::string request;
   EncodeReadRequest(since, /*max_events=*/1 << 16, Filter{}, &request);
-  auto r = network_->Call(name_, relay_, "databus.read", request,
-                          net::CallOptions{&span.context()});
-  if (!r.ok()) {
-    span.set_outcome(r.status());
-    return r.status();
+  auto reply = network_->CallPayload(name_, relay_, "databus.read", request,
+                                     net::CallOptions{&span.context()});
+  if (!reply.ok()) {
+    span.set_outcome(reply.status());
+    return reply.status();
   }
-  auto events = DecodeEventList(r.value());
+  auto events = DecodeEventList(reply.value().slice());
   if (!events.ok()) {
     span.set_outcome(events.status());
     return events.status();

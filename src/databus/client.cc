@@ -1,6 +1,7 @@
 #include "databus/client.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/coding.h"
 
@@ -21,18 +22,19 @@ DatabusClient::DatabusClient(std::string name, net::Address relay,
       consumer_(consumer),
       options_(std::move(options)) {}
 
-Result<int64_t> DatabusClient::DeliverBatch(const std::vector<Event>& events) {
+Result<int64_t> DatabusClient::Deliver() {
   int64_t delivered = 0;
-  for (const Event& event : events) {
+  for (const EventView& view : views_) {
+    view.CopyTo(&event_);
     // Declarative transformation: reshape or drop before the consumer.
-    const Event* to_deliver = &event;
+    const Event* to_deliver = &event_;
     Event transformed;
     if (!options_.transformation.empty()) {
-      auto result = options_.transformation.Apply(event);
+      auto result = options_.transformation.Apply(event_);
       if (!result.ok()) return result.status();
       if (!result.value().has_value()) {
         // Filtered out; still advances the checkpoint.
-        checkpoint_scn_ = std::max(checkpoint_scn_, event.scn);
+        checkpoint_scn_ = std::max(checkpoint_scn_, view.scn);
         has_state_ = true;
         continue;
       }
@@ -52,10 +54,10 @@ Result<int64_t> DatabusClient::DeliverBatch(const std::vector<Event>& events) {
       ++delivered;
       ++events_delivered_;
     }
-    checkpoint_scn_ = std::max(checkpoint_scn_, event.scn);
+    checkpoint_scn_ = std::max(checkpoint_scn_, view.scn);
     has_state_ = true;
   }
-  if (!events.empty()) consumer_->OnCheckpoint(checkpoint_scn_);
+  if (!views_.empty()) consumer_->OnCheckpoint(checkpoint_scn_);
   return delivered;
 }
 
@@ -66,16 +68,23 @@ Result<int64_t> DatabusClient::BootstrapAndResume() {
     consumer_->OnBootstrap(/*snapshot_phase=*/true);
     std::string request;
     options_.filter.EncodeTo(&request);
-    auto r = network_->Call(name_, bootstrap_, "bootstrap.snapshot", request);
-    if (!r.ok()) return r.status();
-    Slice input(r.value());
+    auto reply =
+        network_->CallPayload(name_, bootstrap_, "bootstrap.snapshot", request);
+    if (!reply.ok()) return reply.status();
+    Slice input = reply.value().slice();
     uint64_t snapshot_scn;
     if (!GetVarint64(&input, &snapshot_scn)) {
       return Status::Corruption("bad snapshot response");
     }
-    auto rows = DecodeEventList(input);
-    if (!rows.ok()) return rows.status();
-    auto delivered = DeliverBatch(rows.value());
+    if (snapshot_scn >
+        static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+      return Status::Corruption("snapshot scn " +
+                                std::to_string(snapshot_scn) +
+                                " out of range");
+    }
+    Status s = DecodeEventViews(input, &views_);
+    if (!s.ok()) return s;
+    auto delivered = Deliver();
     if (!delivered.ok()) return delivered;
     checkpoint_scn_ =
         std::max(checkpoint_scn_, static_cast<int64_t>(snapshot_scn));
@@ -88,35 +97,36 @@ Result<int64_t> DatabusClient::BootstrapAndResume() {
   std::string request;
   EncodeReadRequest(checkpoint_scn_, kMaxBatchEvents,
                     options_.filter, &request);
-  auto r = network_->Call(name_, bootstrap_, "bootstrap.delta", request);
-  if (!r.ok()) return r.status();
-  auto events = DecodeEventList(r.value());
-  if (!events.ok()) return events.status();
-  return DeliverBatch(events.value());
+  auto reply =
+      network_->CallPayload(name_, bootstrap_, "bootstrap.delta", request);
+  if (!reply.ok()) return reply.status();
+  Status s = DecodeEventViews(reply.value().slice(), &views_);
+  if (!s.ok()) return s;
+  return Deliver();
 }
 
 Result<int64_t> DatabusClient::PollOnce() {
   std::string request;
   EncodeReadRequest(checkpoint_scn_, kMaxBatchEvents,
                     options_.filter, &request);
-  auto r = network_->Call(name_, relay_, "databus.read", request);
-  if (r.ok()) {
-    auto events = DecodeEventList(r.value());
-    if (!events.ok()) return events.status();
-    if (events.value().empty() && !has_state_ && !bootstrap_.empty() &&
+  auto reply = network_->CallPayload(name_, relay_, "databus.read", request);
+  if (reply.ok()) {
+    Status s = DecodeEventViews(reply.value().slice(), &views_);
+    if (!s.ok()) return s;
+    if (views_.empty() && !has_state_ && !bootstrap_.empty() &&
         checkpoint_scn_ == 0) {
       // Fresh consumer with an empty relay response: may still need the
       // snapshot (the relay buffer may start past history).
       return BootstrapAndResume();
     }
-    return DeliverBatch(events.value());
+    return Deliver();
   }
-  if (r.status().IsNotFound() && !bootstrap_.empty()) {
+  if (reply.status().IsNotFound() && !bootstrap_.empty()) {
     // The relay evicted our range: long look-back via the bootstrap server,
     // then subsequent polls resume from the relay.
     return BootstrapAndResume();
   }
-  return r.status();
+  return reply.status();
 }
 
 Result<int64_t> DatabusClient::DrainToHead() {

@@ -18,6 +18,8 @@ namespace lidi::databus {
 class Consumer {
  public:
   virtual ~Consumer() = default;
+  /// `event` is valid only during the call: the client reuses it for the
+  /// next event.
   virtual Status OnEvent(const Event& event) = 0;
   /// Called when the client's checkpoint advances (after a processed batch).
   virtual void OnCheckpoint(int64_t scn) {}
@@ -76,7 +78,9 @@ class DatabusClient {
   int64_t events_skipped() const { return events_skipped_; }
 
  private:
-  Result<int64_t> DeliverBatch(const std::vector<Event>& events);
+  /// Hands each of views_ to the consumer through event_, advancing the
+  /// checkpoint. The reply views_ point into must be pinned meanwhile.
+  Result<int64_t> Deliver();
   Result<int64_t> BootstrapAndResume();
 
   const std::string name_;
@@ -91,6 +95,12 @@ class DatabusClient {
   int64_t bootstrap_switchovers_ = 0;
   int64_t events_delivered_ = 0;
   int64_t events_skipped_ = 0;
+
+  /// Reused from poll to poll, so a steady stream allocates nothing here:
+  /// the events of the reply being delivered, and the one event the
+  /// consumer is handed, whose strings keep their capacity.
+  std::vector<EventView> views_;
+  Event event_;
 };
 
 }  // namespace lidi::databus

@@ -6,23 +6,64 @@
 
 namespace lidi::databus {
 
-void EncodeEvent(const Event& event, std::string* out) {
-  PutVarint64(out, static_cast<uint64_t>(event.scn));
-  PutLengthPrefixed(out, event.source);
-  PutLengthPrefixed(out, event.key);
-  out->push_back(static_cast<char>(event.op));
-  PutZigZag64(out, event.partition);
-  out->push_back(event.end_of_txn ? 1 : 0);
-  PutLengthPrefixed(out, event.payload);
+namespace {
+
+uint64_t ZigZag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
 }
 
-Result<Event> DecodeEvent(Slice* input) {
-  Event event;
+}  // namespace
+
+void EventView::CopyTo(Event* event) const {
+  event->scn = scn;
+  event->source.assign(source.data(), source.size());
+  event->key.assign(key.data(), key.size());
+  event->op = op;
+  event->partition = partition;
+  event->end_of_txn = end_of_txn;
+  event->payload.assign(payload.data(), payload.size());
+}
+
+size_t EncodedEventSize(const EventView& head, size_t payload_size) {
+  return VarintLength(static_cast<uint64_t>(head.scn)) +
+         VarintLength(head.source.size()) + head.source.size() +
+         VarintLength(head.key.size()) + head.key.size() + 1 +
+         VarintLength(ZigZag(head.partition)) + 1 +
+         VarintLength(payload_size) + payload_size;
+}
+
+void EncodeEventHead(const EventView& head, size_t payload_size,
+                     std::string* out) {
+  PutVarint64(out, static_cast<uint64_t>(head.scn));
+  PutLengthPrefixed(out, head.source);
+  PutLengthPrefixed(out, head.key);
+  out->push_back(static_cast<char>(head.op));
+  PutZigZag64(out, head.partition);
+  out->push_back(head.end_of_txn ? 1 : 0);
+  PutVarint64(out, payload_size);
+}
+
+void EncodeEvent(const Event& event, std::string* out) {
+  const EventView head{.scn = event.scn,
+                       .source = event.source,
+                       .key = event.key,
+                       .op = event.op,
+                       .partition = event.partition,
+                       .end_of_txn = event.end_of_txn};
+  EncodeEventHead(head, event.payload.size(), out);
+  out->append(event.payload);
+}
+
+Status DecodeEventView(Slice* input, EventView* event) {
+  const Slice start = *input;
   uint64_t scn;
-  Slice source, key, payload;
-  if (!GetVarint64(input, &scn) || !GetLengthPrefixed(input, &source) ||
-      !GetLengthPrefixed(input, &key)) {
+  if (!GetVarint64(input, &scn) || !GetLengthPrefixed(input, &event->source) ||
+      !GetLengthPrefixed(input, &event->key)) {
     return Status::Corruption("truncated event header");
+  }
+  if (scn > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    return Status::Corruption("event scn " + std::to_string(scn) +
+                              " out of range");
   }
   if (input->empty()) return Status::Corruption("truncated event op");
   const auto op = static_cast<uint8_t>((*input)[0]);
@@ -30,7 +71,6 @@ Result<Event> DecodeEvent(Slice* input) {
     return Status::Corruption("event op " + std::to_string(op) +
                               " out of range");
   }
-  event.op = static_cast<Event::Op>(op);
   input->RemovePrefix(1);
   int64_t partition;
   if (!GetZigZag64(input, &partition)) {
@@ -42,16 +82,24 @@ Result<Event> DecodeEvent(Slice* input) {
                               " out of range");
   }
   if (input->empty()) return Status::Corruption("truncated event txn marker");
-  event.end_of_txn = (*input)[0] != 0;
+  event->end_of_txn = (*input)[0] != 0;
   input->RemovePrefix(1);
-  if (!GetLengthPrefixed(input, &payload)) {
+  if (!GetLengthPrefixed(input, &event->payload)) {
     return Status::Corruption("truncated event payload");
   }
-  event.scn = static_cast<int64_t>(scn);
-  event.source = source.ToString();
-  event.key = key.ToString();
-  event.partition = static_cast<int>(partition);
-  event.payload = payload.ToString();
+  event->scn = static_cast<int64_t>(scn);
+  event->op = static_cast<Event::Op>(op);
+  event->partition = static_cast<int>(partition);
+  event->encoded = Slice(start.data(), start.size() - input->size());
+  return Status::OK();
+}
+
+Result<Event> DecodeEvent(Slice* input) {
+  EventView view;
+  Status s = DecodeEventView(input, &view);
+  if (!s.ok()) return s;
+  Event event;
+  view.CopyTo(&event);
   return event;
 }
 
@@ -60,10 +108,11 @@ void EncodeEventList(const std::vector<Event>& events, std::string* out) {
   for (const Event& e : events) EncodeEvent(e, out);
 }
 
-Result<std::vector<Event>> DecodeEventList(Slice input) {
+Status DecodeEventViews(Slice input, std::vector<EventView>* events) {
   // An encoded event takes at least 7 bytes: scn, source, key, op,
   // partition, txn marker and payload, one byte each when empty.
   constexpr uint64_t kMinEventBytes = 7;
+  events->clear();
   uint64_t count;
   if (!GetVarint64(&input, &count)) {
     return Status::Corruption("truncated event list");
@@ -72,13 +121,23 @@ Result<std::vector<Event>> DecodeEventList(Slice input) {
     return Status::Corruption("event list count " + std::to_string(count) +
                               " exceeds its input");
   }
-  std::vector<Event> out;
-  out.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    auto e = DecodeEvent(&input);
-    if (!e.ok()) return e.status();
-    out.push_back(std::move(e.value()));
+  events->resize(count);
+  for (EventView& event : *events) {
+    Status s = DecodeEventView(&input, &event);
+    if (!s.ok()) {
+      events->clear();
+      return s;
+    }
   }
+  return Status::OK();
+}
+
+Result<std::vector<Event>> DecodeEventList(Slice input) {
+  std::vector<EventView> views;
+  Status s = DecodeEventViews(input, &views);
+  if (!s.ok()) return s;
+  std::vector<Event> out(views.size());
+  for (size_t i = 0; i < views.size(); ++i) views[i].CopyTo(&out[i]);
   return out;
 }
 

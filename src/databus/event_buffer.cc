@@ -1,40 +1,71 @@
 #include "databus/event_buffer.h"
 
 #include <algorithm>
-#include <string>
 
 namespace lidi::databus {
 
-void EventBuffer::Append(std::vector<Event> events) {
-  for (Event& event : events) {
-    max_scn_ = std::max(max_scn_, event.scn);
-    events_.push_back(std::move(event));
+void EventBuffer::Append(const std::vector<Event>& events) {
+  for (const Event& event : events) {
+    const EventView head{.scn = event.scn,
+                         .source = event.source,
+                         .key = event.key,
+                         .op = event.op,
+                         .partition = event.partition,
+                         .end_of_txn = event.end_of_txn};
+    AppendEncoded(event.scn, event.partition,
+                  EncodedEventSize(head, event.payload.size()),
+                  [&event](std::string* out) { EncodeEvent(event, out); });
   }
-  Evict();
+  EvictToCapacity();
+}
+
+std::string* EventBuffer::BlockWithRoom(size_t size) {
+  if (blocks_.empty() ||
+      blocks_.back().capacity() - blocks_.back().size() < size) {
+    blocks_.emplace_back().reserve(std::max(kBlockBytes, size));
+    ++next_block_;
+  }
+  return &blocks_.back();
 }
 
 void EventBuffer::SetCapacity(int64_t capacity_events) {
   capacity_ = capacity_events;
-  Evict();
+  EvictToCapacity();
 }
 
-void EventBuffer::Evict() {
+void EventBuffer::EvictToCapacity() {
   // Circular-buffer semantics, one whole transaction at a time: a reader
   // never finds the tail of a transaction whose head is gone.
-  while (size() > capacity_) {
-    const int64_t scn = events_.front().scn;
-    while (!events_.empty() && events_.front().scn == scn) {
-      events_.pop_front();
+  if (size() <= capacity_) return;
+  while (!index_.empty() && size() > capacity_) {
+    const int64_t scn = index_.front().scn;
+    while (!index_.empty() && index_.front().scn == scn) index_.pop_front();
+  }
+  // Blocks before the oldest buffered event hold only evicted ones. Once
+  // the buffer is empty, the newest block is kept, emptied, for the next
+  // event, unless it grew past kBlockBytes for one large event.
+  const uint32_t keep_from =
+      index_.empty() ? next_block_ - 1 : index_.front().block;
+  while (first_block_ != keep_from) {
+    blocks_.pop_front();
+    ++first_block_;
+  }
+  if (index_.empty()) {
+    if (blocks_.back().capacity() > kBlockBytes) {
+      blocks_.clear();
+      first_block_ = next_block_;
+    } else {
+      blocks_.back().clear();
     }
   }
 }
 
 Status EventBuffer::Scan(int64_t since_scn, int64_t max_events,
                          const Filter& filter,
-                         std::vector<const Event*>* matched) const {
+                         std::vector<Slice>* matched) const {
   // Every SCN below the oldest buffered one was evicted; once eviction has
   // emptied the buffer, every SCN up to max_scn_ was.
-  const int64_t oldest = events_.empty() ? max_scn_ + 1 : events_.front().scn;
+  const int64_t oldest = index_.empty() ? max_scn_ + 1 : index_.front().scn;
   if (since_scn + 1 < oldest) {
     // The client must fall back to a bootstrap server (long look-back
     // query).
@@ -42,22 +73,30 @@ Status EventBuffer::Scan(int64_t since_scn, int64_t max_events,
                             " evicted from relay buffer (buffer starts at scn " +
                             std::to_string(oldest) + ")");
   }
-  // Binary search to the first event with scn > since_scn: the buffer is in
+  // Binary search to the first event with scn > since_scn: the index is in
   // scn order (this is the relay's "index structure to efficiently serve
   // events from a given sequence number").
   auto it = std::lower_bound(
-      events_.begin(), events_.end(), since_scn + 1,
-      [](const Event& e, int64_t scn) { return e.scn < scn; });
+      index_.begin(), index_.end(), since_scn + 1,
+      [](const Entry& e, int64_t scn) { return e.scn < scn; });
   int64_t taken = 0;
-  for (; it != events_.end(); ++it) {
+  int64_t last_scn = 0;
+  for (; it != index_.end(); ++it) {
     // The reader resumes after the last SCN it is handed, so a page ends
     // only where a transaction does.
-    if (taken >= max_events &&
-        (taken == 0 || it->scn != matched->back()->scn)) {
-      break;
+    if (taken >= max_events && (taken == 0 || it->scn != last_scn)) break;
+    const Slice event(BlockOf(*it).data() + it->offset, it->size);
+    Slice source;
+    if (!filter.sources.empty()) {
+      EventView view;
+      Slice input = event;
+      Status s = DecodeEventView(&input, &view);
+      if (!s.ok()) return s;
+      source = view.source;
     }
-    if (!filter.Matches(*it)) continue;
-    matched->push_back(&*it);
+    if (!filter.Matches(source, it->partition)) continue;
+    matched->push_back(event);
+    last_scn = it->scn;
     ++taken;
   }
   return Status::OK();
@@ -66,13 +105,25 @@ Status EventBuffer::Scan(int64_t since_scn, int64_t max_events,
 Result<std::vector<Event>> EventBuffer::Read(int64_t since_scn,
                                              int64_t max_events,
                                              const Filter& filter) const {
-  std::vector<const Event*> matched;
+  std::vector<Slice> matched;
   Status s = Scan(since_scn, max_events, filter, &matched);
   if (!s.ok()) return s;
   std::vector<Event> out;
   out.reserve(matched.size());
-  for (const Event* event : matched) out.push_back(*event);
+  for (Slice bytes : matched) {
+    auto event = DecodeEvent(&bytes);
+    if (!event.ok()) return event.status();
+    out.push_back(std::move(event.value()));
+  }
   return out;
+}
+
+int64_t EventBuffer::retained_bytes() const {
+  int64_t bytes = static_cast<int64_t>(index_.size() * sizeof(Entry));
+  for (const std::string& block : blocks_) {
+    bytes += static_cast<int64_t>(block.capacity());
+  }
+  return bytes;
 }
 
 }  // namespace lidi::databus

@@ -1,10 +1,14 @@
 #ifndef LIDI_DATABUS_EVENT_BUFFER_H_
 #define LIDI_DATABUS_EVENT_BUFFER_H_
 
+#include <cassert>
+#include <cstdint>
 #include <deque>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "common/slice.h"
 #include "common/status.h"
 #include "databus/event.h"
 
@@ -12,52 +16,99 @@ namespace lidi::databus {
 
 /// The relay's in-memory circular buffer indexed by SCN (paper Section
 /// III.C), shared by the Databus relay and, one per partition, by the
-/// Espresso relay (IV.B). It keeps transactions whole: eviction drops the
-/// oldest whole transaction, and a scan page ends only at an SCN boundary,
-/// so a reader that resumes from the last SCN it was handed never skips the
-/// rest of a transaction.
+/// Espresso relay (IV.B). It holds each event in its wire encoding, the
+/// bytes a "databus.read" reply carries, appended into fixed-size blocks
+/// that never reallocate, plus one index entry per event. It keeps
+/// transactions whole: eviction drops the oldest whole transaction, and a
+/// scan page ends only at an SCN boundary, so a reader that resumes from the
+/// last SCN it was handed never skips the rest of a transaction.
 ///
 /// Not synchronized: the owning relay holds its lock around every call.
 class EventBuffer {
  public:
+  /// Bytes per block. An event larger than a block gets a block of its own.
+  static constexpr size_t kBlockBytes = 64 << 10;
+
   explicit EventBuffer(
       int64_t capacity_events = std::numeric_limits<int64_t>::max())
       : capacity_(capacity_events) {}
 
-  /// Appends `events`: whole transactions in SCN order, above max_scn().
-  /// Then, while more than the capacity is buffered, evicts the oldest
-  /// transaction, which may empty the buffer.
-  void Append(std::vector<Event> events);
+  /// Encodes and appends `events`: whole transactions in SCN order, above
+  /// max_scn(). Then evicts as EvictToCapacity does.
+  void Append(const std::vector<Event>& events);
 
-  /// Sets the capacity in events, evicting as Append does.
+  /// Appends one event in its wire encoding: `write` appends it, `size`
+  /// bytes, to the string it is passed. Events come in whole
+  /// transactions, in SCN order, above max_scn(); after the last one, call
+  /// EvictToCapacity. An encoded event is under 4 GiB (a transport frame is
+  /// far smaller).
+  template <typename Write>
+  void AppendEncoded(int64_t scn, int partition, size_t size,
+                     const Write& write) {
+    std::string* block = BlockWithRoom(size);
+    const size_t offset = block->size();
+    write(block);
+    assert(block->size() - offset == size);
+    index_.push_back(Entry{scn, next_block_ - 1,
+                           static_cast<uint32_t>(offset),
+                           static_cast<uint32_t>(block->size() - offset),
+                           partition});
+    if (scn > max_scn_) max_scn_ = scn;
+  }
+
+  /// While more than the capacity is buffered, evicts the oldest
+  /// transaction, which may empty the buffer, and frees the blocks no
+  /// buffered event is in (an empty buffer keeps at most one block).
+  void EvictToCapacity();
+
+  /// Sets the capacity in events, evicting as EvictToCapacity does.
   void SetCapacity(int64_t capacity_events);
 
   /// NotFound if an SCN above since_scn was evicted (the reader must
-  /// bootstrap). Else appends the events with scn > since_scn that match
-  /// the filter, in SCN order: up to max_events, then the rest of the last
-  /// transaction taken. The pointers are valid until the next Append or
-  /// SetCapacity.
+  /// bootstrap). Else appends the wire encodings of the events with
+  /// scn > since_scn that match the filter, in SCN order: up to max_events,
+  /// then the rest of the last transaction taken. The slices are valid until
+  /// the next append, EvictToCapacity or SetCapacity.
   Status Scan(int64_t since_scn, int64_t max_events, const Filter& filter,
-              std::vector<const Event*>* matched) const;
+              std::vector<Slice>* matched) const;
 
-  /// Scan, copied out.
+  /// Scan, decoded and copied out.
   Result<std::vector<Event>> Read(int64_t since_scn, int64_t max_events,
                                   const Filter& filter) const;
 
   /// Highest SCN ever appended, evicted or not (0 before the first).
   int64_t max_scn() const { return max_scn_; }
   /// Oldest buffered SCN (0 when empty).
-  int64_t min_scn() const {
-    return events_.empty() ? 0 : events_.front().scn;
-  }
-  int64_t size() const { return static_cast<int64_t>(events_.size()); }
+  int64_t min_scn() const { return index_.empty() ? 0 : index_.front().scn; }
+  int64_t size() const { return static_cast<int64_t>(index_.size()); }
+  /// Bytes the blocks and the index hold.
+  int64_t retained_bytes() const;
 
  private:
-  void Evict();
+  /// One buffered event: where its encoding lies, and what the scan needs
+  /// without decoding it. Block ids count modulo 2^32; fewer than that many
+  /// blocks are ever live at once.
+  struct Entry {
+    int64_t scn;
+    uint32_t block;
+    uint32_t offset;
+    uint32_t size;
+    int32_t partition;
+  };
+
+  /// The newest block if it has `size` bytes free, else a new one.
+  std::string* BlockWithRoom(size_t size);
+  const std::string& BlockOf(const Entry& entry) const {
+    return blocks_[static_cast<uint32_t>(entry.block - first_block_)];
+  }
 
   int64_t capacity_;
   int64_t max_scn_ = 0;
-  std::deque<Event> events_;
+  std::deque<Entry> index_;
+  /// Each reserved once, so appending never moves the bytes before.
+  std::deque<std::string> blocks_;
+  uint32_t first_block_ = 0;  // id of blocks_.front()
+  uint32_t next_block_ = 0;   // id the next new block gets
 };
 
 }  // namespace lidi::databus

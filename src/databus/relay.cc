@@ -9,25 +9,28 @@ namespace lidi::databus {
 
 namespace {
 
-/// Appends one event per change of `txn`. Each payload is reserved to its
-/// exact encoded size: the buffer keeps it for as long as the event stays
-/// buffered, so growth slack would be paid per buffered event.
+/// Appends one event per change of `txn`, each encoded straight into the
+/// buffer. The payload is the change's post-image row, empty for a delete.
 void AppendTransactionEvents(const sqlstore::CommittedTransaction& txn,
-                             std::vector<Event>* events) {
+                             EventBuffer* buffer) {
   for (size_t i = 0; i < txn.changes.size(); ++i) {
     const sqlstore::Change& change = txn.changes[i];
-    Event& event = events->emplace_back();
-    event.scn = txn.scn;
-    event.source = change.table;
-    event.key = change.primary_key;
-    event.op = change.op == sqlstore::Change::Op::kDelete ? Event::Op::kDelete
-                                                          : Event::Op::kUpsert;
-    event.partition = change.partition;
-    event.end_of_txn = i + 1 == txn.changes.size();
-    if (change.op != sqlstore::Change::Op::kDelete) {
-      event.payload.reserve(sqlstore::EncodedRowSize(change.row));
-      sqlstore::EncodeRow(change.row, &event.payload);
-    }
+    const bool is_delete = change.op == sqlstore::Change::Op::kDelete;
+    const EventView head{
+        .scn = txn.scn,
+        .source = change.table,
+        .key = change.primary_key,
+        .op = is_delete ? Event::Op::kDelete : Event::Op::kUpsert,
+        .partition = change.partition,
+        .end_of_txn = i + 1 == txn.changes.size()};
+    const size_t payload_size =
+        is_delete ? 0 : sqlstore::EncodedRowSize(change.row);
+    buffer->AppendEncoded(
+        txn.scn, change.partition, EncodedEventSize(head, payload_size),
+        [&](std::string* out) {
+          EncodeEventHead(head, payload_size, out);
+          if (!is_delete) sqlstore::EncodeRow(change.row, out);
+        });
   }
 }
 
@@ -93,16 +96,20 @@ Relay::Relay(std::string relay_name, const sqlstore::Database* source,
     Filter filter;
     Status s = DecodeReadRequest(req, &since_scn, &max_events, &filter);
     if (!s.ok()) return Result<std::string>(s);
-    // Encodes straight from the buffer; the lock keeps eviction off the
-    // matched events until they are encoded.
+    // The buffer holds the reply's bytes already: the count, then each
+    // matched event copied as is. The lock keeps eviction off the matched
+    // bytes until they are copied.
     MutexLock lock(&mu_);
-    std::vector<const Event*> matched;
+    std::vector<Slice> matched;
     s = buffer_.Scan(since_scn, max_events, filter, &matched);
     if (!s.ok()) return Result<std::string>(s);
     events_served_->Add(static_cast<int64_t>(matched.size()));
+    size_t bytes = VarintLength(matched.size());
+    for (Slice event : matched) bytes += event.size();
     std::string out;
+    out.reserve(bytes);
     PutVarint64(&out, matched.size());
-    for (const Event* event : matched) EncodeEvent(*event, &out);
+    for (Slice event : matched) out.append(event.data(), event.size());
     return Result<std::string>(std::move(out));
   });
 }
@@ -119,42 +126,50 @@ Result<int64_t> Relay::PollOnce() {
     poll_batch = poll_batch_transactions_;
   }
 
-  std::vector<Event> incoming;
+  int64_t count = 0;
   if (source_ != nullptr) {
     // The logged transactions are read in place: ReadAfter lends pointers,
-    // and the events are built with neither lock held.
+    // and each change is encoded into the buffer under mu_ alone.
     const auto txns = source_->binlog().ReadAfter(since, poll_batch);
-    size_t changes = 0;
+    if (txns.empty()) return int64_t{0};
+    MutexLock lock(&mu_);
     for (const sqlstore::CommittedTransaction* txn : txns) {
-      changes += txn->changes.size();
+      AppendTransactionEvents(*txn, &buffer_);
+      count += static_cast<int64_t>(txn->changes.size());
     }
-    incoming.reserve(changes);
-    for (const sqlstore::CommittedTransaction* txn : txns) {
-      AppendTransactionEvents(*txn, &incoming);
-    }
+    buffer_.EvictToCapacity();
   } else if (!upstream_.empty()) {
     span.set_peer(upstream_);
     std::string request;
     EncodeReadRequest(since, poll_batch * 4, Filter{}, &request);
-    auto r = network_->Call(name_, upstream_, "databus.read", request,
-                            net::CallOptions{&span.context()});
-    if (!r.ok()) {
-      span.set_outcome(r.status());
-      return r.status();
+    auto reply = network_->CallPayload(name_, upstream_, "databus.read",
+                                       request,
+                                       net::CallOptions{&span.context()});
+    if (!reply.ok()) {
+      span.set_outcome(reply.status());
+      return reply.status();
     }
-    auto events = DecodeEventList(r.value());
-    if (!events.ok()) {
-      span.set_outcome(events.status());
-      return events.status();
+    // Validated whole before any of it is buffered; each event's bytes are
+    // then buffered as the upstream relay sent them.
+    std::vector<EventView> events;
+    Status s = DecodeEventViews(reply.value().slice(), &events);
+    if (!s.ok()) {
+      span.set_outcome(s);
+      return s;
     }
-    incoming = std::move(events.value());
+    if (events.empty()) return int64_t{0};
+    MutexLock lock(&mu_);
+    for (const EventView& event : events) {
+      buffer_.AppendEncoded(event.scn, event.partition, event.encoded.size(),
+                            [&event](std::string* out) {
+                              out->append(event.encoded.data(),
+                                          event.encoded.size());
+                            });
+    }
+    buffer_.EvictToCapacity();
+    count = static_cast<int64_t>(events.size());
   }
-  if (incoming.empty()) return int64_t{0};
-
-  MutexLock lock(&mu_);
-  const int64_t count = static_cast<int64_t>(incoming.size());
-  buffer_.Append(std::move(incoming));
-  events_ingested_->Add(count);
+  if (count > 0) events_ingested_->Add(count);
   return count;
 }
 

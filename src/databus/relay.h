@@ -64,8 +64,8 @@ class Relay {
 
   /// Direct (in-process) read path: copies of the events with
   /// scn > since_scn matching the filter, paged as "databus.read" is. The
-  /// RPC handler runs the same scan and encodes its reply straight from the
-  /// buffer.
+  /// RPC handler runs the same scan and copies its reply's bytes straight
+  /// from the buffer.
   Result<std::vector<Event>> ReadEvents(int64_t since_scn, int64_t max_events,
                                         const Filter& filter) const;
 

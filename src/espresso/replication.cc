@@ -14,7 +14,7 @@ Status EspressoRelay::Append(const std::string& database, int partition,
         std::to_string(buffer.max_scn()) + ", rejecting txn scn " +
         std::to_string(scn));
   }
-  buffer.Append(std::move(events));
+  buffer.Append(events);
   return Status::OK();
 }
 

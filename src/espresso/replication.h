@@ -22,7 +22,8 @@ namespace lidi::espresso {
 /// storage-node failures — that is the durability story: a change committed
 /// semi-synchronously exists in the relay even if the master dies
 /// immediately after. Each partition's buffer is a databus::EventBuffer,
-/// unbounded: nothing is evicted yet.
+/// unbounded: nothing is evicted yet. Append encodes a transaction's events
+/// into it, and Read decodes copies out.
 class EspressoRelay {
  public:
   /// Appends the events of one committed transaction (all same partition,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <set>
@@ -7,6 +9,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/random.h"
 #include "databus/bootstrap.h"
 #include "databus/client.h"
 #include "databus/event.h"
@@ -22,6 +25,16 @@ namespace {
 
 using sqlstore::Database;
 using sqlstore::Row;
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
 
 TEST(EventCodecTest, RoundTrip) {
   Event e;
@@ -77,9 +90,9 @@ TEST(EventCodecTest, ListCountBeyondItsInputIsCorruption) {
 
 // An event's op and partition are range-checked as they decode: an op above
 // kDelete, or a partition outside int, is Corruption, not a cast value.
-std::string RawEvent(uint8_t op, int64_t partition) {
+std::string RawEvent(uint8_t op, int64_t partition, uint64_t scn = 1) {
   std::string out;
-  PutVarint64(&out, 1);
+  PutVarint64(&out, scn);
   PutLengthPrefixed(&out, "t");
   PutLengthPrefixed(&out, "k");
   out.push_back(static_cast<char>(op));
@@ -130,6 +143,120 @@ TEST(EventCodecTest, PartitionOutsideIntIsCorruption) {
     EXPECT_EQ(DecodeRawEvent(RawEvent(0, partition)).status().code(),
               Code::kCorruption)
         << partition;
+  }
+}
+
+// The SCN lands in int64_t: 2^63 used to decode as INT64_MIN, and 2^64 - 1
+// as -1.
+TEST(EventCodecTest, ScnOutsideInt64IsCorruption) {
+  constexpr uint64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  for (uint64_t scn : {uint64_t{0}, kInt64Max}) {
+    auto event = DecodeRawEvent(RawEvent(0, 0, scn));
+    ASSERT_OK(event);
+    EXPECT_EQ(static_cast<uint64_t>(event.value().scn), scn);
+  }
+  for (uint64_t scn : {kInt64Max + 1, ~uint64_t{0}}) {
+    EXPECT_EQ(DecodeRawEvent(RawEvent(0, 0, scn)).status().code(),
+              Code::kCorruption)
+        << scn;
+    std::string list;
+    PutVarint64(&list, 1);
+    list += RawEvent(0, 0, scn);
+    EXPECT_EQ(DecodeEventList(list).status().code(), Code::kCorruption)
+        << scn;
+  }
+}
+
+bool Inside(Slice slice, const std::string& bytes) {
+  const auto begin = reinterpret_cast<uintptr_t>(bytes.data());
+  const auto at = reinterpret_cast<uintptr_t>(slice.data());
+  return at >= begin && at + slice.size() <= begin + bytes.size();
+}
+
+// Seeded mutation harness for the view decoder: a reply of 1 to 8 random
+// events, then one damage (a truncation, one to eight flipped bytes, or a
+// length prefix or the list's count rewritten). Every mutant decodes to
+// Corruption, or to views whose slices all lie inside the reply. Replay one
+// seed with LIDI_DATABUS_SEED=<seed>.
+TEST(EventCodecTest, SeededMutatedRepliesDecodeInsideTheirBytes) {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("LIDI_DATABUS_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    for (uint64_t seed = 1; seed <= 500; ++seed) seeds.push_back(seed);
+  }
+  for (uint64_t seed : seeds) {
+    const std::string seed_text = std::to_string(seed);
+    SCOPED_TRACE("seed=" + seed_text + " (replay: LIDI_DATABUS_SEED=" +
+                 seed_text + ")");
+    Random rng(seed);
+    std::vector<Event> events(1 + rng.Uniform(8));
+    int64_t scn = static_cast<int64_t>(rng.Uniform(1000));
+    for (Event& event : events) {
+      scn += static_cast<int64_t>(rng.Uniform(2));
+      event.scn = scn;
+      event.source = rng.Bytes(rng.Uniform(8));
+      event.key = rng.Bytes(rng.Uniform(16));
+      event.op = rng.Uniform(2) == 0 ? Event::Op::kUpsert : Event::Op::kDelete;
+      event.partition = static_cast<int>(rng.UniformRange(-1, 100));
+      event.end_of_txn = rng.Uniform(2) == 0;
+      event.payload = rng.Bytes(rng.Uniform(200));
+    }
+    std::string reply;
+    EncodeEventList(events, &reply);
+    std::vector<EventView> views;
+    ASSERT_OK(DecodeEventViews(reply, &views));
+    ASSERT_EQ(views.size(), events.size());
+
+    std::string bad = reply;
+    bool count_beyond_input = false;
+    switch (rng.Uniform(3)) {
+      case 0:  // cut the reply short
+        bad.resize(rng.Uniform(bad.size()));
+        break;
+      case 1:  // corrupt one to eight bytes
+        for (uint64_t n = 1 + rng.Uniform(8); n > 0; --n) {
+          bad[rng.Uniform(bad.size())] ^=
+              static_cast<char>(1 + rng.Uniform(255));
+        }
+        break;
+      default: {  // rewrite the count or one field's length prefix
+        size_t at = 0;
+        size_t old_value = views.size();
+        const uint64_t field = rng.Uniform(3 * views.size() + 1);
+        if (field > 0) {
+          const EventView& view = views[(field - 1) / 3];
+          const Slice value = (field - 1) % 3 == 0   ? view.source
+                              : (field - 1) % 3 == 1 ? view.key
+                                                     : view.payload;
+          old_value = value.size();
+          at = static_cast<size_t>(value.data() - reply.data()) -
+               VarintLength(value.size());
+        }
+        const uint64_t values[] = {0, old_value + 1, rng.Uniform(1 << 20),
+                                   uint64_t{1} << 40, ~uint64_t{0}};
+        const uint64_t value = values[rng.Uniform(5)];
+        std::string varint;
+        PutVarint64(&varint, value);
+        bad.replace(at, VarintLength(old_value), varint);
+        count_beyond_input = field == 0 && value > bad.size();
+        break;
+      }
+    }
+    Status s = DecodeEventViews(bad, &views);
+    if (!s.ok()) {
+      EXPECT_EQ(s.code(), Code::kCorruption) << s.ToString();
+      EXPECT_TRUE(views.empty());
+      continue;
+    }
+    EXPECT_FALSE(count_beyond_input) << "a count beyond its input decoded";
+    for (const EventView& view : views) {
+      EXPECT_TRUE(Inside(view.source, bad));
+      EXPECT_TRUE(Inside(view.key, bad));
+      EXPECT_TRUE(Inside(view.payload, bad));
+      EXPECT_TRUE(Inside(view.encoded, bad));
+      EXPECT_GE(view.scn, 0);
+    }
   }
 }
 
@@ -231,9 +358,13 @@ std::vector<Event> Txn(int64_t scn, int changes) {
   return events;
 }
 
-std::vector<std::string> Keys(const std::vector<const Event*>& events) {
+std::vector<std::string> Keys(const std::vector<Slice>& events) {
   std::vector<std::string> keys;
-  for (const Event* event : events) keys.push_back(event->key);
+  for (Slice bytes : events) {
+    auto event = DecodeEvent(&bytes);
+    EXPECT_OK(event);
+    keys.push_back(event.ok() ? event.value().key : "<corrupt>");
+  }
   return keys;
 }
 
@@ -241,7 +372,7 @@ TEST(EventBufferTest, NotFoundExactlyBelowTheWindow) {
   EventBuffer buffer(4);
   for (int64_t scn = 1; scn <= 6; ++scn) buffer.Append(Txn(scn, 1));
   ASSERT_EQ(buffer.min_scn(), 3);
-  std::vector<const Event*> matched;
+  std::vector<Slice> matched;
   // scn 2 was evicted: a reader at 1 would miss it.
   EXPECT_TRUE(buffer.Scan(1, 100, Filter{}, &matched).IsNotFound());
   EXPECT_TRUE(matched.empty());
@@ -298,7 +429,7 @@ TEST(EventBufferTest, FilterAndMaxEventsEndAPageWithItsTransaction) {
   Filter even;
   even.mod_base = 2;
   even.mod_residues = {0};
-  std::vector<const Event*> matched;
+  std::vector<Slice> matched;
   // The bound is met exactly at the end of scn 1's matches.
   ASSERT_OK(buffer.Scan(0, 2, even, &matched));
   EXPECT_EQ(Keys(matched), (std::vector<std::string>{"1.0", "1.2"}));
@@ -314,6 +445,62 @@ TEST(EventBufferTest, FilterAndMaxEventsEndAPageWithItsTransaction) {
   matched.clear();
   ASSERT_OK(buffer.Scan(0, 0, even, &matched));
   EXPECT_TRUE(matched.empty());
+}
+
+// Retention: the buffer holds its window, not the stream. It counts the
+// bytes its blocks and index hold, not RSS, so the test is deterministic.
+TEST(EventBufferTest, RetainedBytesFollowTheWindowNotTheStream) {
+  constexpr int64_t kCapacity = 2000;
+  constexpr int64_t kBlock = static_cast<int64_t>(EventBuffer::kBlockBytes);
+  // Single-change transactions of one shape: ~150 encoded bytes each.
+  auto feed = [](EventBuffer* buffer, int64_t events) {
+    for (int64_t i = 0; i < events; ++i) {
+      Event event;
+      event.scn = buffer->max_scn() + 1;
+      event.source = "profiles";
+      event.key = "member:" + std::to_string(10000 + i % 100);
+      event.payload = std::string(120, 'x');
+      buffer->Append({event});
+    }
+  };
+  EventBuffer ten(kCapacity);
+  EventBuffer forty(kCapacity);
+  feed(&ten, 10 * kCapacity);
+  feed(&forty, 40 * kCapacity);
+  ASSERT_EQ(ten.size(), kCapacity);
+  ASSERT_EQ(forty.size(), kCapacity);
+  EXPECT_GE(forty.retained_bytes(), kCapacity * 150);
+  EXPECT_LE(std::abs(ten.retained_bytes() - forty.retained_bytes()), kBlock);
+
+  // Shrinking frees the blocks the evicted events were in: 100 events
+  // (~15 KB) lie in at most two blocks.
+  forty.SetCapacity(100);
+  EXPECT_EQ(forty.size(), 100);
+  EXPECT_LT(forty.retained_bytes(), 3 * kBlock);
+
+  // Emptied by eviction, a buffer keeps at most one block, also after a
+  // transaction larger than its capacity.
+  ten.Append(Txn(ten.max_scn() + 1, kCapacity + 1));
+  EXPECT_EQ(ten.size(), 0);
+  EXPECT_LE(ten.retained_bytes(), kBlock);
+  feed(&ten, 10);
+  EXPECT_EQ(ten.size(), 10);
+  EXPECT_LE(ten.retained_bytes(), kBlock + 10 * 64);
+
+  // An event larger than a block gets a block of its own, freed with it.
+  EventBuffer big(1);
+  Event huge;
+  huge.scn = 1;
+  huge.payload = std::string(3 * kBlock, 'x');
+  big.Append({huge});
+  EXPECT_GE(big.retained_bytes(), 3 * kBlock);
+  auto read = big.Read(0, 10, Filter{});
+  ASSERT_OK(read);
+  ASSERT_EQ(read.value().size(), 1u);
+  EXPECT_EQ(read.value()[0], huge);
+  big.SetCapacity(0);
+  EXPECT_EQ(big.size(), 0);
+  EXPECT_LE(big.retained_bytes(), kBlock);
 }
 
 // ---------------------------------------------------------------------------
@@ -557,6 +744,94 @@ TEST_F(DatabusTest, ChainedRelayPullsATransactionLargerThanItsPage) {
   auto events = chained.ReadEvents(0, 100, Filter{});
   ASSERT_OK(events);
   EXPECT_EQ(events.value().size(), 11u);
+}
+
+// Golden: the bytes of "databus.read" replies for a fixed source, a
+// transaction of three changes (one of them a delete, one partitioned) after
+// one single-row commit. Each reply is EncodeEventList of the events it
+// stands for, the full read is pinned in hex too, and a chained relay serves
+// the same bytes.
+TEST_F(DatabusTest, ReadRepliesKeepTheirWireBytes) {
+  db_.SetPartitionFunction([](Slice key) { return key == "m1" ? 5 : -1; });
+  ASSERT_OK(db_.Put("profiles", "m0", Row{{"name", "a"}}));
+  auto txn = db_.Begin();
+  txn.Put("profiles", "m1", Row{{"name", "b"}});
+  txn.Delete("profiles", "m0");
+  txn.Put("connections", "m0:m1", Row{});
+  ASSERT_OK(txn.Commit());
+  Relay primary("relay-1", &db_, &network_);
+  Relay chained("relay-2", net::Address("relay-1"), &network_);
+  ASSERT_OK(primary.PollOnce());
+  ASSERT_OK(chained.PollOnce());
+
+  auto event = [](int64_t scn, const char* source, const char* key,
+                  Event::Op op, int partition, bool end_of_txn,
+                  const std::string& payload) {
+    Event e;
+    e.scn = scn;
+    e.source = source;
+    e.key = key;
+    e.op = op;
+    e.partition = partition;
+    e.end_of_txn = end_of_txn;
+    e.payload = payload;
+    return e;
+  };
+  auto row = [](const Row& r) {
+    std::string out;
+    sqlstore::EncodeRow(r, &out);
+    return out;
+  };
+  const Event m0 = event(1, "profiles", "m0", Event::Op::kUpsert, -1, true,
+                         row(Row{{"name", "a"}}));
+  const Event m1 = event(2, "profiles", "m1", Event::Op::kUpsert, 5, false,
+                         row(Row{{"name", "b"}}));
+  const Event m0_deleted =
+      event(2, "profiles", "m0", Event::Op::kDelete, -1, false, "");
+  const Event link = event(2, "connections", "m0:m1", Event::Op::kUpsert, -1,
+                           true, row(Row{}));
+  Filter odd_partitions;
+  odd_partitions.mod_base = 2;
+  odd_partitions.mod_residues = {1};
+  Filter connections;
+  connections.sources = {"connections"};
+  const struct {
+    int64_t since_scn;
+    Filter filter;
+    std::vector<Event> events;
+  } reads[] = {
+      {0, Filter{}, {m0, m1, m0_deleted, link}},
+      {1, Filter{}, {m1, m0_deleted, link}},
+      {0, odd_partitions, {m1}},
+      {0, connections, {link}},
+  };
+  for (const auto& read : reads) {
+    std::string request;
+    EncodeReadRequest(read.since_scn, 100, read.filter, &request);
+    std::string expected;
+    EncodeEventList(read.events, &expected);
+    for (const char* relay : {"relay-1", "relay-2"}) {
+      auto reply = network_.Call("client", relay, "databus.read", request);
+      ASSERT_OK(reply);
+      EXPECT_EQ(reply.value(), expected)
+          << relay << " since " << read.since_scn;
+    }
+  }
+  std::string request;
+  EncodeReadRequest(0, 100, Filter{}, &request);
+  auto reply = network_.Call("client", "relay-1", "databus.read", request);
+  ASSERT_OK(reply);
+  // count 4; then per event: scn, source, key, op, zigzag partition, end of
+  // txn, payload (a row: column count, then name and value per column).
+  EXPECT_EQ(Hex(reply.value()),
+            "04"
+            "01" "0870726f66696c6573" "026d30" "00" "01" "01"
+            "08" "01046e616d65" "0161"
+            "02" "0870726f66696c6573" "026d31" "00" "0a" "00"
+            "08" "01046e616d65" "0162"
+            "02" "0870726f66696c6573" "026d30" "01" "01" "00" "00"
+            "02" "0b636f6e6e656374696f6e73" "056d303a6d31" "00" "01" "01"
+            "01" "00");
 }
 
 TEST_F(DatabusTest, RelayIsStatelessAcrossRestart) {
@@ -924,6 +1199,33 @@ TEST_F(DatabusTest, ManyConsumersDoNotIncreaseSourceLoad) {
     EXPECT_EQ(consumers.back()->events.size(), 10u);
   }
   EXPECT_EQ(db_.binlog().ReadCalls(), source_reads_before);
+}
+
+// A "bootstrap.snapshot" reply's SCN lands in int64_t too: 2^64 - 1 used to
+// arrive as -1, after the client had handed the snapshot's rows to its
+// consumer.
+TEST_F(DatabusTest, SnapshotScnOutsideInt64IsCorruption) {
+  network_.Register("relay-1", "databus.read", [](Slice) {
+    std::string empty;
+    PutVarint64(&empty, 0);
+    return Result<std::string>(std::move(empty));
+  });
+  network_.Register("bootstrap-1", "bootstrap.snapshot", [](Slice) {
+    std::string reply;
+    PutVarint64(&reply, ~uint64_t{0});
+    Event row;
+    row.scn = 1;
+    row.source = "profiles";
+    row.key = "m1";
+    EncodeEventList({row}, &reply);
+    return Result<std::string>(std::move(reply));
+  });
+  RecordingConsumer consumer;
+  DatabusClient client("client-1", "relay-1", "bootstrap-1", &network_,
+                       &consumer);
+  EXPECT_EQ(client.PollOnce().status().code(), Code::kCorruption);
+  EXPECT_EQ(client.checkpoint_scn(), 0);
+  EXPECT_TRUE(consumer.events.empty());
 }
 
 }  // namespace
