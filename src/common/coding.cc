@@ -22,11 +22,15 @@ void PutVarint64(std::string* dst, uint64_t v) {
   dst->push_back(static_cast<char>(v));
 }
 
-void PutZigZag64(std::string* dst, int64_t v) {
-  const uint64_t encoded =
-      (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-  PutVarint64(dst, encoded);
+namespace {
+
+uint64_t ZigZag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
 }
+
+}  // namespace
+
+void PutZigZag64(std::string* dst, int64_t v) { PutVarint64(dst, ZigZag(v)); }
 
 void PutLengthPrefixed(std::string* dst, Slice value) {
   PutVarint64(dst, value.size());
@@ -41,6 +45,8 @@ int VarintLength(uint64_t v) {
   }
   return length;
 }
+
+int ZigZagLength(int64_t v) { return VarintLength(ZigZag(v)); }
 
 bool GetFixed32(Slice* input, uint32_t* v) {
   if (input->size() < 4) return false;

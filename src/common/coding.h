@@ -24,6 +24,8 @@ void PutZigZag64(std::string* dst, int64_t v);
 void PutLengthPrefixed(std::string* dst, Slice value);
 /// Bytes PutVarint64 writes for v.
 int VarintLength(uint64_t v);
+/// Bytes PutZigZag64 writes for v.
+int ZigZagLength(int64_t v);
 
 /// Each Get* consumes bytes from the front of *input on success. On failure
 /// (truncated input) returns false and leaves *input unspecified.

@@ -6,14 +6,6 @@
 
 namespace lidi::databus {
 
-namespace {
-
-uint64_t ZigZag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-
-}  // namespace
-
 void EventView::CopyTo(Event* event) const {
   event->scn = scn;
   event->source.assign(source.data(), source.size());
@@ -28,7 +20,7 @@ size_t EncodedEventSize(const EventView& head, size_t payload_size) {
   return VarintLength(static_cast<uint64_t>(head.scn)) +
          VarintLength(head.source.size()) + head.source.size() +
          VarintLength(head.key.size()) + head.key.size() + 1 +
-         VarintLength(ZigZag(head.partition)) + 1 +
+         ZigZagLength(head.partition) + 1 +
          VarintLength(payload_size) + payload_size;
 }
 

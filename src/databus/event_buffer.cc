@@ -19,15 +19,6 @@ void EventBuffer::Append(const std::vector<Event>& events) {
   EvictToCapacity();
 }
 
-std::string* EventBuffer::BlockWithRoom(size_t size) {
-  if (blocks_.empty() ||
-      blocks_.back().capacity() - blocks_.back().size() < size) {
-    blocks_.emplace_back().reserve(std::max(kBlockBytes, size));
-    ++next_block_;
-  }
-  return &blocks_.back();
-}
-
 void EventBuffer::SetCapacity(int64_t capacity_events) {
   capacity_ = capacity_events;
   EvictToCapacity();
@@ -41,22 +32,11 @@ void EventBuffer::EvictToCapacity() {
     const int64_t scn = index_.front().scn;
     while (!index_.empty() && index_.front().scn == scn) index_.pop_front();
   }
-  // Blocks before the oldest buffered event hold only evicted ones. Once
-  // the buffer is empty, the newest block is kept, emptied, for the next
-  // event, unless it grew past kBlockBytes for one large event.
-  const uint32_t keep_from =
-      index_.empty() ? next_block_ - 1 : index_.front().block;
-  while (first_block_ != keep_from) {
-    blocks_.pop_front();
-    ++first_block_;
-  }
+  // Blocks before the oldest buffered event hold only evicted ones.
   if (index_.empty()) {
-    if (blocks_.back().capacity() > kBlockBytes) {
-      blocks_.clear();
-      first_block_ = next_block_;
-    } else {
-      blocks_.back().clear();
-    }
+    blocks_.Clear();
+  } else {
+    blocks_.DropBefore(index_.front().span);
   }
 }
 
@@ -85,7 +65,7 @@ Status EventBuffer::Scan(int64_t since_scn, int64_t max_events,
     // The reader resumes after the last SCN it is handed, so a page ends
     // only where a transaction does.
     if (taken >= max_events && (taken == 0 || it->scn != last_scn)) break;
-    const Slice event(BlockOf(*it).data() + it->offset, it->size);
+    const Slice event = blocks_.Read(it->span);
     Slice source;
     if (!filter.sources.empty()) {
       EventView view;
@@ -119,11 +99,8 @@ Result<std::vector<Event>> EventBuffer::Read(int64_t since_scn,
 }
 
 int64_t EventBuffer::retained_bytes() const {
-  int64_t bytes = static_cast<int64_t>(index_.size() * sizeof(Entry));
-  for (const std::string& block : blocks_) {
-    bytes += static_cast<int64_t>(block.capacity());
-  }
-  return bytes;
+  return static_cast<int64_t>(index_.size() * sizeof(Entry)) +
+         blocks_.retained_bytes();
 }
 
 }  // namespace lidi::databus

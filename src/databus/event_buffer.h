@@ -1,13 +1,13 @@
 #ifndef LIDI_DATABUS_EVENT_BUFFER_H_
 #define LIDI_DATABUS_EVENT_BUFFER_H_
 
-#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/blocks.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "databus/event.h"
@@ -17,18 +17,15 @@ namespace lidi::databus {
 /// The relay's in-memory circular buffer indexed by SCN (paper Section
 /// III.C), shared by the Databus relay and, one per partition, by the
 /// Espresso relay (IV.B). It holds each event in its wire encoding, the
-/// bytes a "databus.read" reply carries, appended into fixed-size blocks
-/// that never reallocate, plus one index entry per event. It keeps
-/// transactions whole: eviction drops the oldest whole transaction, and a
-/// scan page ends only at an SCN boundary, so a reader that resumes from the
-/// last SCN it was handed never skips the rest of a transaction.
+/// bytes a "databus.read" reply carries, appended into ByteBlocks, plus one
+/// index entry per event. It keeps transactions whole: eviction drops the
+/// oldest whole transaction, and a scan page ends only at an SCN boundary,
+/// so a reader that resumes from the last SCN it was handed never skips the
+/// rest of a transaction.
 ///
 /// Not synchronized: the owning relay holds its lock around every call.
 class EventBuffer {
  public:
-  /// Bytes per block. An event larger than a block gets a block of its own.
-  static constexpr size_t kBlockBytes = 64 << 10;
-
   explicit EventBuffer(
       int64_t capacity_events = std::numeric_limits<int64_t>::max())
       : capacity_(capacity_events) {}
@@ -45,14 +42,7 @@ class EventBuffer {
   template <typename Write>
   void AppendEncoded(int64_t scn, int partition, size_t size,
                      const Write& write) {
-    std::string* block = BlockWithRoom(size);
-    const size_t offset = block->size();
-    write(block);
-    assert(block->size() - offset == size);
-    index_.push_back(Entry{scn, next_block_ - 1,
-                           static_cast<uint32_t>(offset),
-                           static_cast<uint32_t>(block->size() - offset),
-                           partition});
+    index_.push_back(Entry{scn, blocks_.Append(size, write), partition});
     if (scn > max_scn_) max_scn_ = scn;
   }
 
@@ -86,29 +76,17 @@ class EventBuffer {
 
  private:
   /// One buffered event: where its encoding lies, and what the scan needs
-  /// without decoding it. Block ids count modulo 2^32; fewer than that many
-  /// blocks are ever live at once.
+  /// without decoding it.
   struct Entry {
     int64_t scn;
-    uint32_t block;
-    uint32_t offset;
-    uint32_t size;
+    ByteBlocks::Span span;
     int32_t partition;
   };
-
-  /// The newest block if it has `size` bytes free, else a new one.
-  std::string* BlockWithRoom(size_t size);
-  const std::string& BlockOf(const Entry& entry) const {
-    return blocks_[static_cast<uint32_t>(entry.block - first_block_)];
-  }
 
   int64_t capacity_;
   int64_t max_scn_ = 0;
   std::deque<Entry> index_;
-  /// Each reserved once, so appending never moves the bytes before.
-  std::deque<std::string> blocks_;
-  uint32_t first_block_ = 0;  // id of blocks_.front()
-  uint32_t next_block_ = 0;   // id the next new block gets
+  ByteBlocks blocks_;
 };
 
 }  // namespace lidi::databus

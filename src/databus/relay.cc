@@ -10,11 +10,12 @@ namespace lidi::databus {
 namespace {
 
 /// Appends one event per change of `txn`, each encoded straight into the
-/// buffer. The payload is the change's post-image row, empty for a delete.
-void AppendTransactionEvents(const sqlstore::CommittedTransaction& txn,
+/// buffer: its head, then the change's row bytes as the binlog logged them
+/// (no payload for a delete).
+void AppendTransactionEvents(const sqlstore::RecordView& txn,
                              EventBuffer* buffer) {
   for (size_t i = 0; i < txn.changes.size(); ++i) {
-    const sqlstore::Change& change = txn.changes[i];
+    const sqlstore::ChangeView& change = txn.changes[i];
     const bool is_delete = change.op == sqlstore::Change::Op::kDelete;
     const EventView head{
         .scn = txn.scn,
@@ -23,13 +24,12 @@ void AppendTransactionEvents(const sqlstore::CommittedTransaction& txn,
         .op = is_delete ? Event::Op::kDelete : Event::Op::kUpsert,
         .partition = change.partition,
         .end_of_txn = i + 1 == txn.changes.size()};
-    const size_t payload_size =
-        is_delete ? 0 : sqlstore::EncodedRowSize(change.row);
+    const Slice payload = is_delete ? Slice() : change.row;
     buffer->AppendEncoded(
-        txn.scn, change.partition, EncodedEventSize(head, payload_size),
+        txn.scn, change.partition, EncodedEventSize(head, payload.size()),
         [&](std::string* out) {
-          EncodeEventHead(head, payload_size, out);
-          if (!is_delete) sqlstore::EncodeRow(change.row, out);
+          EncodeEventHead(head, payload.size(), out);
+          out->append(payload.data(), payload.size());
         });
   }
 }
@@ -128,16 +128,28 @@ Result<int64_t> Relay::PollOnce() {
 
   int64_t count = 0;
   if (source_ != nullptr) {
-    // The logged transactions are read in place: ReadAfter lends pointers,
-    // and each change is encoded into the buffer under mu_ alone.
-    const auto txns = source_->binlog().ReadAfter(since, poll_batch);
-    if (txns.empty()) return int64_t{0};
+    // The logged records are read in place: ReadAfter lends their bytes,
+    // and each is decoded and its changes encoded into the buffer under mu_
+    // alone. A record that fails to decode stops the poll before any of its
+    // events are buffered, so the buffer keeps transactions whole.
+    const std::vector<Slice> records =
+        source_->binlog().ReadAfter(since, poll_batch);
+    if (records.empty()) return int64_t{0};
+    sqlstore::RecordView txn;
+    Status s;
     MutexLock lock(&mu_);
-    for (const sqlstore::CommittedTransaction* txn : txns) {
-      AppendTransactionEvents(*txn, &buffer_);
-      count += static_cast<int64_t>(txn->changes.size());
+    for (Slice record : records) {
+      s = sqlstore::DecodeRecordView(record, &txn);
+      if (!s.ok()) break;
+      AppendTransactionEvents(txn, &buffer_);
+      count += static_cast<int64_t>(txn.changes.size());
     }
     buffer_.EvictToCapacity();
+    if (!s.ok()) {
+      if (count > 0) events_ingested_->Add(count);
+      span.set_outcome(s);
+      return s;
+    }
   } else if (!upstream_.empty()) {
     span.set_peer(upstream_);
     std::string request;

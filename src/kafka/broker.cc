@@ -2,6 +2,7 @@
 #include "kafka/broker.h"
 
 #include <cstring>
+#include <limits>
 
 #include "common/coding.h"
 #include "kafka/message.h"
@@ -18,6 +19,16 @@ BrokerOptions WithLogMetrics(BrokerOptions options, net::Transport* network) {
   return options;
 }
 
+// Request fields land in int and int64_t; a wider value is Corruption, never
+// wrapped to another partition or a negative offset.
+constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+constexpr uint64_t kInt64Max = std::numeric_limits<int64_t>::max();
+
+Status OutOfRange(const char* field, uint64_t value) {
+  return Status::Corruption(std::string(field) + " " + std::to_string(value) +
+                            " out of range");
+}
+
 }  // namespace
 
 void EncodeProduceRequest(Slice topic, int partition, Slice message_set,
@@ -28,16 +39,16 @@ void EncodeProduceRequest(Slice topic, int partition, Slice message_set,
 }
 
 Status DecodeProduceRequest(Slice input, std::string* topic, int* partition,
-                            std::string* message_set) {
-  Slice t, m;
+                            Slice* message_set) {
+  Slice t;
   uint64_t p;
   if (!GetLengthPrefixed(&input, &t) || !GetVarint64(&input, &p) ||
-      !GetLengthPrefixed(&input, &m)) {
+      !GetLengthPrefixed(&input, message_set)) {
     return Status::Corruption("truncated produce request");
   }
+  if (p > kIntMax) return OutOfRange("produce request partition", p);
   *topic = t.ToString();
   *partition = static_cast<int>(p);
-  *message_set = m.ToString();
   return Status::OK();
 }
 
@@ -57,6 +68,9 @@ Status DecodeFetchRequest(Slice input, std::string* topic, int* partition,
       !GetVarint64(&input, &o) || !GetVarint64(&input, &m)) {
     return Status::Corruption("truncated fetch request");
   }
+  if (p > kIntMax) return OutOfRange("fetch request partition", p);
+  if (o > kInt64Max) return OutOfRange("fetch request offset", o);
+  if (m > kInt64Max) return OutOfRange("fetch request max_bytes", m);
   *topic = t.ToString();
   *partition = static_cast<int>(p);
   *offset = static_cast<int64_t>(o);
@@ -100,8 +114,9 @@ Broker::Broker(int id, zk::ZooKeeper* zookeeper, net::Transport* network,
   // consumer whose offset expired under retention restart from the head.
   network_->Register(
       address_, "kafka.offset-bounds", [this](Slice req) -> Result<std::string> {
-        std::string topic, ignored;
+        std::string topic;
         int partition;
+        Slice ignored;
         Status s = DecodeProduceRequest(req, &topic, &partition, &ignored);
         if (!s.ok()) return s;
         PartitionLog* log = GetLog(topic, partition);
@@ -296,8 +311,9 @@ Result<std::string> Broker::HandleProduce(Slice request) {
                                 " at " + address_);
     }
   }
-  std::string topic, message_set;
+  std::string topic;
   int partition;
+  Slice message_set;
   Status s = DecodeProduceRequest(request, &topic, &partition, &message_set);
   if (!s.ok()) return s;
   auto offset = Produce(topic, partition, message_set);

@@ -150,8 +150,11 @@ class Broker {
 /// Produce/fetch request codecs (shared with producer/consumer).
 void EncodeProduceRequest(Slice topic, int partition, Slice message_set,
                           std::string* out);
+/// Decoders return Corruption for a truncated request or a field out of
+/// range: a partition above int, an offset or max_bytes above int64_t. The
+/// produce decoder's message set is a slice of `input`.
 Status DecodeProduceRequest(Slice input, std::string* topic, int* partition,
-                            std::string* message_set);
+                            Slice* message_set);
 void EncodeFetchRequest(Slice topic, int partition, int64_t offset,
                         int64_t max_bytes, std::string* out);
 Status DecodeFetchRequest(Slice input, std::string* topic, int* partition,

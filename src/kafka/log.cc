@@ -611,20 +611,24 @@ Result<PinnedSlice> PartitionLog::ReadPinned(int64_t offset, int64_t max_bytes,
     // caller's next fetch.
     return first;
   }
-  std::string out;
-  out.reserve(static_cast<size_t>(max_bytes));
-  out.append(first.value().data(), first.value().size());
-  out.append(next.value().data(), next.value().size());
+  // The pieces are pinned first, so the copy reserves only what it gathers:
+  // max_bytes is the caller's budget, which may be far beyond the log.
+  std::vector<PinnedSlice> pieces;
+  pieces.push_back(std::move(first.value()));
   have += static_cast<int64_t>(next.value().size());
+  pieces.push_back(std::move(next.value()));
   while (have < max_bytes) {
     auto more = ReadPinnedChunk(offset + have, max_bytes - have);
     if (!more.ok() || more.value().empty() ||
         static_cast<int64_t>(more.value().size()) > max_bytes - have) {
       break;
     }
-    out.append(more.value().data(), more.value().size());
     have += static_cast<int64_t>(more.value().size());
+    pieces.push_back(std::move(more.value()));
   }
+  std::string out;
+  out.reserve(static_cast<size_t>(have));
+  for (const PinnedSlice& piece : pieces) out.append(piece.data(), piece.size());
   if (gathered_bytes != nullptr) *gathered_bytes = have;
   return PinnedSlice::Own(std::move(out));
 }

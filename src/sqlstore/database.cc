@@ -1,6 +1,7 @@
 #include "sqlstore/database.h"
 
 #include <algorithm>
+#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -48,16 +49,32 @@ namespace {
 //   fixed32 crc (over body)
 //   body: varint scn, varint change count, then per change:
 //         u8 op, zigzag partition, LP table, LP primary key, LP encoded row
-//
-// Replaces *out with the record, writing the body in place after the
-// header and filling the header in last.
 constexpr size_t kRecordHeader = 8;
+// The least a change takes: op, partition and three length prefixes.
+constexpr uint64_t kMinChangeBytes = 5;
 
-void EncodeTransaction(const CommittedTransaction& txn, std::string* out) {
-  out->assign(kRecordHeader, '\0');
-  PutVarint64(out, static_cast<uint64_t>(txn.scn));
-  PutVarint64(out, txn.changes.size());
-  for (const Change& change : txn.changes) {
+size_t EncodedRecordSize(int64_t scn, const std::vector<Change>& changes) {
+  size_t size = kRecordHeader + VarintLength(static_cast<uint64_t>(scn)) +
+                VarintLength(changes.size());
+  for (const Change& change : changes) {
+    const size_t row = EncodedRowSize(change.row);
+    size += 1 + ZigZagLength(change.partition) +
+            VarintLength(change.table.size()) + change.table.size() +
+            VarintLength(change.primary_key.size()) +
+            change.primary_key.size() + VarintLength(row) + row;
+  }
+  return size;
+}
+
+// Appends the record to *out, writing the body in place after the header
+// and filling the header in last.
+void EncodeRecord(int64_t scn, const std::vector<Change>& changes,
+                  std::string* out) {
+  const size_t start = out->size();
+  out->append(kRecordHeader, '\0');
+  PutVarint64(out, static_cast<uint64_t>(scn));
+  PutVarint64(out, changes.size());
+  for (const Change& change : changes) {
     out->push_back(static_cast<char>(change.op));
     PutZigZag64(out, change.partition);
     PutLengthPrefixed(out, change.table);
@@ -65,42 +82,74 @@ void EncodeTransaction(const CommittedTransaction& txn, std::string* out) {
     PutVarint64(out, EncodedRowSize(change.row));
     EncodeRow(change.row, out);
   }
-  const Slice body(out->data() + kRecordHeader, out->size() - kRecordHeader);
-  EncodeFixed32(out->data(), static_cast<uint32_t>(body.size()));
-  EncodeFixed32(out->data() + 4, Crc32(body));
+  const Slice body(out->data() + start + kRecordHeader,
+                   out->size() - start - kRecordHeader);
+  EncodeFixed32(out->data() + start, static_cast<uint32_t>(body.size()));
+  EncodeFixed32(out->data() + start + 4, Crc32(body));
 }
 
-bool DecodeTransactionBody(Slice body, CommittedTransaction* txn) {
-  uint64_t scn, count;
-  if (!GetVarint64(&body, &scn) || !GetVarint64(&body, &count)) return false;
-  txn->scn = static_cast<int64_t>(scn);
-  txn->changes.clear();
+// Whether `row` is exactly one EncodeRow encoding.
+bool RowDecodes(Slice row) {
+  uint64_t count;
+  if (!GetVarint64(&row, &count)) return false;
   for (uint64_t i = 0; i < count; ++i) {
-    if (body.empty()) return false;
-    Change change;
-    const uint8_t op = static_cast<uint8_t>(body[0]);
-    if (op > static_cast<uint8_t>(Change::Op::kDelete)) return false;
-    change.op = static_cast<Change::Op>(op);
-    body.RemovePrefix(1);
-    int64_t partition;
-    Slice table, pk, row_bytes;
-    if (!GetZigZag64(&body, &partition) ||
-        !GetLengthPrefixed(&body, &table) || !GetLengthPrefixed(&body, &pk) ||
-        !GetLengthPrefixed(&body, &row_bytes)) {
+    Slice column, value;
+    if (!GetLengthPrefixed(&row, &column) || !GetLengthPrefixed(&row, &value)) {
       return false;
     }
-    change.partition = static_cast<int>(partition);
-    change.table = table.ToString();
-    change.primary_key = pk.ToString();
-    auto row = DecodeRow(row_bytes);
-    if (!row.ok()) return false;
-    change.row = std::move(row.value());
-    txn->changes.push_back(std::move(change));
   }
-  return body.empty();
+  return row.empty();
 }
 
 }  // namespace
+
+Status DecodeRecordView(Slice body, RecordView* record) {
+  record->changes.clear();
+  uint64_t scn, count;
+  if (!GetVarint64(&body, &scn) || !GetVarint64(&body, &count)) {
+    return Status::Corruption("truncated binlog record header");
+  }
+  if (scn > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    return Status::Corruption("binlog record scn " + std::to_string(scn) +
+                              " out of range");
+  }
+  if (count > body.size() / kMinChangeBytes) {
+    return Status::Corruption("binlog record change count " +
+                              std::to_string(count) + " exceeds its body");
+  }
+  record->scn = static_cast<int64_t>(scn);
+  record->changes.resize(count);
+  for (ChangeView& change : record->changes) {
+    if (body.empty()) return Status::Corruption("truncated binlog change");
+    const auto op = static_cast<uint8_t>(body[0]);
+    if (op > static_cast<uint8_t>(Change::Op::kDelete)) {
+      return Status::Corruption("binlog change op " + std::to_string(op) +
+                                " out of range");
+    }
+    body.RemovePrefix(1);
+    int64_t partition;
+    if (!GetZigZag64(&body, &partition) ||
+        !GetLengthPrefixed(&body, &change.table) ||
+        !GetLengthPrefixed(&body, &change.primary_key) ||
+        !GetLengthPrefixed(&body, &change.row)) {
+      return Status::Corruption("truncated binlog change");
+    }
+    if (partition < std::numeric_limits<int>::min() ||
+        partition > std::numeric_limits<int>::max()) {
+      return Status::Corruption("binlog change partition " +
+                                std::to_string(partition) + " out of range");
+    }
+    if (!RowDecodes(change.row)) {
+      return Status::Corruption("binlog change row does not decode");
+    }
+    change.op = static_cast<Change::Op>(op);
+    change.partition = static_cast<int>(partition);
+  }
+  if (!body.empty()) {
+    return Status::Corruption("binlog record runs past its last change");
+  }
+  return Status::OK();
+}
 
 Binlog::Binlog(BinlogOptions options)
     : options_(std::move(options)),
@@ -130,7 +179,8 @@ Binlog::Binlog(BinlogOptions options)
 
 std::string Binlog::FilePath() const { return options_.data_dir + "/binlog.seg"; }
 
-/// Replays the binlog file: CRC-validated records extend the in-memory log;
+/// Replays the binlog file: CRC-validated records that decode extend the
+/// in-memory log;
 /// the scan stops at the first torn or corrupt record (or an SCN breaking
 /// the dense order) and truncates the file there, so the next append lands
 /// right after the last intact transaction.
@@ -151,6 +201,7 @@ void Binlog::RecoverLocked() {
     return;
   }
   size_t offset = 0;
+  RecordView txn;
   while (true) {
     Slice in(data.data() + offset, data.size() - offset);
     uint32_t length, crc;
@@ -158,12 +209,15 @@ void Binlog::RecoverLocked() {
     if (in.size() < length) break;  // torn tail
     Slice body(in.data(), length);
     if (Crc32(body) != crc) break;  // torn or corrupt record
-    CommittedTransaction txn;
-    if (!DecodeTransactionBody(body, &txn)) break;
+    if (!DecodeRecordView(body, &txn).ok()) break;
     if (txn.scn != next_scn_) break;  // dense commit order violated
-    log_.push_back(std::move(txn));
+    const Slice record(data.data() + offset, kRecordHeader + length);
+    index_.push_back(blocks_.Append(
+        record.size(), [record](std::string* out) {
+          out->append(record.data(), record.size());
+        }));
     next_scn_++;
-    offset += 8 + length;
+    offset += record.size();
   }
   if (offset < data.size()) {
     if (torn_truncations_ != nullptr) torn_truncations_->Increment();
@@ -179,17 +233,23 @@ void Binlog::RecoverLocked() {
   durable_scn_ = next_scn_ - 1;  // everything replayed is on stable storage
 }
 
-/// Write-only half of the persist: encodes the record, appends it, and
-/// advances persisted_bytes_ on full acceptance. On failure the file is
-/// rolled back to the last acknowledged byte (or, if even that fails, the
-/// binlog declares itself damaged and refuses all further appends — the
-/// loud alternative to silently burying an unacknowledged record).
-Status Binlog::StageLocked(const CommittedTransaction& txn) {
+ByteBlocks::Span Binlog::EncodeLocked(const std::vector<Change>& changes) {
+  return blocks_.Append(EncodedRecordSize(next_scn_, changes),
+                        [this, &changes](std::string* out) {
+                          EncodeRecord(next_scn_, changes, out);
+                        });
+}
+
+/// Write-only half of the persist: appends the record and advances
+/// persisted_bytes_ on full acceptance. On failure the file is rolled back
+/// to the last acknowledged byte (or, if even that fails, the binlog
+/// declares itself damaged and refuses all further appends — the loud
+/// alternative to silently burying an unacknowledged record).
+Status Binlog::StageLocked(const ByteBlocks::Span& record) {
   if (damaged_) {
     return Status::IOError("binlog damaged (unacked bytes on disk): " +
                            recovery_status_.message());
   }
-  EncodeTransaction(txn, &record_);
   if (file_ == nullptr) {
     auto file = fs_->OpenAppend(FilePath());
     if (!file.ok()) {
@@ -198,9 +258,9 @@ Status Binlog::StageLocked(const CommittedTransaction& txn) {
     }
     file_ = std::move(file.value());
   }
-  const int64_t record_bytes = static_cast<int64_t>(record_.size());
+  const int64_t record_bytes = record.size;
   int64_t accepted = 0;
-  Status s = file_->Append(record_, &accepted);
+  Status s = file_->Append(blocks_.Read(record), &accepted);
   if (s.ok() && accepted < record_bytes) {
     s = Status::IOError("short binlog write");
   }
@@ -228,10 +288,10 @@ Status Binlog::StageLocked(const CommittedTransaction& txn) {
 /// write via StageLocked, then the policy-mandated inline sync. A failed
 /// sync rolls the freshly written record back off the file too — the record
 /// must not surface after a restart when its commit reported failure.
-Status Binlog::PersistLocked(const CommittedTransaction& txn) {
+Status Binlog::PersistLocked(const ByteBlocks::Span& record) {
   if (fs_ == nullptr) return Status::OK();
   const int64_t record_start = persisted_bytes_;
-  Status s = StageLocked(txn);
+  Status s = StageLocked(record);
   if (!s.ok()) return s;
   const bool sync_due =
       options_.sync == io::SyncPolicy::kAlways ||
@@ -244,7 +304,7 @@ Status Binlog::PersistLocked(const CommittedTransaction& txn) {
   if (s.ok()) {
     if (sync_count_ != nullptr) sync_count_->Increment();
     synced_bytes_ = persisted_bytes_;
-    durable_scn_ = txn.scn;
+    durable_scn_ = next_scn_;
     return Status::OK();
   }
   if (write_failed_ != nullptr) write_failed_->Increment();
@@ -259,19 +319,18 @@ Status Binlog::PersistLocked(const CommittedTransaction& txn) {
   return s;
 }
 
-Result<const CommittedTransaction*> Binlog::Append(
-    std::vector<Change> changes) {
+Result<int64_t> Binlog::Append(const std::vector<Change>& changes) {
   if (!group_mode()) {
     MutexLock lock(&mu_);
-    CommittedTransaction txn;
-    txn.scn = next_scn_;  // assigned for real only if the persist succeeds
-    txn.changes = std::move(changes);
-    Status s = PersistLocked(txn);
-    if (!s.ok()) return s;
-    next_scn_++;
-    log_.push_back(std::move(txn));
-    if (fs_ == nullptr) durable_scn_ = log_.back().scn;
-    return &log_.back();
+    const ByteBlocks::Span record = EncodeLocked(changes);
+    Status s = PersistLocked(record);
+    if (!s.ok()) {
+      blocks_.DropFrom(record);
+      return s;
+    }
+    index_.push_back(record);
+    if (fs_ == nullptr) durable_scn_ = next_scn_;
+    return next_scn_++;
   }
   // Group commit: write the record under mu_, then hand the fdatasync to
   // the committer with mu_ RELEASED — concurrent committers stage into the
@@ -285,23 +344,22 @@ Result<const CommittedTransaction*> Binlog::Append(
   int64_t target = 0;
   {
     MutexLock lock(&mu_);
-    CommittedTransaction txn;
-    txn.scn = next_scn_;
-    txn.changes = std::move(changes);
-    Status s = StageLocked(txn);
-    if (!s.ok()) return s;
-    scn = txn.scn;
-    next_scn_++;
-    pending_.push_back(Pending{std::move(txn), persisted_bytes_});
+    const ByteBlocks::Span record = EncodeLocked(changes);
+    Status s = StageLocked(record);
+    if (!s.ok()) {
+      blocks_.DropFrom(record);
+      return s;
+    }
+    scn = next_scn_++;
+    pending_.push_back(Pending{record, persisted_bytes_});
     target = persisted_bytes_;
   }
+  // SyncTo acknowledges only a frontier some successful GroupSyncNow
+  // returned, in the epoch this record was staged in; that call indexed
+  // every pending record it covered.
   Status s = group_->SyncTo(target, staged_epoch);
   if (!s.ok()) return s;
-  // SyncTo acknowledges only a frontier some successful GroupSyncNow
-  // returned, in the epoch this record was staged in; that call promoted
-  // every pending transaction it covered into log_, which never shrinks.
-  MutexLock lock(&mu_);
-  return &log_[static_cast<size_t>(scn - 1)];
+  return scn;
 }
 
 Result<int64_t> Binlog::GroupSyncNow() {
@@ -321,25 +379,24 @@ Result<int64_t> Binlog::GroupSyncNow() {
   if (s.ok()) {
     if (sync_count_ != nullptr) sync_count_->Increment();
     synced_bytes_ = std::max(synced_bytes_, covered);
-    // Promote covered pending transactions, in stage order — log_ stays
+    // Index covered pending records, in stage order — the index stays
     // dense and holds only durable commits.
     size_t promoted = 0;
     while (promoted < pending_.size() &&
            pending_[promoted].end_bytes <= synced_bytes_) {
+      index_.push_back(pending_[promoted].record);
       ++promoted;
-    }
-    for (size_t i = 0; i < promoted; ++i) {
-      durable_scn_ = pending_[i].txn.scn;
-      log_.push_back(std::move(pending_[i].txn));
     }
     pending_.erase(pending_.begin(),
                    pending_.begin() + static_cast<int64_t>(promoted));
+    durable_scn_ = static_cast<int64_t>(index_.size());
     return synced_bytes_;
   }
   // Failed group sync: every byte past the last covering sync is
   // indeterminate on disk. Roll the file back to the durable frontier and
-  // drop the in-flight batch — the committer bumps its epoch, so every
-  // staged waiter gets an error instead of a false acknowledgement.
+  // drop the in-flight batch, whose records lie past every indexed one —
+  // the committer bumps its epoch, so every staged waiter gets an error
+  // instead of a false acknowledgement.
   if (write_failed_ != nullptr) write_failed_->Increment();
   file_.reset();
   Status t = fs_->TruncateFile(FilePath(), synced_bytes_);
@@ -348,8 +405,9 @@ Result<int64_t> Binlog::GroupSyncNow() {
     if (recovery_status_.ok()) recovery_status_ = t;
   }
   persisted_bytes_ = synced_bytes_;
+  if (!pending_.empty()) blocks_.DropFrom(pending_.front().record);
   pending_.clear();
-  next_scn_ = log_.empty() ? 1 : log_.back().scn + 1;
+  next_scn_ = static_cast<int64_t>(index_.size()) + 1;
   return s;
 }
 
@@ -363,26 +421,28 @@ Status Binlog::recovery_status() const {
   return recovery_status_;
 }
 
-std::vector<const CommittedTransaction*> Binlog::ReadAfter(
-    int64_t from_scn, int64_t max_count) const {
+std::vector<Slice> Binlog::ReadAfter(int64_t from_scn,
+                                     int64_t max_count) const {
   MutexLock lock(&mu_);
   ++read_calls_;
-  std::vector<const CommittedTransaction*> out;
+  std::vector<Slice> out;
   // SCNs are dense starting at 1, so the offset is direct: scn N lives at
   // index N-1, and the read starts after from_scn.
-  const int64_t size = static_cast<int64_t>(log_.size());
+  const int64_t size = static_cast<int64_t>(index_.size());
   const int64_t begin = std::clamp<int64_t>(from_scn, 0, size);
   const int64_t end = begin + std::clamp<int64_t>(max_count, 0, size - begin);
   out.reserve(static_cast<size_t>(end - begin));
   for (int64_t i = begin; i < end; ++i) {
-    out.push_back(&log_[static_cast<size_t>(i)]);
+    Slice record = blocks_.Read(index_[static_cast<size_t>(i)]);
+    record.RemovePrefix(kRecordHeader);
+    out.push_back(record);
   }
   return out;
 }
 
 int64_t Binlog::LastScn() const {
   MutexLock lock(&mu_);
-  return log_.empty() ? 0 : log_.back().scn;
+  return static_cast<int64_t>(index_.size());
 }
 
 int64_t Binlog::ReadCalls() const {
@@ -392,7 +452,13 @@ int64_t Binlog::ReadCalls() const {
 
 int64_t Binlog::TransactionCount() const {
   MutexLock lock(&mu_);
-  return static_cast<int64_t>(log_.size());
+  return static_cast<int64_t>(index_.size());
+}
+
+int64_t Binlog::retained_bytes() const {
+  MutexLock lock(&mu_);
+  return blocks_.retained_bytes() +
+         static_cast<int64_t>(index_.size() * sizeof(ByteBlocks::Span));
 }
 
 Status Database::CreateTable(const std::string& table) {
@@ -461,24 +527,24 @@ int64_t Database::ReplayBinlog() {
   MutexLock commit_lock(&commit_mu_);
   int64_t applied = 0;
   // SCNs are dense from 1; pull everything the recovery scan accepted.
-  const auto transactions = binlog_.ReadAfter(0, binlog_.TransactionCount());
+  const auto records = binlog_.ReadAfter(0, binlog_.TransactionCount());
   MutexLock lock(&mu_);
-  for (const CommittedTransaction* txn : transactions) {
-    ApplyLocked(*txn);
-    applied += static_cast<int64_t>(txn->changes.size());
+  RecordView txn;
+  for (Slice record : records) {
+    // Recovery kept only records that decode, rows included.
+    if (!DecodeRecordView(record, &txn).ok()) break;
+    for (const ChangeView& change : txn.changes) {
+      auto& rows = tables_[change.table.ToString()];  // creates missing tables
+      if (change.op == Change::Op::kDelete) {
+        rows.erase(change.primary_key.ToString());
+      } else {
+        rows.insert_or_assign(change.primary_key.ToString(),
+                              DecodeRow(change.row).value());
+      }
+    }
+    applied += static_cast<int64_t>(txn.changes.size());
   }
   return applied;
-}
-
-void Database::ApplyLocked(const CommittedTransaction& txn) {
-  for (const Change& change : txn.changes) {
-    auto& rows = tables_[change.table];  // creates missing tables (replay)
-    if (change.op == Change::Op::kDelete) {
-      rows.erase(change.primary_key);
-    } else {
-      rows.insert_or_assign(change.primary_key, change.row);
-    }
-  }
 }
 
 Result<int64_t> Database::CommitChanges(std::vector<Change>* changes) {
@@ -517,19 +583,26 @@ Result<int64_t> Database::CommitChanges(std::vector<Change>* changes) {
   // Binlog first: if the durable record cannot be written, the commit fails
   // with the tables untouched — rows and binlog never disagree. (The commit
   // lock keeps other transactions from interleaving between the append and
-  // the table apply below.) The changes move into the log; everything after
-  // reads the logged transaction.
-  const auto appended = binlog_.Append(std::move(*changes));
-  changes->clear();
-  if (!appended.ok()) {
+  // the table apply below.) The log keeps the changes as its record's
+  // bytes; the tables then take each key and row by move.
+  const auto scn = binlog_.Append(*changes);
+  if (!scn.ok()) {
+    changes->clear();
     return Status::Unavailable("binlog append failed: " +
-                               appended.status().message());
+                               scn.status().message());
   }
-  const CommittedTransaction& txn = *appended.value();
-
   MutexLock lock(&mu_);
-  ApplyLocked(txn);
-  return txn.scn;
+  for (Change& change : *changes) {
+    auto& rows = tables_[change.table];
+    if (change.op == Change::Op::kDelete) {
+      rows.erase(change.primary_key);
+    } else {
+      rows.insert_or_assign(std::move(change.primary_key),
+                            std::move(change.row));
+    }
+  }
+  changes->clear();
+  return scn.value();
 }
 
 Result<Row> Database::Get(const std::string& table,

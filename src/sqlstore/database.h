@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/blocks.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/sync.h"
@@ -43,13 +44,33 @@ struct Change {
   int partition = -1;
 };
 
-/// A committed transaction in the binlog: the paper's "transaction envelope"
-/// with commit order and atomic boundaries (Section III.B: capture
-/// transaction boundaries, the commit order, and all changes).
-struct CommittedTransaction {
-  int64_t scn = 0;  // commit sequence number, dense and increasing
-  std::vector<Change> changes;
+/// One change of a logged transaction, decoded in place: its slices point
+/// into the transaction's binlog record.
+struct ChangeView {
+  Change::Op op = Change::Op::kInsert;
+  int partition = -1;
+  Slice table{};
+  Slice primary_key{};
+  /// The post-image row in its EncodeRow encoding (an empty row for a
+  /// delete).
+  Slice row{};
 };
+
+/// A committed transaction as its binlog record holds it: the paper's
+/// "transaction envelope" with commit order and atomic boundaries (Section
+/// III.B: capture transaction boundaries, the commit order, and all
+/// changes), decoded in place.
+struct RecordView {
+  int64_t scn = 0;  // commit sequence number, dense and increasing
+  std::vector<ChangeView> changes;
+};
+
+/// Decodes a binlog record body (the bytes after its length and CRC) in
+/// place into `*record`, whose change vector keeps its capacity. Corruption
+/// if the body is truncated or runs past its last change, or a field is out
+/// of range: an SCN above int64_t, an unknown op, a partition outside int,
+/// or a row that does not decode to exactly its bytes.
+Status DecodeRecordView(Slice body, RecordView* record);
 
 /// Durability knobs for the binlog (the MySQL-binlog stand-in the Databus
 /// pipeline tails, Section III.B).
@@ -96,20 +117,18 @@ class Binlog {
   Binlog() : Binlog(BinlogOptions{}) {}
   explicit Binlog(BinlogOptions options);
 
-  /// Appends a transaction, assigning the next SCN, and returns the logged
-  /// transaction. In persistent mode the encoded record reaches the file
-  /// (and, per the sync policy, stable storage) *before* the SCN is
+  /// Appends a transaction of `changes`, encoded into its record, and
+  /// returns the SCN it is assigned. In persistent mode the record reaches
+  /// the file (and, per the sync policy, stable storage) *before* the SCN is
   /// assigned; a failed persist returns the I/O error, assigns no SCN, and
   /// leaves the log exactly as it was.
-  ///
-  /// The log is append-only: every pointer Append and ReadAfter hand out
-  /// stays valid, and its transaction unchanged, for the Binlog's lifetime.
-  Result<const CommittedTransaction*> Append(std::vector<Change> changes);
+  Result<int64_t> Append(const std::vector<Change>& changes);
 
-  /// Transactions with scn > from_scn, up to max_count. `from_scn = 0`
-  /// replays from the beginning.
-  std::vector<const CommittedTransaction*> ReadAfter(int64_t from_scn,
-                                                     int64_t max_count) const;
+  /// The record bodies of the transactions with scn > from_scn, up to
+  /// max_count, for DecodeRecordView. `from_scn = 0` replays from the
+  /// beginning. The log is append-only: every body ReadAfter lends stays
+  /// valid, and its bytes unchanged, for the Binlog's lifetime.
+  std::vector<Slice> ReadAfter(int64_t from_scn, int64_t max_count) const;
 
   int64_t LastScn() const;
   int64_t TransactionCount() const;
@@ -125,17 +144,20 @@ class Binlog {
   /// are refused rather than buried behind unacknowledged bytes.
   Status recovery_status() const;
 
+  /// Bytes the record blocks and the SCN index hold.
+  int64_t retained_bytes() const;
+
   /// Number of ReadAfter calls served — the "load on the source" metric the
   /// consumer-isolation bench (E9) reports: it must not grow with the number
   /// of downstream Databus consumers.
   int64_t ReadCalls() const;
 
  private:
-  /// One staged-but-not-yet-durable transaction (group mode): promoted into
-  /// log_ when a covering group sync lands, dropped (with the file rolled
-  /// back) when the sync fails.
+  /// One staged-but-not-yet-durable transaction (group mode): indexed when
+  /// a covering group sync lands, dropped (with the file rolled back) when
+  /// the sync fails.
   struct Pending {
-    CommittedTransaction txn;
+    ByteBlocks::Span record;
     /// File offset one past this transaction's record — durable once
     /// synced_bytes_ reaches it.
     int64_t end_bytes = 0;
@@ -143,13 +165,16 @@ class Binlog {
 
   std::string FilePath() const;
   bool group_mode() const { return group_ != nullptr; }
-  /// Writes (no sync) one record, encoded into record_, advancing
-  /// persisted_bytes_; on failure rolls the file back to the last
-  /// acknowledged byte.
-  Status StageLocked(const CommittedTransaction& txn) LIDI_REQUIRES(mu_);
-  Status PersistLocked(const CommittedTransaction& txn) LIDI_REQUIRES(mu_);
+  /// Encodes the record of `changes` at next_scn_ into the blocks, past
+  /// every record before it.
+  ByteBlocks::Span EncodeLocked(const std::vector<Change>& changes)
+      LIDI_REQUIRES(mu_);
+  /// Writes (no sync) `record`, advancing persisted_bytes_; on failure
+  /// rolls the file back to the last acknowledged byte.
+  Status StageLocked(const ByteBlocks::Span& record) LIDI_REQUIRES(mu_);
+  Status PersistLocked(const ByteBlocks::Span& record) LIDI_REQUIRES(mu_);
   /// Group-commit sync body (called by the committer with mu_ free): one
-  /// covering fdatasync, then promote covered pending transactions — or, on
+  /// covering fdatasync, then index covered pending transactions — or, on
   /// failure, roll the file back to the durable frontier and drop the
   /// in-flight batch so no waiter is falsely acknowledged.
   Result<int64_t> GroupSyncNow() LIDI_EXCLUDES(mu_);
@@ -169,15 +194,16 @@ class Binlog {
   std::unique_ptr<io::GroupCommitter> group_;
 
   mutable Mutex mu_{"sqlstore.binlog"};
-  /// Acknowledged-durable transactions; scn N lives at index N-1. In group
-  /// mode a transaction sits in pending_ between its write and its covering
-  /// sync, so readers (ReadAfter / LastScn — i.e. replication) only ever see
-  /// durable commits. Append-only: a deque never moves its elements, so the
-  /// pointers handed out stay valid while later commits are appended.
-  std::deque<CommittedTransaction> log_ LIDI_GUARDED_BY(mu_);
+  /// Every record, as the file holds it. Nothing is dropped but a record
+  /// whose commit failed, which lies past every indexed one, so the bodies
+  /// ReadAfter lends stay put while later commits are appended.
+  ByteBlocks blocks_ LIDI_GUARDED_BY(mu_);
+  /// Where each acknowledged-durable transaction's record lies; scn N at
+  /// index N-1. In group mode a record sits in pending_ between its write
+  /// and its covering sync, so readers (ReadAfter / LastScn — i.e.
+  /// replication) only ever see durable commits.
+  std::deque<ByteBlocks::Span> index_ LIDI_GUARDED_BY(mu_);
   std::vector<Pending> pending_ LIDI_GUARDED_BY(mu_);
-  /// The one record buffer, reused by every write.
-  std::string record_ LIDI_GUARDED_BY(mu_);
   int64_t next_scn_ LIDI_GUARDED_BY(mu_) = 1;
   int64_t durable_scn_ LIDI_GUARDED_BY(mu_) = 0;
   /// Bytes of acknowledged records in the file (rollback target).
@@ -276,10 +302,8 @@ class Database {
   int64_t ReplayBinlog();
 
  private:
+  /// Logs `*changes`, then moves each key and row into its table.
   Result<int64_t> CommitChanges(std::vector<Change>* changes);
-  /// Applies a logged transaction's changes to the tables, copying each
-  /// post-image row in.
-  void ApplyLocked(const CommittedTransaction& txn) LIDI_REQUIRES(mu_);
 
   const std::string name_;
   /// Lock order: commit_mu_ -> mu_ -> binlog_.mu_ (Append). mu_ is never

@@ -517,9 +517,9 @@ TEST(ThreadStressTest, ReplicaBootstrappedDuringWritesHoldsEveryAckedDocument) {
 
 // ---------------------------------------------------------------------------
 // Commit capture under concurrent committers. The binlog lends each logged
-// transaction by pointer to its committer (which applies its rows from it)
-// and to the relay (which builds events from it with no lock held), while
-// other committers append to the same log.
+// record's bytes to the relay (which decodes them and builds events from
+// them with no binlog lock held), while other committers append their
+// records to the same blocks.
 // ---------------------------------------------------------------------------
 
 TEST(ThreadStressTest, CommittersAndRelayShareTheBinlog) {

@@ -451,7 +451,7 @@ TEST(EventBufferTest, FilterAndMaxEventsEndAPageWithItsTransaction) {
 // bytes its blocks and index hold, not RSS, so the test is deterministic.
 TEST(EventBufferTest, RetainedBytesFollowTheWindowNotTheStream) {
   constexpr int64_t kCapacity = 2000;
-  constexpr int64_t kBlock = static_cast<int64_t>(EventBuffer::kBlockBytes);
+  constexpr int64_t kBlock = static_cast<int64_t>(ByteBlocks::kBlockBytes);
   // Single-change transactions of one shape: ~150 encoded bytes each.
   auto feed = [](EventBuffer* buffer, int64_t events) {
     for (int64_t i = 0; i < events; ++i) {
@@ -832,6 +832,79 @@ TEST_F(DatabusTest, ReadRepliesKeepTheirWireBytes) {
             "02" "0870726f66696c6573" "026d30" "01" "01" "00" "00"
             "02" "0b636f6e6e656374696f6e73" "056d303a6d31" "00" "01" "01"
             "01" "00");
+}
+
+// Golden: every kind of change a source commits reaches "databus.read" as
+// EncodeEventList of the events it stands for — an insert, an update of a
+// wider row, a delete, and a transaction of an insert, an update and a
+// delete, under a partition function with negative and two-byte partitions.
+// Read from every SCN, and one transaction per page.
+TEST_F(DatabusTest, RelayServesGoldenEventsForEveryChangeKind) {
+  db_.SetPartitionFunction([](Slice key) {
+    return key == "m1" ? 70 : (key == "m2" ? -3 : 0);
+  });
+  ASSERT_OK(db_.Put("profiles", "m1", Row{{"name", "Ada"}}));
+  ASSERT_OK(db_.Put("profiles", "m1",
+                    Row{{"name", "Ada L"}, {"title", std::string(200, 't')}}));
+  ASSERT_OK(db_.Delete("profiles", "m1"));
+  ASSERT_OK(db_.Put("profiles", "m3", Row{{"name", "Cy"}}));
+  auto txn = db_.Begin();
+  txn.Put("profiles", "m2", Row{{"name", "Bo"}});
+  txn.Put("profiles", "m3", Row{});
+  txn.Delete("connections", "m2:m3");
+  ASSERT_OK(txn.Commit());
+  Relay relay("relay-1", &db_, &network_);
+  ASSERT_OK(relay.PollOnce());
+
+  auto event = [](int64_t scn, const char* key, Event::Op op, int partition,
+                  bool end_of_txn, const Row* row, const char* source) {
+    Event e;
+    e.scn = scn;
+    e.source = source;
+    e.key = key;
+    e.op = op;
+    e.partition = partition;
+    e.end_of_txn = end_of_txn;
+    if (row != nullptr) sqlstore::EncodeRow(*row, &e.payload);
+    return e;
+  };
+  const Row ada{{"name", "Ada"}};
+  const Row ada_l{{"name", "Ada L"}, {"title", std::string(200, 't')}};
+  const Row cy{{"name", "Cy"}};
+  const Row bo{{"name", "Bo"}};
+  const Row empty;
+  constexpr auto kUpsert = Event::Op::kUpsert;
+  constexpr auto kDelete = Event::Op::kDelete;
+  const std::vector<Event> events = {
+      event(1, "m1", kUpsert, 70, true, &ada, "profiles"),
+      event(2, "m1", kUpsert, 70, true, &ada_l, "profiles"),
+      event(3, "m1", kDelete, 70, true, nullptr, "profiles"),
+      event(4, "m3", kUpsert, 0, true, &cy, "profiles"),
+      event(5, "m2", kUpsert, -3, false, &bo, "profiles"),
+      event(5, "m3", kUpsert, 0, false, &empty, "profiles"),
+      event(5, "m2:m3", kDelete, 0, true, nullptr, "connections"),
+  };
+  for (int64_t since = 0; since <= 5; ++since) {
+    for (int64_t max_events : {1, 100}) {
+      std::vector<Event> page;
+      for (const Event& e : events) {
+        if (e.scn <= since) continue;
+        if (static_cast<int64_t>(page.size()) >= max_events &&
+            e.scn != page.back().scn) {
+          break;
+        }
+        page.push_back(e);
+      }
+      std::string request;
+      EncodeReadRequest(since, max_events, Filter{}, &request);
+      std::string expected;
+      EncodeEventList(page, &expected);
+      auto reply = network_.Call("client", "relay-1", "databus.read", request);
+      ASSERT_OK(reply);
+      EXPECT_EQ(reply.value(), expected)
+          << "since " << since << ", max_events " << max_events;
+    }
+  }
 }
 
 TEST_F(DatabusTest, RelayIsStatelessAcrossRestart) {

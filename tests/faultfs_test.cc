@@ -37,6 +37,7 @@
 #include "sqlstore/database.h"
 #include "storage/log_engine.h"
 
+#include "binlog_test_util.h"
 #include "status_test_util.h"
 
 namespace lidi {
@@ -336,13 +337,13 @@ TEST(FaultFsPropertyTest, BinlogRecoversAcknowledgedDurableCommits) {
     const int64_t last = db2.binlog().LastScn();
     EXPECT_GE(last, durable_before);  // nothing acknowledged durable is lost
     EXPECT_LE(last, static_cast<int64_t>(acked.size()));
-    const auto txns = db2.binlog().ReadAfter(0, 1 << 20);
+    const auto txns = sqlstore::Logged(db2.binlog(), 0, 1 << 20);
     ASSERT_EQ(static_cast<int64_t>(txns.size()), last);
     for (size_t i = 0; i < txns.size(); ++i) {
-      ASSERT_EQ(txns[i]->scn, static_cast<int64_t>(i) + 1);
-      ASSERT_EQ(txns[i]->changes.size(), 1u);
-      EXPECT_EQ(txns[i]->changes[0].primary_key, acked[i].first);
-      EXPECT_EQ(txns[i]->changes[0].row.at("val"), acked[i].second);
+      ASSERT_EQ(txns[i].scn, static_cast<int64_t>(i) + 1);
+      ASSERT_EQ(txns[i].changes.size(), 1u);
+      EXPECT_EQ(txns[i].changes[0].primary_key.ToString(), acked[i].first);
+      EXPECT_EQ(sqlstore::RowOf(txns[i].changes[0]).at("val"), acked[i].second);
     }
     // The sequence continues where the recovered log ends.
     ASSERT_TRUE(db2.CreateTable("t").ok());
@@ -704,15 +705,15 @@ TEST(PersistentBinlogTest, DatabaseBinlogSurvivesRestart) {
   EXPECT_TRUE(db2.binlog().recovery_status().ok());
   EXPECT_EQ(db2.binlog().LastScn(), 6);
   EXPECT_EQ(db2.binlog().DurableScn(), 6);
-  const auto txns = db2.binlog().ReadAfter(0, 100);
+  const auto txns = sqlstore::Logged(db2.binlog(), 0, 100);
   ASSERT_EQ(txns.size(), 6u);
-  EXPECT_EQ(txns[2]->changes[0].primary_key, "a2");
-  EXPECT_EQ(txns[2]->changes[0].row.at("plays"), "200");
-  ASSERT_EQ(txns[5]->changes.size(), 2u);
-  EXPECT_EQ(txns[5]->changes[0].op, sqlstore::Change::Op::kUpdate);
-  EXPECT_EQ(txns[5]->changes[0].row.at("name"), "renamed");
-  EXPECT_EQ(txns[5]->changes[1].op, sqlstore::Change::Op::kDelete);
-  EXPECT_EQ(txns[5]->changes[1].primary_key, "a4");
+  EXPECT_EQ(txns[2].changes[0].primary_key.ToString(), "a2");
+  EXPECT_EQ(sqlstore::RowOf(txns[2].changes[0]).at("plays"), "200");
+  ASSERT_EQ(txns[5].changes.size(), 2u);
+  EXPECT_EQ(txns[5].changes[0].op, sqlstore::Change::Op::kUpdate);
+  EXPECT_EQ(sqlstore::RowOf(txns[5].changes[0]).at("name"), "renamed");
+  EXPECT_EQ(txns[5].changes[1].op, sqlstore::Change::Op::kDelete);
+  EXPECT_EQ(txns[5].changes[1].primary_key.ToString(), "a4");
   // The sequence continues exactly where it left off.
   ASSERT_TRUE(db2.CreateTable("Artists").ok());
   auto next = db2.Put("Artists", "post", {{"name", "restart"}});
@@ -751,7 +752,58 @@ TEST(PersistentBinlogTest, TornTailTruncatedOnRecovery) {
             1);
   auto next = recovered.Append({});
   ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next.value()->scn, 3);
+  EXPECT_EQ(next.value(), 3);
+}
+
+// The binlog keeps each record once, as the bytes its file holds. After a
+// short write and a failed sync, inline and under group commit, the record
+// bodies it lends from memory equal those a reopened binlog reads from the
+// file, and the failed commits left nothing behind in either.
+TEST(PersistentBinlogTest, LentRecordsMatchTheFileAfterFailedWrites) {
+  auto txn = [](int i) {
+    sqlstore::Change change;
+    change.table = "t";
+    change.primary_key = "k" + std::to_string(i);
+    change.row = {{"v", std::string(static_cast<size_t>(i) * 7, 'v')}};
+    return std::vector<sqlstore::Change>{change};
+  };
+  for (bool group : {false, true}) {
+    SCOPED_TRACE(group ? "group commit" : "inline sync");
+    auto mem = io::NewMemFs();
+    io::FaultFsOptions fopts;
+    fopts.seed = 41;
+    io::FaultFs fs(mem.get(), fopts);
+    sqlstore::BinlogOptions bopts;
+    bopts.data_dir = "/db";
+    bopts.fs = &fs;
+    bopts.sync = io::SyncPolicy::kAlways;
+    bopts.group_commit = group;
+    sqlstore::Binlog binlog(bopts);
+    ASSERT_OK(binlog.Append(txn(0)));
+    ASSERT_OK(binlog.Append(txn(1)));
+    fs.SetFaultProbabilities(0, 1.0, 0);  // every write short
+    EXPECT_FALSE(binlog.Append(txn(2)).ok());
+    fs.SetFaultProbabilities(0, 0, 1.0);  // every sync fails
+    EXPECT_FALSE(binlog.Append(txn(3)).ok());
+    fs.SetFaultProbabilities(0, 0, 0);
+    for (int i = 4; i < 7; ++i) ASSERT_OK(binlog.Append(txn(i)));
+    EXPECT_EQ(binlog.LastScn(), 5);
+    EXPECT_EQ(binlog.DurableScn(), 5);
+
+    sqlstore::Binlog reopened(bopts);
+    ASSERT_OK(reopened.recovery_status());
+    const auto lent = binlog.ReadAfter(0, 100);
+    const auto read = reopened.ReadAfter(0, 100);
+    ASSERT_EQ(lent.size(), 5u);
+    ASSERT_EQ(read.size(), 5u);
+    const auto logged = sqlstore::Logged(binlog, 0, 100);
+    const char* const keys[] = {"k0", "k1", "k4", "k5", "k6"};
+    for (size_t i = 0; i < lent.size(); ++i) {
+      EXPECT_EQ(lent[i].ToString(), read[i].ToString()) << "scn " << i + 1;
+      EXPECT_EQ(logged[i].scn, static_cast<int64_t>(i) + 1);
+      EXPECT_EQ(logged[i].changes[0].primary_key.ToString(), keys[i]);
+    }
+  }
 }
 
 // Sync-policy plumbing sanity: kAlways acknowledges durability, kNever
@@ -1034,7 +1086,7 @@ TEST(FaultFsPropertyTest, GroupCommitBinlogNeverLosesAnAcknowledgedCommit) {
             auto scn = binlog.Append({change});
             if (scn.ok()) {
               MutexLock lock(&acked_mu);
-              acked[scn.value()->scn] = change.row.at("val");
+              acked[scn.value()] = change.row.at("val");
             }
           }
         });
@@ -1044,16 +1096,18 @@ TEST(FaultFsPropertyTest, GroupCommitBinlogNeverLosesAnAcknowledgedCommit) {
     ASSERT_TRUE(fs.Restart().ok());
 
     sqlstore::Binlog recovered(bopts);
-    const auto txns = recovered.ReadAfter(0, 1 << 20);
+    const auto txns = sqlstore::Logged(recovered, 0, 1 << 20);
     for (size_t i = 0; i < txns.size(); ++i) {
-      ASSERT_EQ(txns[i]->scn, static_cast<int64_t>(i) + 1)
+      ASSERT_EQ(txns[i].scn, static_cast<int64_t>(i) + 1)
           << "recovered SCNs must stay dense";
     }
     for (const auto& [scn, value] : acked) {
       ASSERT_LE(scn, static_cast<int64_t>(txns.size()))
           << "acked scn " << scn << " missing after crash";
-      ASSERT_EQ(txns[static_cast<size_t>(scn) - 1]->changes[0].row.at("val"),
-                value)
+      ASSERT_EQ(
+          sqlstore::RowOf(txns[static_cast<size_t>(scn) - 1].changes[0])
+              .at("val"),
+          value)
           << "acked scn " << scn << " corrupted after crash";
     }
   }

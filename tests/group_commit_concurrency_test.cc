@@ -32,6 +32,8 @@
 #include "obs/metrics.h"
 #include "sqlstore/database.h"
 
+#include "binlog_test_util.h"
+
 namespace lidi {
 namespace {
 
@@ -263,10 +265,10 @@ TEST(GroupCommitConcurrencyTest, BinlogCommittersKeepDenseScns) {
   constexpr int kTotal = kThreads * kCommitsPerThread;
   EXPECT_EQ(binlog.LastScn(), kTotal);
   EXPECT_EQ(binlog.DurableScn(), kTotal);  // every ack was covered by a sync
-  const auto txns = binlog.ReadAfter(0, kTotal + 1);
+  const auto txns = sqlstore::Logged(binlog, 0, kTotal + 1);
   ASSERT_EQ(static_cast<int>(txns.size()), kTotal);
   for (int i = 0; i < kTotal; ++i) {
-    ASSERT_EQ(txns[static_cast<size_t>(i)]->scn, i + 1)
+    ASSERT_EQ(txns[static_cast<size_t>(i)].scn, i + 1)
         << "SCNs must stay dense under concurrent group commit";
   }
 

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/clock.h"
+#include "common/coding.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "kafka/audit.h"
@@ -755,6 +756,79 @@ TEST_F(KafkaClusterTest, TornProduceIsRejectedAndPartitionStaysUsable) {
   EXPECT_EQ(message.payload, "next message");
   EXPECT_FALSE(it.Next(&message));
   EXPECT_TRUE(it.status().ok());
+}
+
+// A produce naming a partition outside int is Corruption. The decoder used
+// to cast it, so partition 2^32 was appended to partition 0 with an OK reply
+// at offset 0.
+TEST_F(KafkaClusterTest, ProduceToAPartitionOutsideIntIsCorruption) {
+  StartCluster();
+  Broker& broker = *brokers_[0];
+  MessageSetBuilder builder;
+  builder.Add("stray");
+  std::string request;
+  PutLengthPrefixed(&request, "activity");
+  PutVarint64(&request, uint64_t{1} << 32);
+  PutLengthPrefixed(&request, builder.Build());
+  auto reply =
+      network_.Call("client", broker.address(), "kafka.produce", request);
+  EXPECT_EQ(reply.status().code(), Code::kCorruption)
+      << reply.status().ToString();
+  EXPECT_EQ(broker.GetLog("activity", 0)->end_offset(), 0);
+}
+
+// Fetch fields wider than their types are Corruption: a partition above
+// int, and an offset or max_bytes above int64_t, which used to turn
+// negative.
+TEST_F(KafkaClusterTest, FetchFieldsOutsideTheirTypesAreCorruption) {
+  StartCluster();
+  Broker& broker = *brokers_[0];
+  MessageSetBuilder builder;
+  builder.Add("kept");
+  ASSERT_OK(broker.Produce("activity", 0, builder.Build()));
+  const uint64_t kPartition = uint64_t{1} << 32;
+  const uint64_t kBeyondInt64 = uint64_t{1} << 63;
+  const struct {
+    uint64_t partition, offset, max_bytes;
+  } requests[] = {
+      {kPartition, 0, 1 << 20},
+      {0, kBeyondInt64, 1 << 20},
+      {0, 0, kBeyondInt64},
+  };
+  for (const auto& fields : requests) {
+    std::string request;
+    PutLengthPrefixed(&request, "activity");
+    PutVarint64(&request, fields.partition);
+    PutVarint64(&request, fields.offset);
+    PutVarint64(&request, fields.max_bytes);
+    auto reply =
+        network_.Call("client", broker.address(), "kafka.fetch", request);
+    EXPECT_EQ(reply.status().code(), Code::kCorruption)
+        << fields.partition << " " << fields.offset << " " << fields.max_bytes
+        << ": " << reply.status().ToString();
+  }
+}
+
+// A fetch whose byte budget is far beyond the log gathers what the log
+// holds. ReadPinned used to reserve max_bytes before it gathered across
+// chunks, so max_bytes 2^62 threw std::bad_alloc out of the handler.
+TEST_F(KafkaClusterTest, FetchWithAHugeByteBudgetGathersOnlyTheLog) {
+  StartCluster();
+  Broker& broker = *brokers_[0];
+  std::string log_bytes;
+  for (const char* payload : {"one", "two", "three"}) {
+    MessageSetBuilder builder;
+    builder.Add(payload);
+    const std::string set = builder.Build();
+    ASSERT_OK(broker.Produce("activity", 0, set));
+    log_bytes += set;
+  }
+  std::string request;
+  EncodeFetchRequest("activity", 0, 0, int64_t{1} << 62, &request);
+  auto reply =
+      network_.Call("client", broker.address(), "kafka.fetch", request);
+  ASSERT_OK(reply);
+  EXPECT_EQ(reply.value(), log_bytes);
 }
 
 /// Bytes appended to the broker's partitions of "activity".

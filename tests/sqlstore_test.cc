@@ -6,11 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "common/blocks.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "io/file.h"
 #include "sqlstore/database.h"
 
+#include "binlog_test_util.h"
 #include "status_test_util.h"
 
 namespace lidi::sqlstore {
@@ -83,12 +85,12 @@ TEST(DatabaseTest, TransactionIsAtomicInBinlog) {
   auto scn = txn.Commit();
   ASSERT_TRUE(scn.ok());
 
-  const auto txns = db.binlog().ReadAfter(0, 100);
+  const auto txns = Logged(db.binlog(), 0, 100);
   ASSERT_EQ(txns.size(), 1u);
-  EXPECT_EQ(txns[0]->scn, scn.value());
-  ASSERT_EQ(txns[0]->changes.size(), 2u);
-  EXPECT_EQ(txns[0]->changes[0].table, "mailbox");
-  EXPECT_EQ(txns[0]->changes[1].table, "unread_count");
+  EXPECT_EQ(txns[0].scn, scn.value());
+  ASSERT_EQ(txns[0].changes.size(), 2u);
+  EXPECT_EQ(txns[0].changes[0].table.ToString(), "mailbox");
+  EXPECT_EQ(txns[0].changes[1].table.ToString(), "unread_count");
 }
 
 TEST(DatabaseTest, BinlogPreservesCommitOrder) {
@@ -97,10 +99,10 @@ TEST(DatabaseTest, BinlogPreservesCommitOrder) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(db.Put("t", "k" + std::to_string(i), Row{}).ok());
   }
-  const auto txns = db.binlog().ReadAfter(0, 1000);
+  const auto txns = Logged(db.binlog(), 0, 1000);
   ASSERT_EQ(txns.size(), 50u);
   for (size_t i = 1; i < txns.size(); ++i) {
-    EXPECT_EQ(txns[i]->scn, txns[i - 1]->scn + 1) << "SCNs must be dense";
+    EXPECT_EQ(txns[i].scn, txns[i - 1].scn + 1) << "SCNs must be dense";
   }
   EXPECT_EQ(db.binlog().LastScn(), 50);
 }
@@ -109,10 +111,10 @@ TEST(DatabaseTest, BinlogReplayableFromAnyScn) {
   Database db("d");
   ASSERT_OK(db.CreateTable("t"));
   for (int i = 0; i < 20; ++i) ASSERT_OK(db.Put("t", "k" + std::to_string(i), Row{}));
-  auto tail = db.binlog().ReadAfter(15, 100);
+  auto tail = Logged(db.binlog(), 15, 100);
   ASSERT_EQ(tail.size(), 5u);
-  EXPECT_EQ(tail[0]->scn, 16);
-  auto limited = db.binlog().ReadAfter(0, 3);
+  EXPECT_EQ(tail[0].scn, 16);
+  auto limited = Logged(db.binlog(), 0, 3);
   ASSERT_EQ(limited.size(), 3u);
 }
 
@@ -122,11 +124,11 @@ TEST(DatabaseTest, InsertVsUpdateOpResolved) {
   ASSERT_OK(db.Put("t", "k", Row{{"v", "1"}}));
   ASSERT_OK(db.Put("t", "k", Row{{"v", "2"}}));
   ASSERT_OK(db.Delete("t", "k"));
-  const auto txns = db.binlog().ReadAfter(0, 10);
+  const auto txns = Logged(db.binlog(), 0, 10);
   ASSERT_EQ(txns.size(), 3u);
-  EXPECT_EQ(txns[0]->changes[0].op, Change::Op::kInsert);
-  EXPECT_EQ(txns[1]->changes[0].op, Change::Op::kUpdate);
-  EXPECT_EQ(txns[2]->changes[0].op, Change::Op::kDelete);
+  EXPECT_EQ(txns[0].changes[0].op, Change::Op::kInsert);
+  EXPECT_EQ(txns[1].changes[0].op, Change::Op::kUpdate);
+  EXPECT_EQ(txns[2].changes[0].op, Change::Op::kDelete);
 }
 
 // A change resolves against the table as the transaction's own earlier
@@ -147,10 +149,10 @@ TEST(DatabaseTest, OpsResolveAgainstEarlierChangesOfTheSameTransaction) {
   const std::vector<Change::Op> expected = {
       Change::Op::kInsert, Change::Op::kUpdate, Change::Op::kInsert,
       Change::Op::kDelete, Change::Op::kInsert};
-  const auto txns = db.binlog().ReadAfter(1, 10);
+  const auto txns = Logged(db.binlog(), 1, 10);
   ASSERT_EQ(txns.size(), 1u);
   std::vector<Change::Op> logged;
-  for (const Change& change : txns[0]->changes) logged.push_back(change.op);
+  for (const ChangeView& change : txns[0].changes) logged.push_back(change.op);
   EXPECT_EQ(logged, expected);
   EXPECT_EQ(db.Get("t", "new").value().at("v"), "2");
   EXPECT_EQ(db.Get("u", "new").value().at("v"), "3");
@@ -164,9 +166,9 @@ TEST(DatabaseTest, PartitionFunctionStampsChanges) {
     return static_cast<int>(Fnv1a64(key) % 8);
   });
   ASSERT_OK(db.Put("t", "some-key", Row{}));
-  const auto txns = db.binlog().ReadAfter(0, 10);
+  const auto txns = Logged(db.binlog(), 0, 10);
   const int expected = static_cast<int>(Fnv1a64("some-key") % 8);
-  EXPECT_EQ(txns[0]->changes[0].partition, expected);
+  EXPECT_EQ(txns[0].changes[0].partition, expected);
 }
 
 TEST(DatabaseTest, ScanIteratesInKeyOrder) {
@@ -203,9 +205,27 @@ std::string Bytes(std::initializer_list<int> bytes) {
   return out;
 }
 
-// The on-disk record, laid out by hand from the format comment in
-// database.cc: fixed32 body length, fixed32 CRC-32 of the body, then the
-// body. The CRC is Python's zlib.crc32 of the 31 body bytes.
+// The on-disk record of the transaction GoldenRecordBytes commits, laid out
+// by hand from the format comment in database.cc: fixed32 body length,
+// fixed32 CRC-32 of the body, then the body. The CRC is Python's zlib.crc32
+// of the 31 body bytes.
+std::string GoldenRecord() {
+  return Bytes({
+      0x1f, 0x00, 0x00, 0x00,  // body length 31
+      0xa1, 0xfd, 0x32, 0xbb,  // CRC-32 0xbb32fda1
+      0x01,                    // varint scn 1
+      0x02,                    // varint change count 2
+      // insert, zigzag partition 3, LP "t", LP "k1"
+      0x00, 0x06, 0x01, 't', 0x02, 'k', '1',
+      // LP row, 11 bytes: 2 columns, LP "a" LP "x", LP "bc" LP "yz"
+      0x0b, 0x02, 0x01, 'a', 0x01, 'x', 0x02, 'b', 'c', 0x02, 'y', 'z',
+      // delete, zigzag partition 70 (two-byte varint 140), LP "t", LP "k2"
+      0x02, 0x8c, 0x01, 0x01, 't', 0x02, 'k', '2',
+      // LP row, 1 byte: 0 columns
+      0x01, 0x00,
+  });
+}
+
 TEST(BinlogTest, GoldenRecordBytes) {
   auto fs = io::NewMemFs();
   BinlogOptions options;
@@ -222,21 +242,110 @@ TEST(BinlogTest, GoldenRecordBytes) {
 
   std::string file;
   ASSERT_OK(fs->ReadFile("/db/binlog.seg", &file));
-  const std::string expected = Bytes({
-      0x1f, 0x00, 0x00, 0x00,  // body length 31
-      0xa1, 0xfd, 0x32, 0xbb,  // CRC-32 0xbb32fda1
-      0x01,                    // varint scn 1
-      0x02,                    // varint change count 2
-      // insert, zigzag partition 3, LP "t", LP "k1"
-      0x00, 0x06, 0x01, 't', 0x02, 'k', '1',
-      // LP row, 11 bytes: 2 columns, LP "a" LP "x", LP "bc" LP "yz"
-      0x0b, 0x02, 0x01, 'a', 0x01, 'x', 0x02, 'b', 'c', 0x02, 'y', 'z',
-      // delete, zigzag partition 70 (two-byte varint 140), LP "t", LP "k2"
-      0x02, 0x8c, 0x01, 0x01, 't', 0x02, 'k', '2',
-      // LP row, 1 byte: 0 columns
-      0x01, 0x00,
-  });
-  EXPECT_EQ(file, expected);
+  EXPECT_EQ(file, GoldenRecord());
+}
+
+// The golden body decodes in place to its transaction; every truncation of
+// it is Corruption, and seeded byte flips give Corruption or a view that
+// lies inside the body, with an op in range and rows that decode — never a
+// crash (check.sh runs this under ASan+UBSan). Each input is its own heap
+// copy, so a read past its end is caught. Replay one seed with
+// LIDI_BINLOG_SEED=<seed>.
+TEST(BinlogTest, DamagedGoldenBodiesDecodeToCorruptionOrAValidView) {
+  const std::string body = GoldenRecord().substr(8);
+  RecordView view;
+  ASSERT_OK(DecodeRecordView(body, &view));
+  EXPECT_EQ(view.scn, 1);
+  ASSERT_EQ(view.changes.size(), 2u);
+  EXPECT_EQ(view.changes[0].op, Change::Op::kInsert);
+  EXPECT_EQ(view.changes[0].partition, 3);
+  EXPECT_EQ(view.changes[0].table.ToString(), "t");
+  EXPECT_EQ(view.changes[0].primary_key.ToString(), "k1");
+  EXPECT_EQ(RowOf(view.changes[0]), (Row{{"a", "x"}, {"bc", "yz"}}));
+  EXPECT_EQ(view.changes[1].op, Change::Op::kDelete);
+  EXPECT_EQ(view.changes[1].partition, 70);
+  EXPECT_EQ(view.changes[1].primary_key.ToString(), "k2");
+  EXPECT_TRUE(RowOf(view.changes[1]).empty());
+
+  for (size_t n = 0; n < body.size(); ++n) {
+    const std::string cut = body.substr(0, n);
+    EXPECT_EQ(DecodeRecordView(cut, &view).code(), Code::kCorruption)
+        << "truncated to " << n << " bytes";
+  }
+
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("LIDI_BINLOG_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    for (uint64_t seed = 1; seed <= 2000; ++seed) seeds.push_back(seed);
+  }
+  int decoded = 0;
+  for (uint64_t seed : seeds) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Random rng(seed);
+    std::string bytes = body;
+    for (uint64_t n = 1 + rng.Uniform(4); n > 0; --n) {
+      bytes[rng.Uniform(bytes.size())] ^=
+          static_cast<char>(1 + rng.Uniform(255));
+    }
+    const Status s = DecodeRecordView(bytes, &view);
+    if (!s.ok()) {
+      EXPECT_EQ(s.code(), Code::kCorruption) << s.ToString();
+      continue;
+    }
+    ++decoded;
+    auto inside = [&bytes](Slice part) {
+      return part.data() >= bytes.data() &&
+             part.data() + part.size() <= bytes.data() + bytes.size();
+    };
+    for (const ChangeView& change : view.changes) {
+      EXPECT_LE(static_cast<int>(change.op),
+                static_cast<int>(Change::Op::kDelete));
+      EXPECT_TRUE(inside(change.table));
+      EXPECT_TRUE(inside(change.primary_key));
+      EXPECT_TRUE(inside(change.row));
+      EXPECT_OK(DecodeRow(change.row));
+    }
+  }
+  // Flips inside the keys and values leave a valid view.
+  EXPECT_GT(decoded, 0);
+}
+
+// The binlog keeps each commit once, as its record bytes: N single-row
+// commits retain their records and one index entry each, plus the unused
+// tail of each full block (less than one record) and one block. It counts
+// the bytes its blocks and index hold, not RSS, so the test is
+// deterministic.
+TEST(BinlogTest, RetainedBytesAreTheRecordsAndOneIndexEntryEach) {
+  constexpr int64_t kCommits = 20000;
+  constexpr int64_t kBlock = static_cast<int64_t>(ByteBlocks::kBlockBytes);
+  constexpr int64_t kIndexEntry = sizeof(ByteBlocks::Span);
+  const std::string path = "/db/binlog.seg";
+  auto fs = io::NewMemFs();
+  BinlogOptions options;
+  options.data_dir = "/db";
+  options.fs = fs.get();
+  Database db("d", options);
+  ASSERT_OK(db.CreateTable("profiles"));
+  EXPECT_EQ(db.binlog().retained_bytes(), 0);
+  int64_t largest_record = 0;  // the last: its SCN varint is the longest
+  for (int64_t i = 0; i < kCommits; ++i) {
+    auto before = fs->FileSize(path);
+    ASSERT_OK(db.Put("profiles", "member:" + std::to_string(10000 + i % 1000),
+                     Row{{"name", "member"}, {"headline", std::string(96, 'h')}}));
+    auto after = fs->FileSize(path);
+    ASSERT_OK(after);
+    largest_record = after.value() - (before.ok() ? before.value() : 0);
+  }
+  auto records = fs->FileSize(path);
+  ASSERT_OK(records);
+  const int64_t retained = db.binlog().retained_bytes();
+  const int64_t kept = records.value() + kCommits * kIndexEntry;
+  EXPECT_GE(retained, kept);
+  const int64_t full_blocks = records.value() / (kBlock - largest_record);
+  EXPECT_LE(retained, kept + full_blocks * largest_record + kBlock)
+      << records.value() << " B of records, the largest " << largest_record
+      << " B";
 }
 
 // The key of the commit with scn i + 1 in the recovery harness.
@@ -329,13 +438,13 @@ TEST(BinlogRecoveryTest, SeededMutatedFilesKeepADenseCleanPrefix) {
       Database db("d", options);
       recovered = db.binlog().LastScn();
       EXPECT_EQ(recovered, clean);
-      const auto txns = db.binlog().ReadAfter(0, kCommits + 1);
+      const auto txns = Logged(db.binlog(), 0, kCommits + 1);
       ASSERT_EQ(static_cast<int64_t>(txns.size()), recovered);
       for (int64_t i = 0; i < recovered; ++i) {
-        ASSERT_EQ(txns[i]->scn, i + 1);
-        ASSERT_EQ(txns[i]->changes.size(), 1u);
-        EXPECT_EQ(txns[i]->changes[0].primary_key, KeyOf(i));
-        EXPECT_EQ(txns[i]->changes[0].row.at("v"), values[i]);
+        ASSERT_EQ(txns[i].scn, i + 1);
+        ASSERT_EQ(txns[i].changes.size(), 1u);
+        EXPECT_EQ(txns[i].changes[0].primary_key.ToString(), KeyOf(i));
+        EXPECT_EQ(RowOf(txns[i].changes[0]).at("v"), values[i]);
       }
       ASSERT_OK(db.CreateTable("t"));
       auto next = db.Put("t", "next", Row{{"v", "after"}});
