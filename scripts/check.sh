@@ -4,7 +4,9 @@
 #
 # Stages:
 #   1. Configure with -DLIDI_LOCK_ORDER=ON, so every test runs under the
-#      runtime lock-order registry.
+#      runtime lock-order registry, and with CMake's
+#      -DCMAKE_COMPILE_WARNING_AS_ERROR=ON (CMake >= 3.24), so the build
+#      stage fails when the compiler prints a warning.
 #   2. Lint, before anything compiles: scripts/lidi_check.py, the one lint
 #      entry point. Its eight checks (must-check, sim-determinism,
 #      tsa-coverage, raw-locks, stream-io, tsa-escape, sync-choke-point,
@@ -70,13 +72,14 @@ if [ "${1:-}" = "sweep" ]; then
   exit 0
 fi
 
-say "configure (LIDI_LOCK_ORDER=ON)"
-cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLIDI_LOCK_ORDER=ON
+say "configure (LIDI_LOCK_ORDER=ON, warnings as errors)"
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLIDI_LOCK_ORDER=ON \
+      -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 say "lint (lidi-check, pre-build)"
 python3 scripts/lidi_check.py
 
-say "build"
+say "build (warnings are errors)"
 cmake --build build -j"$JOBS"
 
 say "tests"

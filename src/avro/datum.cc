@@ -157,7 +157,14 @@ std::string Datum::ToString() const {
     case Type::kFloat:
     case Type::kDouble: return std::to_string(double_);
     case Type::kString: return json::Quote(str_);
-    case Type::kBytes: return "<" + std::to_string(str_.size()) + " bytes>";
+    case Type::kBytes: {
+      // Appending, not "<" + std::to_string(...): GCC 12 at -O3 reports a
+      // false -Wrestrict overlap in the prepending operator+.
+      std::string out = "<";
+      out += std::to_string(str_.size());
+      out += " bytes>";
+      return out;
+    }
     case Type::kEnum: return str_;
     case Type::kArray: {
       std::string out = "[";

@@ -125,6 +125,15 @@ Status FaultFs::ReadFile(const std::string& path, std::string* out) {
   return base_->ReadFile(path, out);
 }
 
+Status FaultFs::ReadRange(const std::string& path, int64_t offset,
+                          int64_t size, std::string* out) {
+  {
+    MutexLock lock(&mu_);
+    if (crashed_) return CrashedError();
+  }
+  return base_->ReadRange(path, offset, size, out);
+}
+
 Result<std::vector<std::string>> FaultFs::ListDir(const std::string& path) {
   {
     MutexLock lock(&mu_);

@@ -52,6 +52,8 @@ class FaultFs : public Fs {
   Result<std::unique_ptr<WritableFile>> OpenAppend(
       const std::string& path) override;
   Status ReadFile(const std::string& path, std::string* out) override;
+  Status ReadRange(const std::string& path, int64_t offset, int64_t size,
+                   std::string* out) override;
   Result<std::vector<std::string>> ListDir(const std::string& path) override;
   Status CreateDirs(const std::string& path) override;
   Status RemoveFile(const std::string& path) override;

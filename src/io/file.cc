@@ -104,6 +104,42 @@ class PosixFs : public Fs {
     return Status::OK();
   }
 
+  Status ReadRange(const std::string& path, int64_t offset, int64_t size,
+                   std::string* out) override {
+    out->clear();
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return Status::IOError(ErrnoMessage("open " + path));
+    // Size the buffer by what the file holds past `offset`, not by the
+    // request alone.
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      const Status s = Status::IOError(ErrnoMessage("fstat " + path));
+      ::close(fd);
+      return s;
+    }
+    const int64_t left =
+        std::max<int64_t>(0, static_cast<int64_t>(st.st_size) - offset);
+    out->resize(static_cast<size_t>(std::clamp<int64_t>(size, 0, left)));
+    size_t have = 0;
+    while (have < out->size()) {
+      const ssize_t n = ::pread(fd, out->data() + have, out->size() - have,
+                                static_cast<off_t>(offset) +
+                                    static_cast<off_t>(have));
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        const Status s = Status::IOError(ErrnoMessage("pread " + path));
+        ::close(fd);
+        out->clear();
+        return s;
+      }
+      if (n == 0) break;  // end of file
+      have += static_cast<size_t>(n);
+    }
+    ::close(fd);
+    out->resize(have);
+    return Status::OK();
+  }
+
   Result<std::vector<std::string>> ListDir(const std::string& path) override {
     namespace fs = std::filesystem;
     std::error_code ec;
@@ -220,6 +256,17 @@ class MemFs : public Fs {
     return Status::OK();
   }
 
+  Status ReadRange(const std::string& path, int64_t offset, int64_t size,
+                   std::string* out) override {
+    MutexLock lock(&mu_);
+    auto it = files_.find(NormalizePath(path));
+    if (it == files_.end()) return Status::IOError("no such file " + path);
+    const std::string& data = it->second;
+    const size_t begin = std::min(static_cast<size_t>(offset), data.size());
+    out->assign(data, begin, static_cast<size_t>(size));
+    return Status::OK();
+  }
+
   Result<std::vector<std::string>> ListDir(const std::string& path) override {
     const std::string dir = NormalizePath(path);
     MutexLock lock(&mu_);
@@ -295,6 +342,17 @@ Status MemWritableFile::Append(Slice data, int64_t* accepted) {
 }
 
 }  // namespace
+
+Status Fs::ReadRange(const std::string& path, int64_t offset, int64_t size,
+                     std::string* out) {
+  std::string data;
+  Status s = ReadFile(path, &data);
+  out->clear();
+  if (!s.ok()) return s;
+  const size_t begin = std::min(static_cast<size_t>(offset), data.size());
+  out->assign(data, begin, static_cast<size_t>(size));
+  return Status::OK();
+}
 
 const char* SyncPolicyName(SyncPolicy policy) {
   switch (policy) {

@@ -60,6 +60,14 @@ class Fs {
   /// Reads the whole file into *out.
   virtual Status ReadFile(const std::string& path, std::string* out) = 0;
 
+  /// Reads up to `size` bytes of the file starting at byte `offset` into
+  /// *out, replacing its contents. Fewer bytes, or none, come back only
+  /// where the file ends first; a missing file is an error. This default
+  /// reads the whole file and slices it; the filesystems here override it
+  /// with a read of just the range.
+  virtual Status ReadRange(const std::string& path, int64_t offset,
+                           int64_t size, std::string* out);
+
   /// Names (not paths) of the entries directly inside `path`, sorted.
   virtual Result<std::vector<std::string>> ListDir(const std::string& path) = 0;
 

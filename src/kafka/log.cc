@@ -7,6 +7,7 @@
 
 #include "common/coding.h"
 #include "common/hash.h"
+#include "kafka/message.h"
 
 namespace lidi::kafka {
 
@@ -43,36 +44,42 @@ void PartitionLog::RecoverFromDiskLocked() {
   }
   std::sort(bases.begin(), bases.end());
   bool seal_last_segment = false;
+  size_t first_aside = bases.size();  // the files recovery sets aside
   for (size_t bi = 0; bi < bases.size(); ++bi) {
     const int64_t base = bases[bi];
-    seal_last_segment = false;
+    if (!segments_.empty() &&
+        base != segments_.back().base_offset + segments_.back().sealed_bytes) {
+      // The offset space stays dense: this file does not start where the
+      // recovered log ends, because a torn or missing file lies between.
+      // Serving it would leave a hole every consumer stalls at, and the
+      // next append would land past the hole. Stop here, as Kafka's own
+      // recovery does; a power loss cuts only unsynced bytes, so nothing
+      // below durable_end_offset() is dropped.
+      Inc(torn_truncations_);
+      first_aside = bi;
+      break;
+    }
     std::string data;
     Status read_status = fs_->ReadFile(SegmentPath(base), &data);
     if (!read_status.ok()) {
-      // An unreadable segment is a hole in the offset space: recovering
-      // anything beyond it would serve wrong bytes at those offsets. Stop
-      // here, surface the error, and rename this and every later segment
-      // file aside so a growing log can never append into them.
+      // An unreadable segment is a hole in the offset space too, and one
+      // recovery cannot explain: surface the error as well.
       if (recovery_status_.ok()) recovery_status_ = read_status;
-      for (size_t j = bi; j < bases.size(); ++j) {
-        Status renamed = fs_->RenameFile(SegmentPath(bases[j]),
-                                         SegmentPath(bases[j]) + ".orphan");
-        if (!renamed.ok()) {
-          // The quarantine failed and the stale file keeps its live name:
-          // once the log grows back to this base offset, OpenAppend
-          // (O_APPEND, no truncate) would write after the stale bytes.
-          // Emptying the file defuses that; if even that fails the log is
-          // already marked unhealthy by recovery_status_ above.
-          // discard-ok: double failure, recovery_status_ is already non-OK.
-          (void)fs_->TruncateFile(SegmentPath(bases[j]), 0);
-        }
-      }
+      first_aside = bi;
       break;
     }
+    if (data.empty() && segments_.empty() && bi + 1 < bases.size()) {
+      // A janitor that cannot unlink an expired file empties it instead;
+      // such a file ahead of the log holds no offsets.
+      continue;
+    }
+    seal_last_segment = false;
     // Keep only the prefix of complete, CRC-valid entries. The length
     // prefix alone is not proof of integrity — torn garbage can parse as a
     // plausible length — so validate each entry's payload CRC (the wire
-    // format carries one per message, message.h).
+    // format carries one per message, message.h). The CRC does not cover
+    // the attributes byte, so an entry must also decode under the codec
+    // that byte names.
     int64_t good = 0;
     Slice scan(data);
     while (scan.size() >= 4) {
@@ -82,8 +89,13 @@ void PartitionLog::RecoverFromDiskLocked() {
       const uint32_t crc = DecodeFixed32(scan.data() + 5);
       const Slice payload(scan.data() + 9, length - 5);
       if (Crc32(payload) != crc) break;  // plausible length, corrupt bytes
-      scan.RemovePrefix(4 + length);
-      good += 4 + static_cast<int64_t>(length);
+      const Slice entry(scan.data(), 4 + static_cast<size_t>(length));
+      if (static_cast<CompressionCodec>(scan[4]) != CompressionCodec::kNone &&
+          !CountMessages(entry).ok()) {
+        break;
+      }
+      scan.RemovePrefix(entry.size());
+      good += static_cast<int64_t>(entry.size());
     }
     if (good < static_cast<int64_t>(data.size())) {
       data.resize(static_cast<size_t>(good));
@@ -108,6 +120,20 @@ void PartitionLog::RecoverFromDiskLocked() {
     segment.last_append_ms = clock_->NowMillis();
     if (good > 0) segment.sealed.push_back(WrapBuffer(std::move(data)));
     segments_.push_back(std::move(segment));
+    ReleaseRolledChunksLocked();  // only the newest segment stays in memory
+  }
+  // Rename every file past the hole aside ("<name>.orphan"), so a growing
+  // log can never append into them.
+  for (size_t j = first_aside; j < bases.size(); ++j) {
+    const std::string path = SegmentPath(bases[j]);
+    Status renamed = fs_->RenameFile(path, path + ".orphan");
+    // Failing that, the stale file keeps its live name: once the log grows
+    // back to this base offset, OpenAppend (O_APPEND, no truncate) would
+    // write after the stale bytes. Emptying the file defuses that.
+    if (!renamed.ok() && !fs_->TruncateFile(path, 0).ok() &&
+        recovery_status_.ok()) {
+      recovery_status_ = renamed;
+    }
   }
   if (segments_.empty()) {
     Segment segment;
@@ -122,6 +148,7 @@ void PartitionLog::RecoverFromDiskLocked() {
           segments_.back().base_offset + segments_.back().sealed_bytes;
       fresh.last_append_ms = clock_->NowMillis();
       segments_.push_back(std::move(fresh));
+      ReleaseRolledChunksLocked();
     }
     // Everything recovered from disk is flushed and crash-durable.
     const int64_t recovered_end = segments_.back().base_offset +
@@ -280,6 +307,7 @@ PartitionLog::PartitionLog(LogOptions options, const Clock* clock)
 /// segment into per-entry chunks nor degenerate into quadratic copying.
 void PartitionLog::SealTailLocked(Segment* segment) {
   if (segment->tail.empty()) return;
+  segment->sealed_bytes += static_cast<int64_t>(segment->tail.size());
   std::string chunk_data = std::move(segment->tail);
   segment->tail.clear();
   while (!segment->sealed.empty() &&
@@ -294,11 +322,19 @@ void PartitionLog::SealTailLocked(Segment* segment) {
     segment->sealed.pop_back();
   }
   segment->sealed.push_back(WrapBuffer(std::move(chunk_data)));
-  int64_t total = 0;
-  for (const BufferRef& c : segment->sealed) {
-    total += static_cast<int64_t>(c->size());
+}
+
+void PartitionLog::ReleaseRolledChunksLocked() {
+  if (fs_ == nullptr) return;  // in-memory mode: the chunks are the log
+  // Segments persist in order, so they release in order: the scan back
+  // from the active segment stops at the first one already released.
+  for (size_t i = segments_.size() - 1; i-- > 0;) {
+    Segment& segment = segments_[i];
+    if (segment.sealed.empty()) break;
+    if (segment.persisted_bytes == segment.sealed_bytes) {
+      segment.sealed.clear();
+    }
   }
-  segment->sealed_bytes = total;
 }
 
 void PartitionLog::PublishSnapshotLocked() {
@@ -309,7 +345,8 @@ void PartitionLog::PublishSnapshotLocked() {
     // Reuse the previous snapshot's ReaderSegment when the segment's sealed
     // chunk list is unchanged (same base, same chunk count and total) —
     // the common case for all but the tail segment. The previous snapshot
-    // is sorted by base_offset, so a binary search finds the candidate.
+    // is sorted by base_offset, so a binary search finds the candidate. A
+    // segment that released its chunks changes its count.
     std::shared_ptr<const ReaderSegment> reuse;
     if (previous) {
       auto it = std::lower_bound(
@@ -320,8 +357,7 @@ void PartitionLog::PublishSnapshotLocked() {
       if (it != previous->end() &&
           (*it)->base_offset == segment.base_offset &&
           (*it)->chunks.size() == segment.sealed.size() &&
-          ((*it)->chunk_end.empty() ? 0 : (*it)->chunk_end.back()) ==
-              segment.sealed_bytes) {
+          (*it)->bytes == segment.sealed_bytes) {
         reuse = *it;
       }
     }
@@ -331,6 +367,7 @@ void PartitionLog::PublishSnapshotLocked() {
     }
     auto rs = std::make_shared<ReaderSegment>();
     rs->base_offset = segment.base_offset;
+    rs->bytes = segment.sealed_bytes;
     rs->chunks = segment.sealed;
     rs->chunk_end.reserve(segment.sealed.size());
     int64_t end = 0;
@@ -392,6 +429,7 @@ void PartitionLog::FlushLocked() {
   for (Segment& segment : segments_) SealTailLocked(&segment);
   unflushed_messages_ = 0;
   PersistSealedLocked();
+  ReleaseRolledChunksLocked();
   // Publish order matters for the lock-free readers: snapshot first, then
   // the frontier, so a reader that sees the new frontier is guaranteed a
   // snapshot containing every chunk below it.
@@ -528,8 +566,32 @@ Result<int64_t> PartitionLog::GroupSyncNow() {
   return durable;
 }
 
+namespace {
+
+/// Bytes of the whole entries at the front of data[0, size): at most
+/// max_bytes of them, but at least the first entry when it fits `size`.
+int64_t WholeEntries(const char* data, int64_t size, int64_t max_bytes) {
+  int64_t take = 0;
+  while (take + 4 <= size) {
+    const int64_t entry = 4 + static_cast<int64_t>(DecodeFixed32(data + take));
+    if (take + entry > size) break;
+    if (take > 0 && take + entry > max_bytes) break;
+    take += entry;
+    if (take >= max_bytes) break;
+  }
+  return take;
+}
+
+Status NotAnEntry() {
+  return Status::InvalidArgument(
+      "offset not at an entry boundary or entry exceeds visible region");
+}
+
+}  // namespace
+
 Result<PinnedSlice> PartitionLog::ReadPinnedChunk(int64_t offset,
-                                                  int64_t max_bytes) const {
+                                                  int64_t max_bytes,
+                                                  int64_t* copied) const {
   // Load the frontier before the snapshot (writers store in the opposite
   // order), so the snapshot covers everything below the frontier we serve.
   const int64_t flushed_end = flushed_end_.load();
@@ -555,9 +617,12 @@ Result<PinnedSlice> PartitionLog::ReadPinnedChunk(int64_t offset,
   const ReaderSegment& segment = **it;
   const int64_t pos = offset - segment.base_offset;
   const int64_t segment_visible =
-      std::min(segment.chunk_end.empty() ? 0 : segment.chunk_end.back(),
-               flushed_end - segment.base_offset);
+      std::min(segment.bytes, flushed_end - segment.base_offset);
   if (pos >= segment_visible) return PinnedSlice();
+  if (segment.chunks.empty()) {
+    return ReadRolled(segment.base_offset, pos, segment_visible, max_bytes,
+                      copied);
+  }
   // Locate the chunk holding pos: first chunk whose end exceeds it.
   const size_t chunk_index = static_cast<size_t>(
       std::upper_bound(segment.chunk_end.begin(), segment.chunk_end.end(),
@@ -573,27 +638,63 @@ Result<PinnedSlice> PartitionLog::ReadPinnedChunk(int64_t offset,
 
   // Truncate at entry boundaries within the chunk's visible window,
   // returning at least one whole entry when any fits it.
-  int64_t take = 0;
-  while (cpos + take + 4 <= visible) {
-    const uint32_t length = DecodeFixed32(chunk->data() + cpos + take);
-    const int64_t entry = 4 + static_cast<int64_t>(length);
-    if (cpos + take + entry > visible) break;
-    if (take > 0 && take + entry > max_bytes) break;
-    take += entry;
-    if (take >= max_bytes) break;
-  }
-  if (take == 0) {
-    return Status::InvalidArgument("offset not at an entry boundary or entry "
-                                   "exceeds visible region");
-  }
+  const int64_t take =
+      WholeEntries(chunk->data() + cpos, visible - cpos, max_bytes);
+  if (take == 0) return NotAnEntry();
   return PinnedSlice(Slice(chunk->data() + cpos, static_cast<size_t>(take)),
                      chunk);
 }
 
+Result<PinnedSlice> PartitionLog::ReadRolled(int64_t base_offset, int64_t pos,
+                                             int64_t visible,
+                                             int64_t max_bytes,
+                                             int64_t* copied) const {
+  // The first read covers the budget, and at least an entry header.
+  const int64_t available = visible - pos;
+  const int64_t want = std::min(available, std::max<int64_t>(max_bytes, 4));
+  std::string bytes;
+  Status s = ReadSegmentFile(base_offset, pos, want, &bytes);
+  if (!s.ok()) return s;
+  int64_t take = WholeEntries(bytes.data(),
+                              static_cast<int64_t>(bytes.size()), max_bytes);
+  if (take == 0 && bytes.size() >= 4) {
+    // The first entry alone outruns the budget: read all of it.
+    const int64_t entry = 4 + static_cast<int64_t>(DecodeFixed32(bytes.data()));
+    if (entry > available) return NotAnEntry();
+    s = ReadSegmentFile(base_offset, pos, entry, &bytes);
+    if (!s.ok()) return s;
+    take = entry;
+  }
+  if (take == 0) return NotAnEntry();
+  bytes.resize(static_cast<size_t>(take));
+  *copied += take;
+  return PinnedSlice::Own(std::move(bytes));
+}
+
+Status PartitionLog::ReadSegmentFile(int64_t base_offset, int64_t pos,
+                                     int64_t size, std::string* out) const {
+  const std::string path = SegmentPath(base_offset);
+  Status s = fs_->ReadRange(path, pos, size, out);
+  if (s.ok() && static_cast<int64_t>(out->size()) < size) {
+    s = Status::Corruption(path + " ends before the " +
+                           std::to_string(pos + size) +
+                           " bytes the log sealed into it");
+  }
+  // A file the janitor unlinked under this read (or emptied, failing the
+  // unlink) means the offset expired. Anything else stays an error: a
+  // consumer reads NotFound as "restart from the head" and would skip data.
+  if (!s.ok() && base_offset + pos < expired_end_.load()) {
+    return Status::NotFound("offset " + std::to_string(base_offset + pos) +
+                            " expired during the read");
+  }
+  return s;
+}
+
 Result<PinnedSlice> PartitionLog::ReadPinned(int64_t offset, int64_t max_bytes,
                                              int64_t* gathered_bytes) const {
-  if (gathered_bytes != nullptr) *gathered_bytes = 0;
-  auto first = ReadPinnedChunk(offset, max_bytes);
+  int64_t copied = 0;
+  auto first = ReadPinnedChunk(offset, max_bytes, &copied);
+  if (gathered_bytes != nullptr) *gathered_bytes = copied;
   if (!first.ok() || first.value().empty()) return first;
   int64_t have = static_cast<int64_t>(first.value().size());
   if (have >= max_bytes) return first;
@@ -602,8 +703,9 @@ Result<PinnedSlice> PartitionLog::ReadPinned(int64_t offset, int64_t max_bytes,
   // chunk (or segment). If not, the single-chunk view is the zero-copy
   // fast path; otherwise gather the chain into one owned buffer so callers
   // get the same whole-entries-up-to-max_bytes contract regardless of how
-  // flushes happened to chunk the log.
-  auto next = ReadPinnedChunk(offset + have, max_bytes - have);
+  // flushes happened to chunk the log. A continuation that fails ends the
+  // reply early; the caller's next read at that offset reports it.
+  auto next = ReadPinnedChunk(offset + have, max_bytes - have, &copied);
   if (!next.ok() || next.value().empty() ||
       static_cast<int64_t>(next.value().size()) > max_bytes - have) {
     // The at-least-one-entry rule only applies to the start of a read: a
@@ -618,7 +720,7 @@ Result<PinnedSlice> PartitionLog::ReadPinned(int64_t offset, int64_t max_bytes,
   have += static_cast<int64_t>(next.value().size());
   pieces.push_back(std::move(next.value()));
   while (have < max_bytes) {
-    auto more = ReadPinnedChunk(offset + have, max_bytes - have);
+    auto more = ReadPinnedChunk(offset + have, max_bytes - have, &copied);
     if (!more.ok() || more.value().empty() ||
         static_cast<int64_t>(more.value().size()) > max_bytes - have) {
       break;
@@ -629,6 +731,7 @@ Result<PinnedSlice> PartitionLog::ReadPinned(int64_t offset, int64_t max_bytes,
   std::string out;
   out.reserve(static_cast<size_t>(have));
   for (const PinnedSlice& piece : pieces) out.append(piece.data(), piece.size());
+  // Every byte of the reply was copied once into it.
   if (gathered_bytes != nullptr) *gathered_bytes = have;
   return PinnedSlice::Own(std::move(out));
 }
@@ -647,6 +750,9 @@ int PartitionLog::DeleteExpiredSegments() {
   while (segments_.size() > 1 &&
          now - segments_.front().last_append_ms > options_.retention_ms) {
     if (fs_ != nullptr) {
+      // Readers of a rolled segment read its file without mu_: announce the
+      // new head first, so a read the unlink races reports NotFound.
+      expired_end_.store(segments_[1].base_offset);
       segments_.front().file.reset();  // close before unlink
       Status removed =
           fs_->RemoveFile(SegmentPath(segments_.front().base_offset));
@@ -656,6 +762,7 @@ int PartitionLog::DeleteExpiredSegments() {
         // Dropping the in-memory segment while its file survives intact
         // would resurrect the expired records on the next restart. Leave it
         // in place; the next retention sweep retries the unlink.
+        expired_end_.store(segments_.front().base_offset);
         break;
       }
     }
@@ -688,6 +795,16 @@ int PartitionLog::DeleteExpiredSegments() {
   }
   if (deleted > 0) PublishSnapshotLocked();
   return deleted;
+}
+
+int64_t PartitionLog::retained_bytes() const {
+  MutexLock lock(&mu_);
+  int64_t bytes = 0;
+  for (const Segment& segment : segments_) {
+    if (!segment.sealed.empty()) bytes += segment.sealed_bytes;
+    bytes += static_cast<int64_t>(segment.tail.size());
+  }
+  return bytes;
 }
 
 int64_t PartitionLog::start_offset() const {

@@ -33,7 +33,9 @@ struct LogOptions {
   /// directory ("<base offset>.log"), flushes reach the filesystem, and a
   /// new PartitionLog recovers the existing segments on construction — the
   /// durability model the paper's brokers rely on (V.B: the flush policy and
-  /// the OS page cache do the heavy lifting). Empty = in-memory only.
+  /// the OS page cache do the heavy lifting). Only the active segment then
+  /// stays in process memory; rolled segments are read back from their
+  /// files. Empty = in-memory only.
   std::string data_dir;
   /// Filesystem the persistent mode writes through; null = the process-wide
   /// fd-based POSIX fs. Tests inject io::MemFs / io::FaultFs here.
@@ -66,16 +68,20 @@ struct LogOptions {
 /// message is addressed by its logical byte offset; the broker locates the
 /// segment for a requested offset by searching the (in-memory) offset list.
 ///
-/// Storage model (zero-copy read path): the flushed region of every segment
-/// is a list of immutable refcounted chunk Buffers, each sealed at a message
+/// Storage model (zero-copy read path): the flushed region of a segment is a
+/// list of immutable refcounted chunk Buffers, each sealed at a message
 /// entry boundary; unflushed bytes live in a writer-private tail. Readers
 /// never take the writer mutex — they load the atomic flushed frontier, copy
 /// the published snapshot pointer under a micro-mutex that guards only that
 /// pointer, and serve PinnedSlices straight out of the sealed chunks (the
 /// in-process analogue of Kafka handing the page cache to sendfile, V.B).
-/// Appends, flushes and the retention janitor serialize on the writer mutex;
-/// a reader holding a PinnedSlice keeps its chunk alive after the janitor
-/// drops the segment.
+/// In persistent mode only the active segment keeps its chunks: once a
+/// segment has rolled and its file holds every sealed byte, it drops them,
+/// and a read that lands in it copies the range out of the file (one ranged
+/// read, io::Fs::ReadRange). In-memory mode keeps every chunk, its only
+/// copy. Appends, flushes and the retention janitor serialize on the writer
+/// mutex; a reader holding a PinnedSlice keeps its chunk alive after the
+/// janitor drops the segment.
 ///
 /// Thread-safe.
 class PartitionLog {
@@ -112,17 +118,23 @@ class PartitionLog {
   /// a view into it and no byte is copied; the slice shares ownership of
   /// the chunk, so it remains valid after retention deletes the segment. A
   /// request straddling chunk (or segment) boundaries is gathered into a
-  /// fresh owned buffer; when `gathered_bytes` is non-null it receives the
-  /// number of bytes memcpy'd that way (0 on the zero-copy path), which the
-  /// broker's transfer accounting reports.
+  /// fresh owned buffer, and a read of a rolled segment in persistent mode
+  /// copies its range out of the segment file; when `gathered_bytes` is
+  /// non-null it receives the number of bytes copied either way (0 on the
+  /// zero-copy path), which the broker's transfer accounting reports.
   ///
-  /// Errors: an offset below start_offset() (expired) fails NotFound; an
-  /// offset past end_offset() fails InvalidArgument; an offset that is not
-  /// an entry boundary fails InvalidArgument. An empty result means nothing
-  /// new at that offset yet.
+  /// Errors: an offset below start_offset() (expired) fails NotFound, and so
+  /// does a read whose segment file the janitor deletes under it; an offset
+  /// past end_offset() fails InvalidArgument; an offset that is not an entry
+  /// boundary fails InvalidArgument. Any other failure to read a segment
+  /// file, or a file shorter than the bytes the log sealed into it, is
+  /// returned as that error (never NotFound, which tells a consumer to skip
+  /// ahead). An empty result means nothing new at that offset yet.
   ///
-  /// Never blocks on appenders, flush I/O, or the janitor: the only lock
-  /// taken is the snapshot micro-mutex, held for a pointer copy.
+  /// Never blocks on appenders, flush I/O, or the janitor: it takes no log
+  /// lock but the snapshot micro-mutex, held for a pointer copy. A read of
+  /// a rolled segment then takes the filesystem's own lock (a leaf) for the
+  /// ranged read, holding nothing else.
   Result<PinnedSlice> ReadPinned(int64_t offset, int64_t max_bytes,
                                  int64_t* gathered_bytes = nullptr) const;
 
@@ -135,6 +147,12 @@ class PartitionLog {
   /// chunk's memory alive; subsequent reads at deleted offsets fail
   /// NotFound.
   int DeleteExpiredSegments();
+
+  /// Bytes of the log held in process memory: the sealed chunks and the
+  /// unflushed tails. In persistent mode that is the active segment (and a
+  /// rolled one until its file holds all of it); in-memory mode holds every
+  /// retained byte.
+  int64_t retained_bytes() const;
 
   int64_t start_offset() const;        // oldest retained offset
   int64_t flushed_end_offset() const;  // first offset not yet readable
@@ -153,12 +171,17 @@ class PartitionLog {
   /// segment files are renamed aside to "<name>.orphan" so appends can
   /// never collide with them) or a torn tail whose on-disk truncation
   /// failed (that segment is sealed; appends move to a fresh file).
+  /// Recovery keeps the offset space dense: it also stops at a segment that
+  /// does not end where the next file begins (a torn or missing file), and
+  /// sets those later files aside the same way, but that is a power loss's
+  /// ordinary footprint and leaves the status OK.
   Status recovery_status() const;
 
  private:
   /// Writer-side segment state, guarded by mu_. `sealed` chunks are
   /// immutable and shared with reader snapshots; `tail` holds unflushed
-  /// bytes no reader can observe.
+  /// bytes no reader can observe. In persistent mode a rolled segment drops
+  /// its chunks once persisted_bytes == sealed_bytes (its file holds them).
   struct Segment {
     int64_t base_offset = 0;
     std::vector<BufferRef> sealed;
@@ -182,18 +205,31 @@ class PartitionLog {
     }
   };
 
-  /// Immutable reader view of one segment's flushed chunks. chunk_end[i] is
-  /// the cumulative size of chunks [0..i], relative to base_offset.
+  /// Immutable reader view of one segment's flushed bytes. chunk_end[i] is
+  /// the cumulative size of chunks [0..i], relative to base_offset. A
+  /// segment with `bytes` but no chunks is read from its file.
   struct ReaderSegment {
     int64_t base_offset = 0;
+    int64_t bytes = 0;
     std::vector<BufferRef> chunks;
     std::vector<int64_t> chunk_end;
   };
   using Snapshot = std::vector<std::shared_ptr<const ReaderSegment>>;
 
-  /// One chunk-bounded pinned read: never copies, never crosses a sealed
-  /// chunk boundary. ReadPinned chains these, gathering only when needed.
-  Result<PinnedSlice> ReadPinnedChunk(int64_t offset, int64_t max_bytes) const;
+  /// One chunk-bounded pinned read: never crosses a sealed chunk (or
+  /// segment) boundary, and copies only out of a segment file, adding the
+  /// bytes it copied to *copied. ReadPinned chains these, gathering only
+  /// when needed.
+  Result<PinnedSlice> ReadPinnedChunk(int64_t offset, int64_t max_bytes,
+                                      int64_t* copied) const;
+  /// Whole entries from `pos` of a segment read back from its file, bounded
+  /// by the `visible` bytes of it readers may see.
+  Result<PinnedSlice> ReadRolled(int64_t base_offset, int64_t pos,
+                                 int64_t visible, int64_t max_bytes,
+                                 int64_t* copied) const;
+  /// One ranged read of a segment file that must return all `size` bytes.
+  Status ReadSegmentFile(int64_t base_offset, int64_t pos, int64_t size,
+                         std::string* out) const;
 
   std::shared_ptr<const Snapshot> LoadSnapshot() const LIDI_EXCLUDES(snapshot_mu_);
   int64_t AppendLocked(Slice message_set, int message_count)
@@ -201,6 +237,9 @@ class PartitionLog {
   void MaybeFlushLocked() LIDI_REQUIRES(mu_);
   void FlushLocked() LIDI_REQUIRES(mu_);
   void SealTailLocked(Segment* segment) LIDI_REQUIRES(mu_);
+  /// Persistent mode: rolled segments whose files hold every sealed byte
+  /// drop their chunks.
+  void ReleaseRolledChunksLocked() LIDI_REQUIRES(mu_);
   void PublishSnapshotLocked() LIDI_REQUIRES(mu_);
   void RecoverFromDiskLocked() LIDI_REQUIRES(mu_);
   void PersistSealedLocked() LIDI_REQUIRES(mu_);
@@ -262,6 +301,10 @@ class PartitionLog {
   std::atomic<int64_t> flushed_end_{0};
   std::atomic<int64_t> durable_end_{0};
   std::atomic<int64_t> end_offset_{0};
+  /// Offsets below this are expired: the janitor stores it before it
+  /// unlinks a segment file, so a read whose file vanished under it can
+  /// tell an expired offset (NotFound) from a failing filesystem.
+  std::atomic<int64_t> expired_end_{0};
 };
 
 }  // namespace lidi::kafka

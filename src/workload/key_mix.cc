@@ -1,6 +1,8 @@
 #include "workload/key_mix.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 namespace lidi::workload {
 
@@ -22,7 +24,14 @@ SessionMix::Op SessionMix::Next() {
   op.is_read = rng_.NextDouble() < options_.read_fraction;
   const uint64_t slot =
       rng_.Uniform(std::max<uint64_t>(1, options_.keys_per_user));
-  op.key = "u" + std::to_string(op.user) + ":k" + std::to_string(slot);
+  // Appending to a fresh string, not "u" + std::to_string(...): GCC 12 at
+  // -O3 reports a false -Wrestrict overlap in the prepending operator+ (and
+  // in assigning "u" to op.key).
+  std::string key = "u";
+  key += std::to_string(op.user);
+  key += ":k";
+  key += std::to_string(slot);
+  op.key = std::move(key);
   op.client = "client-" + std::to_string(
                   op.user % std::max<uint64_t>(1, options_.client_shards));
   // Geometric session end: mean_session_ops is the expected run length.

@@ -17,8 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -232,6 +236,233 @@ TEST(FaultFsPropertyTest, PartitionLogRecoversAcknowledgedDurablePrefix) {
       ASSERT_EQ(payloads[i], written[i]) << "payload " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Property: kafka::PartitionLog recovery of a damaged segment file
+// ---------------------------------------------------------------------------
+
+std::string SegmentFile(int64_t base) {
+  char name[40];
+  std::snprintf(name, sizeof(name), "/p0/%020lld.log",
+                static_cast<long long>(base));
+  return name;
+}
+
+// Seeded mutation harness for Kafka segment recovery: a multi-segment log,
+// then one segment file damaged (bit flips, a truncation, an entry length
+// overwritten with 2^32-1, random bytes appended, or the file removed).
+// Reopening keeps exactly the entries before the first damaged log offset,
+// in order; each reads back its original bytes, from the rolled segments'
+// files and from the active segment's chunks; and the next append lands at
+// the recovered end and survives another reopen. A missing or empty first
+// file is what retention leaves behind, so the first file is never removed
+// or cut to nothing. Replay one seed with LIDI_KAFKA_SEED=<seed>.
+TEST(KafkaRecoveryTest, SeededDamagedSegmentKeepsADenseCleanPrefix) {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("LIDI_KAFKA_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    for (uint64_t seed = 1; seed <= 200; ++seed) seeds.push_back(seed);
+  }
+  for (uint64_t seed : seeds) {
+    const std::string seed_text = std::to_string(seed);
+    SCOPED_TRACE("seed=" + seed_text + " (replay: LIDI_KAFKA_SEED=" +
+                 seed_text + ")");
+    Random rng(seed);
+    auto mem = io::NewMemFs();
+    kafka::LogOptions opts;
+    opts.data_dir = "/p0";
+    opts.fs = mem.get();
+    opts.segment_bytes = 64 + static_cast<int64_t>(rng.Uniform(128));
+    ManualClock clock;
+
+    std::vector<std::string> payloads;
+    std::vector<std::string> entries;  // the bytes of entry i
+    std::vector<int64_t> offsets;      // the offset of entry i
+    {
+      kafka::PartitionLog log(opts, &clock);
+      for (int i = 30 + static_cast<int>(rng.Uniform(30)); i > 0; --i) {
+        payloads.push_back(rng.Bytes(1 + rng.Uniform(40)));
+        entries.push_back(OneSet(payloads.back()));
+        offsets.push_back(log.Append(entries.back(), 1));
+      }
+    }
+    const int64_t log_end =
+        offsets.back() + static_cast<int64_t>(entries.back().size());
+    auto names = mem->ListDir("/p0");
+    ASSERT_OK(names);
+    std::vector<int64_t> bases;
+    for (const std::string& name : names.value()) {
+      bases.push_back(std::atoll(name.c_str()));
+    }
+    ASSERT_GE(bases.size(), 2u);
+
+    const uint64_t kind = rng.Uniform(5);
+    const size_t k = kind == 4 ? 1 + rng.Uniform(bases.size() - 1)
+                               : rng.Uniform(bases.size());
+    const std::string path = SegmentFile(bases[k]);
+    std::string original;
+    ASSERT_OK(mem->ReadFile(path, &original));
+    std::string file = original;
+    switch (kind) {
+      case 0:  // flip one to eight bits
+        for (uint64_t n = 1 + rng.Uniform(8); n > 0; --n) {
+          file[rng.Uniform(file.size())] ^=
+              static_cast<char>(1 << rng.Uniform(8));
+        }
+        break;
+      case 1:  // cut the file short
+        file.resize(k == 0 ? 1 + rng.Uniform(file.size() - 1)
+                           : rng.Uniform(file.size()));
+        break;
+      case 2: {  // one entry claims a 2^32-1 byte body
+        std::vector<int64_t> starts;
+        for (int64_t offset : offsets) {
+          if (offset >= bases[k] &&
+              offset < bases[k] + static_cast<int64_t>(original.size())) {
+            starts.push_back(offset - bases[k]);
+          }
+        }
+        file.replace(static_cast<size_t>(starts[rng.Uniform(starts.size())]),
+                     4, "\xff\xff\xff\xff", 4);
+        break;
+      }
+      case 3:  // random bytes after the segment's last entry
+        for (uint64_t n = 1 + rng.Uniform(64); n > 0; --n) {
+          file.push_back(static_cast<char>(rng.Next()));
+        }
+        break;
+      default:  // the file is gone
+        file.clear();
+        break;
+    }
+    int64_t damaged = log_end;  // the first log offset whose byte changed
+    if (kind == 4) {
+      ASSERT_OK(mem->RemoveFile(path));
+      damaged = bases[k];
+    } else {
+      ASSERT_OK(mem->TruncateFile(path, 0));
+      auto out = mem->OpenAppend(path);
+      ASSERT_OK(out);
+      ASSERT_OK(out.value()->Append(file));
+      const size_t changed =
+          std::mismatch(file.begin(),
+                        file.begin() + std::min(file.size(), original.size()),
+                        original.begin())
+              .first -
+          file.begin();
+      if (changed < original.size()) {
+        damaged = bases[k] + static_cast<int64_t>(changed);
+      }
+    }
+    size_t clean = 0;
+    while (clean < entries.size() &&
+           offsets[clean] + static_cast<int64_t>(entries[clean].size()) <=
+               damaged) {
+      ++clean;
+    }
+    const int64_t clean_end =
+        clean == 0 ? 0
+                   : offsets[clean - 1] +
+                         static_cast<int64_t>(entries[clean - 1].size());
+
+    {
+      kafka::PartitionLog log(opts, &clock);
+      EXPECT_OK(log.recovery_status());
+      ASSERT_EQ(log.start_offset(), 0);
+      ASSERT_EQ(log.flushed_end_offset(), clean_end);
+      ASSERT_EQ(log.end_offset(), clean_end);
+      for (size_t i = 0; i < clean; ++i) {
+        auto read = log.ReadPinned(offsets[i], 1);
+        ASSERT_OK(read);
+        ASSERT_EQ(read.value().ToString(), entries[i]) << "entry " << i;
+      }
+      EXPECT_EQ(ReadAllPayloads(&log),
+                std::vector<std::string>(payloads.begin(),
+                                         payloads.begin() + clean));
+      EXPECT_EQ(log.Append(OneSet("next"), 1), clean_end);
+    }
+    kafka::PartitionLog reopened(opts, &clock);
+    const auto kept = ReadAllPayloads(&reopened);
+    ASSERT_EQ(kept.size(), clean + 1);
+    EXPECT_EQ(kept.back(), "next");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// io::Fs::ReadRange
+// ---------------------------------------------------------------------------
+
+// Every filesystem serves a range as the same slice of ReadFile, cut short
+// (or empty) where the file ends, and fails on a missing file.
+void ExpectReadRangeContract(io::Fs* fs, const std::string& dir,
+                             uint64_t seed) {
+  SCOPED_TRACE("ReadRange seed=" + std::to_string(seed));
+  Random rng(seed);
+  ASSERT_OK(fs->CreateDirs(dir));
+  const std::string path = dir + "/data";
+  {
+    auto out = fs->OpenAppend(path);
+    ASSERT_OK(out);
+    ASSERT_OK(out.value()->Append(rng.Bytes(1 + rng.Uniform(5000))));
+  }
+  std::string whole;
+  ASSERT_OK(fs->ReadFile(path, &whole));
+  const int64_t size = static_cast<int64_t>(whole.size());
+  std::string range = "stale";
+  for (int i = 0; i < 50; ++i) {
+    const int64_t offset = static_cast<int64_t>(rng.Uniform(size + 16));
+    const int64_t length = static_cast<int64_t>(rng.Uniform(size + 16));
+    ASSERT_OK(fs->ReadRange(path, offset, length, &range));
+    const std::string expected =
+        offset >= size ? std::string()
+                       : whole.substr(static_cast<size_t>(offset),
+                                      static_cast<size_t>(length));
+    ASSERT_EQ(range, expected) << "offset " << offset << " length " << length;
+  }
+  ASSERT_OK(fs->ReadRange(path, size, 10, &range));
+  EXPECT_TRUE(range.empty());
+  EXPECT_FALSE(fs->ReadRange(dir + "/missing", 0, 10, &range).ok());
+}
+
+TEST(FsReadRangeTest, PosixMemAndFaultFsServeTheSliceOfReadFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("lidi-range-" +
+       std::to_string(
+           std::chrono::steady_clock::now().time_since_epoch().count()));
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::string sub = "/" + std::to_string(seed);
+    ExpectReadRangeContract(io::DefaultFs(), dir.string() + sub, seed);
+    auto mem = io::NewMemFs();
+    ExpectReadRangeContract(mem.get(), "/m" + sub, seed);
+    auto base = io::NewMemFs();
+    io::FaultFs fault(base.get(), io::FaultFsOptions{});
+    ExpectReadRangeContract(&fault, "/f" + sub, seed);
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(FsReadRangeTest, CrashedFaultFsFailsEveryRead) {
+  auto mem = io::NewMemFs();
+  io::FaultFs fs(mem.get(), io::FaultFsOptions{});
+  {
+    auto out = fs.OpenAppend("/d/file");
+    ASSERT_OK(out);
+    ASSERT_OK(out.value()->Append("bytes on disk"));
+    ASSERT_OK(out.value()->Sync());  // so the restart keeps every byte
+  }
+  std::string range;
+  ASSERT_OK(fs.ReadRange("/d/file", 2, 5, &range));
+  EXPECT_EQ(range, "tes o");
+  fs.CrashNow();
+  EXPECT_FALSE(fs.ReadRange("/d/file", 2, 5, &range).ok());
+  EXPECT_FALSE(fs.ReadRange("/d/file", 0, 0, &range).ok());
+  ASSERT_OK(fs.Restart());
+  ASSERT_OK(fs.ReadRange("/d/file", 2, 5, &range));
+  EXPECT_EQ(range, "tes o");
 }
 
 // ---------------------------------------------------------------------------
@@ -585,6 +816,130 @@ TEST(FaultFsRegressionTest, KafkaPlausibleLengthGarbageIsTruncated) {
   auto size_after = mem->FileSize("/p0/00000000000000000000.log");
   ASSERT_TRUE(size_after.ok());
   EXPECT_EQ(size_after.value(), size_before.value());
+}
+
+// A power loss under sync=never or interval can cut a rolled segment's
+// unsynced tail while later files survive. Recovery used to truncate the
+// torn file and keep the later ones, leaving a hole at the torn file's new
+// end: reads there came back empty forever, so consumers stalled, and the
+// next append landed past the hole. Recovery now ends the log at the hole
+// and sets the later files aside.
+TEST(FaultFsRegressionTest, KafkaTornRolledSegmentEndsTheLog) {
+  auto mem = io::NewMemFs();
+  obs::MetricsRegistry metrics;
+  kafka::LogOptions opts;
+  opts.data_dir = "/p0";
+  opts.fs = mem.get();
+  opts.metrics = &metrics;
+  opts.segment_bytes = 256;
+  ManualClock clock;
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 20; ++i) {
+    payloads.push_back("m" + std::to_string(100 + i) + std::string(38, 'x'));
+  }
+  const int64_t entry = static_cast<int64_t>(OneSet(payloads[0]).size());
+  ASSERT_EQ(entry, 51);  // six entries (306 B) fill a 256 B segment
+  {
+    kafka::PartitionLog log(opts, &clock);
+    for (const std::string& payload : payloads) log.Append(OneSet(payload), 1);
+    ASSERT_EQ(log.segment_count(), 4);
+  }
+  ASSERT_OK(mem->TruncateFile(SegmentFile(0), 6 * entry - 10));
+
+  kafka::PartitionLog recovered(opts, &clock);
+  EXPECT_OK(recovered.recovery_status());
+  // The log ends after the five whole entries of the torn segment.
+  EXPECT_EQ(recovered.flushed_end_offset(), 5 * entry);
+  EXPECT_EQ(recovered.end_offset(), 5 * entry);
+  EXPECT_EQ(ReadAllPayloads(&recovered),
+            std::vector<std::string>(payloads.begin(), payloads.begin() + 5));
+  EXPECT_EQ(metrics
+                .GetCounter("io.recovery.torn_truncations",
+                            {{"layer", "kafka.log"}})
+                ->Value(),
+            2);  // the torn tail, and the hole after it
+  for (int64_t base : {6 * entry, 12 * entry, 18 * entry}) {
+    const std::string name = SegmentFile(base);
+    EXPECT_FALSE(mem->FileExists(name)) << name;
+    EXPECT_TRUE(mem->FileExists(name + ".orphan")) << name;
+  }
+  // The next append fills the hole's place, and survives a reopen.
+  EXPECT_EQ(recovered.Append(OneSet("after"), 1), 5 * entry);
+  kafka::PartitionLog reopened(opts, &clock);
+  const auto kept = ReadAllPayloads(&reopened);
+  ASSERT_EQ(kept.size(), 6u);
+  EXPECT_EQ(kept.back(), "after");
+}
+
+// A read of a rolled segment goes to its file. When the file lost bytes
+// under the live log, or the filesystem fails, the read is an error: never
+// NotFound, which a consumer takes as "expired, restart from the head" and
+// would skip data on, and never an empty or short success. The active
+// segment is still served from memory.
+TEST(FaultFsRegressionTest, KafkaRolledSegmentReadFailuresAreErrors) {
+  auto mem = io::NewMemFs();
+  io::FaultFs fs(mem.get(), io::FaultFsOptions{});
+  kafka::LogOptions opts;
+  opts.data_dir = "/p0";
+  opts.fs = &fs;
+  opts.segment_bytes = 128;
+  ManualClock clock;
+  kafka::PartitionLog log(opts, &clock);
+  int64_t last = 0;
+  for (int i = 0; i < 12; ++i) {
+    last = log.Append(OneSet("r" + std::to_string(i) + std::string(30, 'z')),
+                      1);
+  }
+  ASSERT_GE(log.segment_count(), 3);
+  auto names = fs.ListDir("/p0");
+  ASSERT_OK(names);
+  const int64_t second = std::atoll(names.value()[1].c_str());
+  ASSERT_OK(log.ReadPinned(0, 1 << 20));
+
+  ASSERT_OK(mem->TruncateFile(SegmentFile(0), 20));
+  auto cut = log.ReadPinned(0, 1 << 20);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().code(), Code::kCorruption)
+      << cut.status().ToString();
+
+  fs.CrashNow();
+  auto crashed = log.ReadPinned(second, 1 << 20);
+  ASSERT_FALSE(crashed.ok());
+  EXPECT_FALSE(crashed.status().IsNotFound()) << crashed.status().ToString();
+  auto active = log.ReadPinned(last, 1 << 20);
+  ASSERT_OK(active);
+  EXPECT_FALSE(active.value().empty());
+}
+
+// A retention janitor that cannot unlink an expired segment file empties
+// it instead. Recovery reads such a file ahead of the log as expired, not
+// as a torn segment: the retained segments after it all come back.
+TEST(FaultFsRegressionTest, KafkaEmptiedExpiredFileIsNotAHole) {
+  auto mem = io::NewMemFs();
+  kafka::LogOptions opts;
+  opts.data_dir = "/p0";
+  opts.fs = mem.get();
+  opts.segment_bytes = 128;
+  ManualClock clock;
+  std::vector<std::string> payloads;
+  int64_t second_base = 0;
+  {
+    kafka::PartitionLog log(opts, &clock);
+    for (int i = 0; i < 12; ++i) {
+      payloads.push_back("p" + std::to_string(i) + std::string(30, 'y'));
+      const int64_t offset = log.Append(OneSet(payloads.back()), 1);
+      if (second_base == 0 && log.segment_count() == 2) second_base = offset;
+    }
+  }
+  ASSERT_GT(second_base, 0);
+  ASSERT_OK(mem->TruncateFile(SegmentFile(0), 0));
+  kafka::PartitionLog recovered(opts, &clock);
+  EXPECT_OK(recovered.recovery_status());
+  EXPECT_EQ(recovered.start_offset(), second_base);
+  const auto kept = ReadAllPayloads(&recovered);
+  ASSERT_FALSE(kept.empty());
+  EXPECT_EQ(kept.back(), payloads.back());
+  EXPECT_EQ(kept.front(), payloads[payloads.size() - kept.size()]);
 }
 
 // ---------------------------------------------------------------------------

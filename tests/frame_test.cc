@@ -236,7 +236,9 @@ TEST(FrameTest, StatusRoundTripsThroughWireCode) {
   for (Code code : codes) {
     const Status s = StatusFromWire(code, "msg");
     EXPECT_EQ(s.code(), code);
-    if (code != Code::kOk) EXPECT_EQ(s.message(), "msg");
+    if (code != Code::kOk) {
+      EXPECT_EQ(s.message(), "msg");
+    }
   }
   // Out-of-range codes (newer peer) degrade to Internal, not UB.
   EXPECT_EQ(StatusFromWire(static_cast<Code>(250), "x").code(),

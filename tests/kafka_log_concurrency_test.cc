@@ -3,7 +3,10 @@
 // decode (CRC-checked) straight out of PinnedSlices and keep a stash of
 // them alive across segment deletions — under -DLIDI_SANITIZE=thread or
 // address this proves the refcounted chunks never go away under a reader
-// and the snapshot/frontier publication protocol is race-free.
+// and the snapshot/frontier publication protocol is race-free. The
+// file-backed twin runs the same race on a log whose rolled segments drop
+// their chunks and are read back from their files, which the janitor
+// unlinks under the readers.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 
 #include "common/buffer.h"
 #include "common/clock.h"
+#include "io/file.h"
 #include "kafka/log.h"
 #include "kafka/message.h"
 
@@ -41,9 +45,10 @@ int64_t DecodeAll(const PinnedSlice& pinned, int64_t offset) {
   return count;
 }
 
-TEST(LogConcurrencyTest, AppendersReadersAndJanitorShareOneLog) {
+// Appenders, pinned readers and the retention janitor share `options`'s
+// log; every read either decodes cleanly or finds its offset expired.
+void RunAppendersReadersAndJanitor(LogOptions options) {
   ManualClock clock;
-  LogOptions options;
   options.segment_bytes = 2048;        // roll often
   options.flush_interval_messages = 4; // publish often
   options.flush_interval_ms = 1;
@@ -124,6 +129,20 @@ TEST(LogConcurrencyTest, AppendersReadersAndJanitorShareOneLog) {
   for (int r = 0; r < kReaders; ++r) EXPECT_GT(decoded[r], 0) << "reader " << r;
   EXPECT_LE(log.start_offset(), log.flushed_end_offset());
   EXPECT_LE(log.flushed_end_offset(), log.end_offset());
+}
+
+TEST(LogConcurrencyTest, AppendersReadersAndJanitorShareOneLog) {
+  RunAppendersReadersAndJanitor(LogOptions{});
+}
+
+// Readers of rolled segments race segment rolls, chunk release and the
+// janitor's unlinks: a read whose file vanished reports NotFound.
+TEST(LogConcurrencyTest, AppendersReadersAndJanitorShareOneFileBackedLog) {
+  auto fs = io::NewMemFs();
+  LogOptions options;
+  options.data_dir = "/p0";
+  options.fs = fs.get();
+  RunAppendersReadersAndJanitor(options);
 }
 
 TEST(LogConcurrencyTest, PinnedSliceOutlivesRetentionDeterministic) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -7,6 +8,7 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/random.h"
+#include "io/file.h"
 #include "kafka/audit.h"
 #include "kafka/broker.h"
 #include "kafka/consumer.h"
@@ -386,6 +388,81 @@ TEST_F(LogTest, ReadPinnedReportsGatheredBytes) {
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all.value().size(), 6 * set.size());
   EXPECT_EQ(gathered, static_cast<int64_t>(all.value().size()));
+}
+
+// A file-backed log reads its rolled segments back from their files. Every
+// read, including one that crosses from a rolled segment into the active
+// one, returns the bytes the in-memory log returns, and a read that copies
+// out of a file reports those bytes as gathered.
+TEST_F(LogTest, RolledSegmentReadsMatchTheInMemoryLog) {
+  auto fs = io::NewMemFs();
+  LogOptions in_memory;
+  in_memory.segment_bytes = 100;
+  LogOptions on_file = in_memory;
+  on_file.data_dir = "/p0";
+  on_file.fs = fs.get();
+  PartitionLog file_log(on_file, &clock_);
+  PartitionLog memory_log(in_memory, &clock_);
+  Random rng(7);
+  std::vector<int64_t> offsets;
+  for (int i = 0; i < 24; ++i) {
+    const std::string set = OneMessageSet(rng.Bytes(1 + rng.Uniform(40)));
+    offsets.push_back(file_log.Append(set, 1));
+    ASSERT_EQ(memory_log.Append(set, 1), offsets.back());
+  }
+  auto names = fs->ListDir("/p0");
+  ASSERT_OK(names);
+  ASSERT_GT(names.value().size(), 3u);
+  const int64_t active_base = std::atoll(names.value().back().c_str());
+  for (int64_t offset : offsets) {
+    for (int64_t budget : {int64_t{1}, int64_t{60}, int64_t{150},
+                           int64_t{1} << 20}) {
+      SCOPED_TRACE("offset " + std::to_string(offset) + " budget " +
+                   std::to_string(budget));
+      int64_t gathered = -1;
+      auto from_file = file_log.ReadPinned(offset, budget, &gathered);
+      auto from_memory = memory_log.ReadPinned(offset, budget);
+      ASSERT_OK(from_file);
+      ASSERT_OK(from_memory);
+      EXPECT_EQ(from_file.value().ToString(), from_memory.value().ToString());
+      if (offset < active_base) {
+        EXPECT_EQ(gathered, static_cast<int64_t>(from_file.value().size()));
+      }
+    }
+  }
+}
+
+// In persistent mode the log's memory is its active segment: appends to a
+// MemFs-backed log with small segments retain at most one segment plus one
+// append, also after a reopen, while the in-memory log retains every byte.
+// The test counts bytes, not RSS, so its bound is exact.
+TEST_F(LogTest, FileBackedLogRetainsOnlyTheActiveSegment) {
+  constexpr int64_t kSegment = 256;
+  auto fs = io::NewMemFs();
+  LogOptions in_memory;
+  in_memory.segment_bytes = kSegment;
+  LogOptions on_file = in_memory;
+  on_file.data_dir = "/p0";
+  on_file.fs = fs.get();
+  Random rng(11);
+  int64_t largest = 0;
+  {
+    PartitionLog file_log(on_file, &clock_);
+    PartitionLog memory_log(in_memory, &clock_);
+    EXPECT_EQ(file_log.retained_bytes(), 0);
+    for (int i = 0; i < 200; ++i) {
+      const std::string set = OneMessageSet(rng.Bytes(1 + rng.Uniform(60)));
+      largest = std::max(largest, static_cast<int64_t>(set.size()));
+      file_log.Append(set, 1);
+      memory_log.Append(set, 1);
+      ASSERT_LT(file_log.retained_bytes(), kSegment + largest) << i;
+      ASSERT_EQ(memory_log.retained_bytes(), memory_log.end_offset()) << i;
+    }
+    ASSERT_GT(file_log.segment_count(), 10);
+  }
+  PartitionLog reopened(on_file, &clock_);
+  EXPECT_GT(reopened.retained_bytes(), 0);
+  EXPECT_LT(reopened.retained_bytes(), kSegment + largest);
 }
 
 // ---------------------------------------------------------------------------
