@@ -81,7 +81,7 @@ import sys
 MAX_DISCARD_WAIVERS = 40
 MAX_TSA_WAIVERS = 60
 MAX_TSA_ESCAPES = 5
-MAX_SYNC_CHOKE_POINTS = 6
+MAX_SYNC_CHOKE_POINTS = 2
 
 # How many lines above a flagged site a waiver comment may sit (inclusive of
 # the flagged line itself).

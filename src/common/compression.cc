@@ -2,6 +2,8 @@
 
 #include <zlib.h>
 
+#include <algorithm>
+
 namespace lidi {
 
 Status Compress(CompressionCodec codec, Slice input, std::string* output) {
@@ -31,27 +33,43 @@ Status Decompress(CompressionCodec codec, Slice input, std::string* output) {
       output->append(input.data(), input.size());
       return Status::OK();
     case CompressionCodec::kDeflate: {
-      // Grow the output buffer geometrically until inflate fits.
-      size_t cap = input.size() * 4 + 64;
-      for (int attempt = 0; attempt < 12; ++attempt) {
-        const size_t old_size = output->size();
-        output->resize(old_size + cap);
-        uLongf dest_len = static_cast<uLongf>(cap);
-        const int rc = uncompress(
-            reinterpret_cast<Bytef*>(output->data() + old_size), &dest_len,
-            reinterpret_cast<const Bytef*>(input.data()),
-            static_cast<uLong>(input.size()));
-        if (rc == Z_OK) {
-          output->resize(old_size + dest_len);
-          return Status::OK();
-        }
-        output->resize(old_size);
-        if (rc != Z_BUF_ERROR) {
-          return Status::Corruption("zlib uncompress failed");
-        }
-        cap *= 2;
+      // One streaming inflate into a buffer that grows geometrically, but
+      // never past the cap: one byte more than kMaxDecompressedBytes shows
+      // the input inflates past it.
+      z_stream stream{};
+      if (inflateInit(&stream) != Z_OK) {
+        return Status::Internal("zlib inflateInit failed");
       }
-      return Status::Corruption("compressed data expands beyond sane bound");
+      stream.next_in =
+          reinterpret_cast<Bytef*>(const_cast<char*>(input.data()));
+      stream.avail_in = static_cast<uInt>(input.size());
+      const size_t start = output->size();
+      const size_t limit = kMaxDecompressedBytes + 1;
+      size_t produced = 0;
+      int rc = Z_OK;
+      while (rc == Z_OK && produced < limit) {
+        const size_t room = std::min(
+            limit, std::max(produced * 2, input.size() * 4 + 64));
+        output->resize(start + room);
+        stream.next_out =
+            reinterpret_cast<Bytef*>(output->data() + start + produced);
+        stream.avail_out = static_cast<uInt>(room - produced);
+        rc = inflate(&stream, Z_NO_FLUSH);
+        produced = room - stream.avail_out;
+      }
+      inflateEnd(&stream);
+      if (produced > kMaxDecompressedBytes) {
+        output->resize(start);
+        return Status::Corruption("compressed data inflates past " +
+                                  std::to_string(kMaxDecompressedBytes) +
+                                  " bytes");
+      }
+      if (rc != Z_STREAM_END) {
+        output->resize(start);
+        return Status::Corruption("zlib inflate failed");
+      }
+      output->resize(start + produced);
+      return Status::OK();
     }
   }
   return Status::NotSupported("unknown codec");

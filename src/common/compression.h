@@ -1,6 +1,7 @@
 #ifndef LIDI_COMMON_COMPRESSION_H_
 #define LIDI_COMMON_COMPRESSION_H_
 
+#include <cstddef>
 #include <string>
 
 #include "common/slice.h"
@@ -18,7 +19,15 @@ enum class CompressionCodec : uint8_t {
 /// Compresses `input` with the given codec, appending to *output.
 Status Compress(CompressionCodec codec, Slice input, std::string* output);
 
-/// Decompresses `input` produced by Compress with the same codec.
+/// The most Decompress inflates one input to: 16 MiB, the transport's frame
+/// cap (net::kDefaultMaxFrameBytes), which is the largest uncompressed
+/// message set one produce can carry. Produce validation and Kafka segment
+/// recovery share it, so recovery never drops an entry a broker accepted.
+inline constexpr size_t kMaxDecompressedBytes = 16u << 20;
+
+/// Decompresses `input` produced by Compress with the same codec, appending
+/// to *output. Corruption if the input does not decode, or if it would
+/// inflate past kMaxDecompressedBytes (nothing is appended then).
 Status Decompress(CompressionCodec codec, Slice input, std::string* output);
 
 }  // namespace lidi

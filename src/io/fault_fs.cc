@@ -160,6 +160,7 @@ Status FaultFs::RemoveFile(const std::string& path) {
 Status FaultFs::TruncateFile(const std::string& path, int64_t size) {
   MutexLock lock(&mu_);
   if (crashed_) return CrashedError();
+  if (options_.truncate_keeps_bytes) return Status::OK();
   Status s = base_->TruncateFile(path, size);
   if (s.ok()) {
     // Metadata ops are modeled as durable (the interesting races live in

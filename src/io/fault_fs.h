@@ -34,6 +34,12 @@ struct FaultFsOptions {
   /// additionally scribbled with seeded garbage (a torn sector), instead of
   /// being cleanly cut at a write boundary.
   double torn_garbage_probability = 0.5;
+  /// TEST-ONLY: TruncateFile reports OK and leaves the file as it is. A log
+  /// that takes a failed write back by truncating then buries the torn bytes
+  /// under its later appends, and recovery stops before them: the footprint
+  /// of the historical binlog persisted-bytes bug, which the simulation
+  /// harness must re-find (DESIGN.md §9). Never set outside tests.
+  bool truncate_keeps_bytes = false;
 };
 
 /// Fault-injecting Fs decorator: the repo's standing crash-correctness

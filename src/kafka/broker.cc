@@ -6,6 +6,7 @@
 
 #include "common/coding.h"
 #include "kafka/message.h"
+#include "net/frame.h"
 
 namespace lidi::kafka {
 
@@ -208,6 +209,10 @@ PartitionLog* Broker::GetLog(const std::string& topic, int partition) {
   auto it = logs_.find({topic, partition});
   return it == logs_.end() ? nullptr : it->second.get();
 }
+
+// A produce carries at most one frame of uncompressed entries, so no wrapper
+// a broker accepts inflates past what recovery will inflate.
+static_assert(kMaxDecompressedBytes == net::kDefaultMaxFrameBytes);
 
 Result<int64_t> Broker::Produce(const std::string& topic, int partition,
                                 Slice message_set) {

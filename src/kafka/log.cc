@@ -1,8 +1,6 @@
 #include "kafka/log.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common/coding.h"
@@ -12,291 +10,111 @@
 namespace lidi::kafka {
 
 namespace {
-inline void Inc(obs::Counter* counter) {
-  if (counter != nullptr) counter->Increment();
+
+/// Bytes of the clean prefix of a segment file: complete entries whose
+/// payload CRC holds. The length prefix alone is not proof of integrity —
+/// torn garbage can parse as a plausible length — and the CRC does not cover
+/// the attributes byte, so an entry must also decode under the codec that
+/// byte names.
+int64_t CleanEntries(Slice scan) {
+  int64_t good = 0;
+  while (scan.size() >= 4) {
+    const uint32_t length = DecodeFixed32(scan.data());
+    if (length < 5) break;  // shorter than attributes+crc: torn header
+    if (scan.size() < 4 + static_cast<size_t>(length)) break;
+    const uint32_t crc = DecodeFixed32(scan.data() + 5);
+    const Slice payload(scan.data() + 9, length - 5);
+    if (Crc32(payload) != crc) break;  // plausible length, corrupt bytes
+    const Slice entry(scan.data(), 4 + static_cast<size_t>(length));
+    if (static_cast<CompressionCodec>(scan[4]) != CompressionCodec::kNone &&
+        !CountMessages(entry).ok()) {
+      break;
+    }
+    scan.RemovePrefix(entry.size());
+    good += static_cast<int64_t>(entry.size());
+  }
+  return good;
 }
+
 }  // namespace
 
-std::string PartitionLog::SegmentPath(int64_t base_offset) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%020lld.log",
-                static_cast<long long>(base_offset));
-  return options_.data_dir + "/" + name;
-}
-
-void PartitionLog::RecoverFromDiskLocked() {
-  Status mkdir = fs_->CreateDirs(options_.data_dir);
-  if (!mkdir.ok() && recovery_status_.ok()) {
-    // No data dir means every later append fails too — but those failures
-    // are per-write; this one marks the log unhealthy from the start.
-    recovery_status_ = mkdir;
-  }
-  std::vector<int64_t> bases;
-  auto names = fs_->ListDir(options_.data_dir);
-  if (names.ok()) {
-    for (const std::string& name : names.value()) {
-      if (name.size() == 24 && name.substr(20) == ".log") {
-        bases.push_back(std::atoll(name.c_str()));
-      }
-    }
-  } else if (recovery_status_.ok()) {
-    recovery_status_ = names.status();
-  }
-  std::sort(bases.begin(), bases.end());
-  bool seal_last_segment = false;
-  size_t first_aside = bases.size();  // the files recovery sets aside
-  for (size_t bi = 0; bi < bases.size(); ++bi) {
-    const int64_t base = bases[bi];
-    if (!segments_.empty() &&
-        base != segments_.back().base_offset + segments_.back().sealed_bytes) {
-      // The offset space stays dense: this file does not start where the
-      // recovered log ends, because a torn or missing file lies between.
-      // Serving it would leave a hole every consumer stalls at, and the
-      // next append would land past the hole. Stop here, as Kafka's own
-      // recovery does; a power loss cuts only unsynced bytes, so nothing
-      // below durable_end_offset() is dropped.
-      Inc(torn_truncations_);
-      first_aside = bi;
-      break;
-    }
-    std::string data;
-    Status read_status = fs_->ReadFile(SegmentPath(base), &data);
-    if (!read_status.ok()) {
-      // An unreadable segment is a hole in the offset space too, and one
-      // recovery cannot explain: surface the error as well.
-      if (recovery_status_.ok()) recovery_status_ = read_status;
-      first_aside = bi;
-      break;
-    }
-    if (data.empty() && segments_.empty() && bi + 1 < bases.size()) {
-      // A janitor that cannot unlink an expired file empties it instead;
-      // such a file ahead of the log holds no offsets.
-      continue;
-    }
-    seal_last_segment = false;
-    // Keep only the prefix of complete, CRC-valid entries. The length
-    // prefix alone is not proof of integrity — torn garbage can parse as a
-    // plausible length — so validate each entry's payload CRC (the wire
-    // format carries one per message, message.h). The CRC does not cover
-    // the attributes byte, so an entry must also decode under the codec
-    // that byte names.
-    int64_t good = 0;
-    Slice scan(data);
-    while (scan.size() >= 4) {
-      const uint32_t length = DecodeFixed32(scan.data());
-      if (length < 5) break;  // shorter than attributes+crc: torn header
-      if (scan.size() < 4 + static_cast<size_t>(length)) break;
-      const uint32_t crc = DecodeFixed32(scan.data() + 5);
-      const Slice payload(scan.data() + 9, length - 5);
-      if (Crc32(payload) != crc) break;  // plausible length, corrupt bytes
-      const Slice entry(scan.data(), 4 + static_cast<size_t>(length));
-      if (static_cast<CompressionCodec>(scan[4]) != CompressionCodec::kNone &&
-          !CountMessages(entry).ok()) {
-        break;
-      }
-      scan.RemovePrefix(entry.size());
-      good += static_cast<int64_t>(entry.size());
-    }
-    if (good < static_cast<int64_t>(data.size())) {
-      data.resize(static_cast<size_t>(good));
-      // Drop the torn bytes from the file too, so later appends continue
-      // from the last complete entry rather than after garbage.
-      Inc(torn_truncations_);
-      Status truncate_status =
-          fs_->TruncateFile(SegmentPath(base), good);
-      if (!truncate_status.ok()) {
-        // The garbage stays on disk past `good`; appending to this file
-        // would bury it between valid entries. Seal the segment instead.
-        if (recovery_status_.ok()) recovery_status_ = truncate_status;
-        Inc(write_failed_);
-        seal_last_segment = true;
-      }
-    }
-    Segment segment;
-    segment.base_offset = base;
-    segment.sealed_bytes = good;
-    segment.persisted_bytes = good;
-    segment.synced_bytes = good;  // on-disk bytes survived the restart
-    segment.last_append_ms = clock_->NowMillis();
-    if (good > 0) segment.sealed.push_back(WrapBuffer(std::move(data)));
-    segments_.push_back(std::move(segment));
-    ReleaseRolledChunksLocked();  // only the newest segment stays in memory
-  }
-  // Rename every file past the hole aside ("<name>.orphan"), so a growing
-  // log can never append into them.
-  for (size_t j = first_aside; j < bases.size(); ++j) {
-    const std::string path = SegmentPath(bases[j]);
-    Status renamed = fs_->RenameFile(path, path + ".orphan");
-    // Failing that, the stale file keeps its live name: once the log grows
-    // back to this base offset, OpenAppend (O_APPEND, no truncate) would
-    // write after the stale bytes. Emptying the file defuses that.
-    if (!renamed.ok() && !fs_->TruncateFile(path, 0).ok() &&
-        recovery_status_.ok()) {
-      recovery_status_ = renamed;
-    }
+PartitionLog::PartitionLog(LogOptions options, const Clock* clock)
+    : options_(std::move(options)),
+      clock_(clock),
+      log_(options_.data_dir.empty()
+               ? nullptr
+               : std::make_unique<io::SegmentLog>(
+                     io::SegmentLogOptions{
+                         options_.data_dir, options_.fs, options_.sync,
+                         options_.sync_interval_bytes, options_.group_commit,
+                         options_.metrics, "kafka.log"},
+                     &mu_, [this](const Status&) { OnGroupSyncLocked(); })) {
+  // No concurrent access yet, but the *Locked() helpers require mu_ — and
+  // taking it keeps the thread-safety analysis airtight for free.
+  MutexLock lock(&mu_);
+  if (log_ != nullptr) {
+    log_->Recover([this](int64_t base, std::string* bytes) {
+      const int64_t good = CleanEntries(*bytes);
+      bytes->resize(static_cast<size_t>(good));
+      Segment segment;
+      segment.base_offset = base;
+      segment.sealed_bytes = good;
+      segment.last_append_ms = clock_->NowMillis();
+      if (good > 0) segment.sealed.push_back(WrapBuffer(std::move(*bytes)));
+      segments_.push_back(std::move(segment));
+      ReleaseRolledChunksLocked();  // only the newest segment stays in memory
+      return good;
+    });
   }
   if (segments_.empty()) {
     Segment segment;
     segment.last_append_ms = clock_->NowMillis();
     segments_.push_back(std::move(segment));
-  } else {
-    if (seal_last_segment) {
-      // The last recovered file still carries garbage we could not
-      // truncate; new appends go to a fresh segment file.
-      Segment fresh;
-      fresh.base_offset =
-          segments_.back().base_offset + segments_.back().sealed_bytes;
-      fresh.last_append_ms = clock_->NowMillis();
-      segments_.push_back(std::move(fresh));
-      ReleaseRolledChunksLocked();
-    }
-    // Everything recovered from disk is flushed and crash-durable.
-    const int64_t recovered_end = segments_.back().base_offset +
-                                  segments_.back().sealed_bytes;
-    flushed_end_.store(recovered_end);
-    durable_end_.store(recovered_end);
   }
-  end_offset_.store(segments_.back().base_offset + segments_.back().size());
-}
-
-io::WritableFile* PartitionLog::SegmentFileLocked(Segment* segment) {
-  if (segment->file == nullptr) {
-    auto file = fs_->OpenAppend(SegmentPath(segment->base_offset));
-    if (!file.ok()) return nullptr;
-    segment->file = std::move(file.value());
-  }
-  return segment->file.get();
+  // Everything recovered from disk is flushed and crash-durable.
+  const int64_t end =
+      segments_.back().base_offset + segments_.back().sealed_bytes;
+  flushed_end_.store(end);
+  durable_end_.store(end);
+  end_offset_.store(end);
+  PublishSnapshotLocked();
 }
 
 void PartitionLog::PersistSealedLocked() {
-  if (fs_ == nullptr) return;
-  // Decide up front whether this flush must reach stable storage. Under
-  // group commit flushes only WRITE: the one covering fdatasync belongs to
-  // the group leader (GroupSyncNow), which runs outside mu_.
-  int64_t pending = 0;
-  for (const Segment& segment : segments_) {
-    pending += segment.sealed_bytes - segment.persisted_bytes;
-  }
-  const bool sync_due =
-      !group_mode() &&
-      (options_.sync == io::SyncPolicy::kAlways ||
-       (options_.sync == io::SyncPolicy::kInterval &&
-        unsynced_bytes_ + pending >= options_.sync_interval_bytes));
-  for (Segment& segment : segments_) {
-    const bool needs_write = segment.persisted_bytes < segment.sealed_bytes;
-    const bool needs_sync =
-        sync_due && segment.synced_bytes < segment.sealed_bytes;
-    if (!needs_write && !needs_sync) continue;
-    io::WritableFile* file = SegmentFileLocked(&segment);
-    if (file == nullptr) {
-      Inc(write_failed_);
-      break;  // keep the durable prefix contiguous; retry next flush
-    }
-    // Write the segment's unpersisted chunks in order, stopping at the
-    // first error or short write: a later chunk must never land in the file
-    // behind an earlier one that fell short.
-    bool failed = false;
-    int64_t chunk_base = 0;
+  int64_t written = log_->written_end();
+  // Segments before the one holding `written` are in their files already.
+  size_t first = segments_.size() - 1;
+  while (first > 0 && segments_[first].base_offset > written) --first;
+  for (size_t i = first; i < segments_.size(); ++i) {
+    const Segment& segment = segments_[i];
+    int64_t chunk_base = segment.base_offset;
     for (const BufferRef& chunk : segment.sealed) {
       const int64_t chunk_end =
           chunk_base + static_cast<int64_t>(chunk->size());
-      if (segment.persisted_bytes < chunk_end) {
-        const Slice piece(
-            chunk->data() + (segment.persisted_bytes - chunk_base),
-            static_cast<size_t>(chunk_end - segment.persisted_bytes));
-        int64_t accepted = 0;
-        const Status s = file->Append(piece, &accepted);
-        // Advance only past bytes the fs actually took: a short write or
-        // ENOSPC must not mark lost bytes durable. The next flush resumes
-        // from the honest boundary.
-        segment.persisted_bytes += accepted;
-        if (!s.ok() || accepted < static_cast<int64_t>(piece.size())) {
-          Inc(write_failed_);
-          failed = true;
-          break;
-        }
+      if (written < chunk_end) {
+        // Chunks seal at entry boundaries and a failed piece is taken back
+        // whole, so `written` always sits on one.
+        const Slice piece(chunk->data() + (written - chunk_base),
+                          static_cast<size_t>(chunk_end - written));
+        if (!log_->Write(piece).ok()) return;
+        written = chunk_end;
       }
       chunk_base = chunk_end;
     }
-    if (failed) break;
-    if (needs_sync) {
-      // sync-choke-point: the inline per-flush fdatasync (kAlways without
-      // group commit, and kInterval once its threshold is crossed).
-      const Status s = file->Sync();
-      if (!s.ok()) {
-        Inc(write_failed_);
-        break;
-      }
-      Inc(sync_count_);
-      segment.synced_bytes = segment.persisted_bytes;
-    }
   }
-  int64_t unsynced = 0;
-  for (const Segment& segment : segments_) {
-    unsynced += segment.persisted_bytes - segment.synced_bytes;
-  }
-  unsynced_bytes_ = unsynced;
-  durable_end_.store(
-      std::max(durable_end_.load(), ContiguousEndLocked(/*synced=*/true)));
+  // Under kAlways every unsynced byte's acknowledgement waits on the sync;
+  // under kInterval none does, so a failed interval sync takes none back.
+  const int64_t waiting_from = options_.sync == io::SyncPolicy::kAlways
+                                   ? log_->synced_end()
+                                   : log_->written_end();
+  // discard-ok: a failed sync leaves durable_end_offset() short of the
+  // bytes; AppendDurable reports that to its caller.
+  (void)log_->SyncIfDue(waiting_from);
 }
 
-int64_t PartitionLog::ContiguousEndLocked(bool synced) const {
-  int64_t end = segments_.front().base_offset;
-  for (const Segment& segment : segments_) {
-    int64_t bytes = synced ? segment.synced_bytes : segment.persisted_bytes;
-    if (!synced && bytes < segment.sealed_bytes) {
-      // A short write can leave persisted_bytes mid-entry. Floor the
-      // consumer-visible frontier to the last fully-persisted sealed-chunk
-      // boundary — chunks seal at entry boundaries, so readers never see a
-      // frontier cutting through an entry. (synced_bytes needs no flooring:
-      // syncs only happen after a segment persists completely.)
-      int64_t aligned = 0;
-      int64_t acc = 0;
-      for (const BufferRef& chunk : segment.sealed) {
-        acc += static_cast<int64_t>(chunk->size());
-        if (bytes < acc) break;
-        aligned = acc;
-      }
-      bytes = aligned;
-    }
-    end = segment.base_offset + bytes;
-    if (bytes < segment.sealed_bytes) break;
-  }
-  return end;
-}
-
-PartitionLog::PartitionLog(LogOptions options, const Clock* clock)
-    : options_(std::move(options)),
-      clock_(clock),
-      fs_(options_.data_dir.empty()
-              ? nullptr
-              : (options_.fs != nullptr ? options_.fs : io::DefaultFs())) {
-  if (options_.metrics != nullptr) {
-    const obs::Labels labels{{"layer", "kafka.log"}};
-    sync_count_ = options_.metrics->GetCounter("io.sync.count", labels);
-    write_failed_ = options_.metrics->GetCounter("io.write.failed", labels);
-    torn_truncations_ =
-        options_.metrics->GetCounter("io.recovery.torn_truncations", labels);
-  }
-  if (fs_ != nullptr && options_.sync == io::SyncPolicy::kAlways &&
-      options_.group_commit) {
-    io::GroupCommitOptions group_options;
-    group_options.metrics = options_.metrics;
-    group_options.layer = "kafka.log";
-    group_ = std::make_unique<io::GroupCommitter>(
-        [this] { return GroupSyncNow(); }, group_options);
-  }
-  // No concurrent access yet, but the *Locked() helpers require mu_ — and
-  // taking it keeps the thread-safety analysis airtight for free.
-  MutexLock lock(&mu_);
-  if (fs_ != nullptr) {
-    RecoverFromDiskLocked();
-  } else {
-    Segment segment;
-    segment.last_append_ms = clock_->NowMillis();
-    segments_.push_back(std::move(segment));
-  }
-  PublishSnapshotLocked();
+void PartitionLog::OnGroupSyncLocked() {
+  durable_end_.store(std::max(durable_end_.load(), log_->synced_end()));
+  if (ReleaseRolledChunksLocked()) PublishSnapshotLocked();
 }
 
 /// Seals the segment's unflushed tail into an immutable chunk. Adjacent
@@ -324,17 +142,24 @@ void PartitionLog::SealTailLocked(Segment* segment) {
   segment->sealed.push_back(WrapBuffer(std::move(chunk_data)));
 }
 
-void PartitionLog::ReleaseRolledChunksLocked() {
-  if (fs_ == nullptr) return;  // in-memory mode: the chunks are the log
-  // Segments persist in order, so they release in order: the scan back
+bool PartitionLog::ReleaseRolledChunksLocked() {
+  if (log_ == nullptr) return false;  // in-memory mode: the chunks are the log
+  const int64_t durable = options_.sync == io::SyncPolicy::kNever
+                              ? log_->written_end()
+                              : log_->synced_end();
+  // Files fill in log order, so segments release in order: the scan back
   // from the active segment stops at the first one already released.
+  bool released = false;
   for (size_t i = segments_.size() - 1; i-- > 0;) {
     Segment& segment = segments_[i];
     if (segment.sealed.empty()) break;
-    if (segment.persisted_bytes == segment.sealed_bytes) {
+    if (segment.tail.empty() &&
+        segment.base_offset + segment.sealed_bytes <= durable) {
       segment.sealed.clear();
+      released = true;
     }
   }
+  return released;
 }
 
 void PartitionLog::PublishSnapshotLocked() {
@@ -403,6 +228,7 @@ int64_t PartitionLog::AppendLocked(Slice message_set, int message_count) {
     Segment next;
     next.base_offset = active->base_offset + active->size();
     next.last_append_ms = clock_->NowMillis();
+    if (log_ != nullptr) log_->Roll(next.base_offset);
     segments_.push_back(std::move(next));
     active = &segments_.back();
     PublishSnapshotLocked();  // readers learn the new segment's base
@@ -428,7 +254,7 @@ void PartitionLog::MaybeFlushLocked() {
 void PartitionLog::FlushLocked() {
   for (Segment& segment : segments_) SealTailLocked(&segment);
   unflushed_messages_ = 0;
-  PersistSealedLocked();
+  if (log_ != nullptr) PersistSealedLocked();
   ReleaseRolledChunksLocked();
   // Publish order matters for the lock-free readers: snapshot first, then
   // the frontier, so a reader that sees the new frontier is guaranteed a
@@ -437,15 +263,14 @@ void PartitionLog::FlushLocked() {
   // The consumer-visible frontier advances only past bytes the fs actually
   // accepted (persistent mode) — a failed write must not expose offsets
   // that vanish on restart. In-memory mode has no fs to disagree with.
-  int64_t visible = segments_.back().base_offset +
-                    segments_.back().sealed_bytes;
-  if (fs_ != nullptr) {
-    visible = ContiguousEndLocked(/*synced=*/false);
-  }
+  const int64_t visible =
+      log_ != nullptr
+          ? log_->written_end()
+          : segments_.back().base_offset + segments_.back().sealed_bytes;
   flushed_end_.store(std::max(flushed_end_.load(), visible));
-  if (fs_ == nullptr) {
-    durable_end_.store(flushed_end_.load());
-  }
+  durable_end_.store(std::max(
+      durable_end_.load(),
+      log_ != nullptr ? log_->synced_end() : flushed_end_.load()));
 }
 
 void PartitionLog::Flush() {
@@ -459,7 +284,7 @@ void PartitionLog::Flush() {
   // mode that fdatasync belongs to the committer and runs with mu_ released.
   // discard-ok: best effort — the acknowledged path is AppendDurable.
   if (group_mode() && target > durable_end_.load()) {
-    (void)group_->SyncTo(target);
+    (void)log_->SyncTo(target, log_->epoch());
   }
 }
 
@@ -469,7 +294,7 @@ Result<int64_t> PartitionLog::AppendDurable(Slice message_set,
   if (!group_mode()) {
     const int64_t offset = Append(message_set, message_count);
     Flush();
-    if (fs_ == nullptr) return offset;  // in-memory: flushed == durable
+    if (log_ == nullptr) return offset;  // in-memory: flushed == durable
     const int64_t entry_end = offset + set_bytes;
     const int64_t covered = options_.sync == io::SyncPolicy::kAlways
                                 ? durable_end_.load()
@@ -483,9 +308,10 @@ Result<int64_t> PartitionLog::AppendDurable(Slice message_set,
   // Group commit: stage (append + write-only flush) under mu_, then hand
   // the fdatasync to the group committer with mu_ RELEASED — concurrent
   // appenders stage into the same batch while the leader's sync is in
-  // flight. Kafka never rolls the file back on a failed sync, so the epoch
-  // capture is belt-and-braces (see io/group_commit.h).
-  const uint64_t staged_epoch = group_->epoch();
+  // flight. The epoch is captured before staging: a failed group sync rolls
+  // the unsynced bytes back, and the next flush rewrites them at the same
+  // offsets, so an ack across that rollback must be refused.
+  const uint64_t staged_epoch = log_->epoch();
   int64_t offset = 0;
   int64_t entry_end = 0;
   {
@@ -493,77 +319,15 @@ Result<int64_t> PartitionLog::AppendDurable(Slice message_set,
     offset = AppendLocked(message_set, message_count);
     entry_end = offset + set_bytes;
     FlushLocked();
-    if (ContiguousEndLocked(/*synced=*/false) < entry_end) {
-      // Short write / ENOSPC: the entry is not fully in the file, so no
-      // sync can cover it this round. Later flushes retry the write; this
-      // append stays unacknowledged.
+    if (log_->written_end() < entry_end) {
+      // Failed write: the entry is not in the file, so no sync can cover it
+      // this round. Later flushes rewrite it; this append stays unacked.
       return Status::IOError("append not fully accepted by fs");
     }
   }
-  Status s = group_->SyncTo(entry_end, staged_epoch);
+  Status s = log_->SyncTo(entry_end, staged_epoch);
   if (!s.ok()) return s;
   return offset;
-}
-
-Result<int64_t> PartitionLog::GroupSyncNow() {
-  struct ToSync {
-    std::shared_ptr<io::WritableFile> file;
-    int64_t base_offset = 0;
-    int64_t target = 0;  // persisted (== sealed) bytes the sync covers
-  };
-  std::vector<ToSync> to_sync;
-  {
-    MutexLock lock(&mu_);
-    for (Segment& segment : segments_) {
-      if (segment.persisted_bytes < segment.sealed_bytes) {
-        // Hole (failed/short write): syncing later segments cannot extend
-        // the contiguous durable frontier; stop at the honest boundary.
-        break;
-      }
-      if (segment.file != nullptr &&
-          segment.synced_bytes < segment.persisted_bytes) {
-        to_sync.push_back(
-            {segment.file, segment.base_offset, segment.persisted_bytes});
-      }
-    }
-  }
-  Status fail;
-  size_t done = 0;
-  for (; done < to_sync.size(); ++done) {
-    // sync-choke-point: the group leader's one covering fdatasync — the
-    // only sync the kAlways group path ever issues, with mu_ released so
-    // appenders keep staging the next batch.
-    Status s = to_sync[done].file->Sync();
-    if (!s.ok()) {
-      fail = s;
-      break;  // keep the durable prefix contiguous
-    }
-  }
-  MutexLock lock(&mu_);
-  for (size_t i = 0; i < done; ++i) {
-    for (Segment& segment : segments_) {
-      if (segment.base_offset == to_sync[i].base_offset) {
-        // The file may hold more than `target` by now (appends staged while
-        // we were at the disk); fdatasync covered those too, but claiming
-        // only the snapshot value keeps synced_bytes entry-aligned.
-        segment.synced_bytes =
-            std::max(segment.synced_bytes, to_sync[i].target);
-        break;
-      }
-    }
-    Inc(sync_count_);
-  }
-  if (!fail.ok()) Inc(write_failed_);
-  int64_t unsynced = 0;
-  for (const Segment& segment : segments_) {
-    unsynced += segment.persisted_bytes - segment.synced_bytes;
-  }
-  unsynced_bytes_ = unsynced;
-  const int64_t durable =
-      std::max(durable_end_.load(), ContiguousEndLocked(/*synced=*/true));
-  durable_end_.store(durable);
-  if (!fail.ok()) return fail;
-  return durable;
 }
 
 namespace {
@@ -653,7 +417,7 @@ Result<PinnedSlice> PartitionLog::ReadRolled(int64_t base_offset, int64_t pos,
   const int64_t available = visible - pos;
   const int64_t want = std::min(available, std::max<int64_t>(max_bytes, 4));
   std::string bytes;
-  Status s = ReadSegmentFile(base_offset, pos, want, &bytes);
+  Status s = log_->ReadRange(base_offset, pos, want, &bytes);
   if (!s.ok()) return s;
   int64_t take = WholeEntries(bytes.data(),
                               static_cast<int64_t>(bytes.size()), max_bytes);
@@ -661,7 +425,7 @@ Result<PinnedSlice> PartitionLog::ReadRolled(int64_t base_offset, int64_t pos,
     // The first entry alone outruns the budget: read all of it.
     const int64_t entry = 4 + static_cast<int64_t>(DecodeFixed32(bytes.data()));
     if (entry > available) return NotAnEntry();
-    s = ReadSegmentFile(base_offset, pos, entry, &bytes);
+    s = log_->ReadRange(base_offset, pos, entry, &bytes);
     if (!s.ok()) return s;
     take = entry;
   }
@@ -669,25 +433,6 @@ Result<PinnedSlice> PartitionLog::ReadRolled(int64_t base_offset, int64_t pos,
   bytes.resize(static_cast<size_t>(take));
   *copied += take;
   return PinnedSlice::Own(std::move(bytes));
-}
-
-Status PartitionLog::ReadSegmentFile(int64_t base_offset, int64_t pos,
-                                     int64_t size, std::string* out) const {
-  const std::string path = SegmentPath(base_offset);
-  Status s = fs_->ReadRange(path, pos, size, out);
-  if (s.ok() && static_cast<int64_t>(out->size()) < size) {
-    s = Status::Corruption(path + " ends before the " +
-                           std::to_string(pos + size) +
-                           " bytes the log sealed into it");
-  }
-  // A file the janitor unlinked under this read (or emptied, failing the
-  // unlink) means the offset expired. Anything else stays an error: a
-  // consumer reads NotFound as "restart from the head" and would skip data.
-  if (!s.ok() && base_offset + pos < expired_end_.load()) {
-    return Status::NotFound("offset " + std::to_string(base_offset + pos) +
-                            " expired during the read");
-  }
-  return s;
 }
 
 Result<PinnedSlice> PartitionLog::ReadPinned(int64_t offset, int64_t max_bytes,
@@ -746,52 +491,28 @@ Result<std::string> PartitionLog::Read(int64_t offset,
 int PartitionLog::DeleteExpiredSegments() {
   MutexLock lock(&mu_);
   const int64_t now = clock_->NowMillis();
-  int deleted = 0;
-  while (segments_.size() > 1 &&
-         now - segments_.front().last_append_ms > options_.retention_ms) {
-    if (fs_ != nullptr) {
-      // Readers of a rolled segment read its file without mu_: announce the
-      // new head first, so a read the unlink races reports NotFound.
-      expired_end_.store(segments_[1].base_offset);
-      segments_.front().file.reset();  // close before unlink
-      Status removed =
-          fs_->RemoveFile(SegmentPath(segments_.front().base_offset));
-      if (!removed.ok() &&
-          !fs_->TruncateFile(SegmentPath(segments_.front().base_offset), 0)
-               .ok()) {
-        // Dropping the in-memory segment while its file survives intact
-        // would resurrect the expired records on the next restart. Leave it
-        // in place; the next retention sweep retries the unlink.
-        expired_end_.store(segments_.front().base_offset);
-        break;
-      }
-    }
-    segments_.pop_front();
-    ++deleted;
+  // Segments expire oldest first; the active one only once it holds bytes.
+  size_t expired = 0;
+  while (expired < segments_.size() &&
+         now - segments_[expired].last_append_ms > options_.retention_ms) {
+    ++expired;
   }
-  // The active segment may also expire entirely.
-  if (segments_.size() == 1 && segments_.front().size() > 0 &&
-      now - segments_.front().last_append_ms > options_.retention_ms) {
-    Segment& s = segments_.front();
-    const int64_t end = s.base_offset + s.size();
-    if (fs_ != nullptr) {
-      s.file.reset();  // close before unlink
-      Status removed = fs_->RemoveFile(SegmentPath(s.base_offset));
-      if (!removed.ok() &&
-          !fs_->TruncateFile(SegmentPath(s.base_offset), 0).ok()) {
-        // Same resurrection hazard as above: keep the segment until the
-        // file is actually gone (or at least empty).
-        if (deleted > 0) PublishSnapshotLocked();
-        return deleted;
-      }
-    }
+  if (expired == segments_.size() && segments_.back().size() == 0) --expired;
+  if (expired == 0) return 0;
+  const int64_t floor =
+      expired < segments_.size()
+          ? segments_[expired].base_offset
+          : segments_.back().base_offset + segments_.back().size();
+  const int deleted = log_ != nullptr ? log_->DeleteBelow(floor)
+                                      : static_cast<int>(expired);
+  for (int i = 0; i < deleted; ++i) segments_.pop_front();
+  if (segments_.empty()) {
     Segment fresh;
-    fresh.base_offset = end;
+    fresh.base_offset = floor;
     fresh.last_append_ms = now;
-    segments_.front() = std::move(fresh);
+    segments_.push_back(std::move(fresh));
     unflushed_messages_ = 0;
-    flushed_end_.store(std::max(flushed_end_.load(), end));
-    ++deleted;
+    flushed_end_.store(std::max(flushed_end_.load(), floor));
   }
   if (deleted > 0) PublishSnapshotLocked();
   return deleted;
@@ -821,7 +542,7 @@ int64_t PartitionLog::durable_end_offset() const {
 
 Status PartitionLog::recovery_status() const {
   MutexLock lock(&mu_);
-  return recovery_status_;
+  return log_ != nullptr ? log_->status() : Status::OK();
 }
 
 int64_t PartitionLog::end_offset() const { return end_offset_.load(); }

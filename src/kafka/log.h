@@ -14,7 +14,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "io/file.h"
-#include "io/group_commit.h"
+#include "io/segment_log.h"
 #include "obs/metrics.h"
 
 namespace lidi::kafka {
@@ -166,39 +166,28 @@ class PartitionLog {
   /// durable_end_offset() <= flushed_end_offset().
   int64_t durable_end_offset() const;
 
-  /// Non-OK when constructor-time recovery hit a problem it could not mend
-  /// silently: an unreadable segment file (recovery stops there; later
-  /// segment files are renamed aside to "<name>.orphan" so appends can
-  /// never collide with them) or a torn tail whose on-disk truncation
-  /// failed (that segment is sealed; appends move to a fresh file).
-  /// Recovery keeps the offset space dense: it also stops at a segment that
-  /// does not end where the next file begins (a torn or missing file), and
-  /// sets those later files aside the same way, but that is a power loss's
-  /// ordinary footprint and leaves the status OK.
+  /// Non-OK when the files hold bytes the log cannot account for: recovery
+  /// could not read a segment file (it serves the segments before it), a
+  /// torn tail could not be truncated, a file past a recovery hole could be
+  /// neither set aside nor emptied, or a failed write or sync could not be
+  /// taken back off its file. The log then refuses writes until it is
+  /// reopened. Recovery keeps the offset space dense: it stops at a segment
+  /// that does not end where the next file begins (a torn or missing file)
+  /// and renames the later files aside ("<name>.orphan"), but that is a
+  /// power loss's ordinary footprint and leaves the status OK.
   Status recovery_status() const;
 
  private:
   /// Writer-side segment state, guarded by mu_. `sealed` chunks are
   /// immutable and shared with reader snapshots; `tail` holds unflushed
   /// bytes no reader can observe. In persistent mode a rolled segment drops
-  /// its chunks once persisted_bytes == sealed_bytes (its file holds them).
+  /// its chunks once its file holds them durably under the sync policy.
   struct Segment {
     int64_t base_offset = 0;
     std::vector<BufferRef> sealed;
     int64_t sealed_bytes = 0;
     std::string tail;
     int64_t last_append_ms = 0;
-    /// Bytes the filesystem accepted into the segment file (persistent
-    /// mode). Advances only by what WritableFile::Append reports accepted —
-    /// a failed or short write leaves it honest.
-    int64_t persisted_bytes = 0;
-    /// Prefix of persisted_bytes covered by a successful Sync.
-    int64_t synced_bytes = 0;
-    /// Cached append handle for the segment file, opened on first persist
-    /// and kept until the segment is deleted (the historical open/append/
-    /// close per flush was pure overhead). shared_ptr so a group leader can
-    /// sync it outside mu_ while the janitor races a retention delete.
-    std::shared_ptr<io::WritableFile> file;
 
     int64_t size() const {
       return sealed_bytes + static_cast<int64_t>(tail.size());
@@ -227,9 +216,6 @@ class PartitionLog {
   Result<PinnedSlice> ReadRolled(int64_t base_offset, int64_t pos,
                                  int64_t visible, int64_t max_bytes,
                                  int64_t* copied) const;
-  /// One ranged read of a segment file that must return all `size` bytes.
-  Status ReadSegmentFile(int64_t base_offset, int64_t pos, int64_t size,
-                         std::string* out) const;
 
   std::shared_ptr<const Snapshot> LoadSnapshot() const LIDI_EXCLUDES(snapshot_mu_);
   int64_t AppendLocked(Slice message_set, int message_count)
@@ -237,50 +223,32 @@ class PartitionLog {
   void MaybeFlushLocked() LIDI_REQUIRES(mu_);
   void FlushLocked() LIDI_REQUIRES(mu_);
   void SealTailLocked(Segment* segment) LIDI_REQUIRES(mu_);
-  /// Persistent mode: rolled segments whose files hold every sealed byte
-  /// drop their chunks.
-  void ReleaseRolledChunksLocked() LIDI_REQUIRES(mu_);
+  /// Persistent mode: rolled segments whose files hold them durably under
+  /// the sync policy (written under kNever, synced otherwise) drop their
+  /// chunks. Returns whether any did.
+  bool ReleaseRolledChunksLocked() LIDI_REQUIRES(mu_);
   void PublishSnapshotLocked() LIDI_REQUIRES(mu_);
-  void RecoverFromDiskLocked() LIDI_REQUIRES(mu_);
+  /// Writes every sealed byte the files lack, then syncs if the policy says
+  /// so. A failed write leaves the rest for the next flush, which rewrites
+  /// it from the chunks.
   void PersistSealedLocked() LIDI_REQUIRES(mu_);
-  /// Opens (and caches) the segment's append handle. Null on open failure.
-  io::WritableFile* SegmentFileLocked(Segment* segment) LIDI_REQUIRES(mu_);
-  /// Group-commit SyncFn: snapshots the fully-persisted-but-unsynced
-  /// segments under mu_, fdatasyncs them with mu_ RELEASED (appenders keep
-  /// staging), then re-locks to advance synced/durable frontiers. Returns
-  /// the new durable end offset.
-  Result<int64_t> GroupSyncNow() LIDI_EXCLUDES(mu_);
-  bool group_mode() const { return group_ != nullptr; }
-  std::string SegmentPath(int64_t base_offset) const;
-  /// End of the contiguous prefix of the log the fs accepted (synced=false)
-  /// or fdatasync'ed (synced=true): stops at the first segment whose
-  /// persisted/synced bytes trail its sealed bytes.
-  int64_t ContiguousEndLocked(bool synced) const LIDI_REQUIRES(mu_);
+  /// Runs after each group sync, under mu_.
+  void OnGroupSyncLocked() LIDI_REQUIRES(mu_);
+  bool group_mode() const { return log_ != nullptr && log_->group_mode(); }
 
   const LogOptions options_;
   const Clock* const clock_;
-  /// Null in in-memory mode; otherwise options_.fs or the default POSIX fs.
-  io::Fs* const fs_;
-  /// Durability instruments (null when options_.metrics is null).
-  obs::Counter* sync_count_ = nullptr;
-  obs::Counter* write_failed_ = nullptr;
-  obs::Counter* torn_truncations_ = nullptr;
-  /// Non-null exactly when group commit is active (persistent + kAlways +
-  /// options_.group_commit).
-  // tsa-ok: set once during construction; the committer is internally
-  // synchronized (its own leaf lock).
-  std::unique_ptr<io::GroupCommitter> group_;
 
   /// Writer lock: appends, flush policy, persistence, retention. Readers do
   /// not take it. Ordered before the snapshot micro-mutex (publishing takes
   /// both, writer first).
   mutable Mutex mu_{"kafka.log.writer", lockrank::kKafkaLogWriter};
-  Status recovery_status_ LIDI_GUARDED_BY(mu_);
+  /// The segment files (persistent mode; null in memory). mu_ guards its
+  /// state; readers call only its lock-free ReadRange.
+  const std::unique_ptr<io::SegmentLog> log_;
   std::deque<Segment> segments_ LIDI_GUARDED_BY(mu_);
   int unflushed_messages_ LIDI_GUARDED_BY(mu_) = 0;
   int64_t first_unflushed_ms_ LIDI_GUARDED_BY(mu_) = 0;
-  /// Accepted-but-unsynced bytes across all segments (drives kInterval).
-  int64_t unsynced_bytes_ LIDI_GUARDED_BY(mu_) = 0;
   /// Staging buffer the seal-merge path swaps with its merged chunk, so the
   /// flush-per-append hot path reuses one buffer's capacity instead of
   /// allocating a fresh one per merge.
@@ -301,10 +269,6 @@ class PartitionLog {
   std::atomic<int64_t> flushed_end_{0};
   std::atomic<int64_t> durable_end_{0};
   std::atomic<int64_t> end_offset_{0};
-  /// Offsets below this are expired: the janitor stores it before it
-  /// unlinks a segment file, so a read whose file vanished under it can
-  /// tell an expired offset (NotFound) from a failing filesystem.
-  std::atomic<int64_t> expired_end_{0};
 };
 
 }  // namespace lidi::kafka

@@ -94,6 +94,12 @@ bool MessageSetIterator::NextView(MessageView* view) {
         view->offset = inner_wrapper_offset_;
         return true;
       }
+      if (entry_status.ok() && !inner.empty()) {
+        // A wrapper is consumed whole, so its inner set must end at an
+        // entry boundary too: a partial inner entry is damage, not a tail.
+        entry_status = Status::Corruption(
+            "compressed message set ends in a partial entry");
+      }
       if (!entry_status.ok()) {
         status_ = entry_status;
         return false;
@@ -120,10 +126,14 @@ bool MessageSetIterator::NextView(MessageView* view) {
       view->offset = entry_offset;
       return true;
     }
-    // Wrapper entry: decompress and iterate its inner messages.
+    // Wrapper entry: decompress and iterate its inner messages. The CRC
+    // does not cover the attributes byte, so an unknown codec is damage.
     inner_buffer_.clear();
     inner_pos_ = 0;
-    Status s = Decompress(codec, payload, &inner_buffer_);
+    Status s = codec == CompressionCodec::kDeflate
+                   ? Decompress(codec, payload, &inner_buffer_)
+                   : Status::Corruption("message attributes name codec " +
+                                        std::to_string(attributes));
     if (!s.ok()) {
       status_ = s;
       return false;

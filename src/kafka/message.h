@@ -85,7 +85,9 @@ class MessageSetIterator {
 
   /// Advances to the next message. Returns false at the end of the range
   /// (also when only a partial trailing entry remains). Corrupt entries
-  /// surface through status().
+  /// surface through status(), and so does a compressed wrapper that does
+  /// not inflate (kMaxDecompressedBytes caps it) or whose inner set ends in
+  /// a partial entry.
   bool Next(Message* message);
 
   /// Zero-copy variant of Next: no payload bytes are copied. The view is

@@ -49,6 +49,7 @@ SimCluster::SimCluster(SimOptions options)
   base_fs_ = io::NewMemFs();
   io::FaultFsOptions primary_fs_options;
   primary_fs_options.seed = options_.seed ^ 0xd15cULL;
+  primary_fs_options.truncate_keeps_bytes = options_.legacy_binlog_bug;
   primary_disk_ =
       std::make_unique<io::FaultFs>(base_fs_.get(), primary_fs_options);
   for (int i = 0; i < options_.kafka_brokers; ++i) {
@@ -199,9 +200,6 @@ sqlstore::BinlogOptions SimCluster::PrimaryBinlogOptions() const {
   options.data_dir = "/primary";
   options.fs = primary_disk_.get();
   options.sync = io::SyncPolicy::kAlways;
-  options.legacy_advance_on_failed_write = options_.legacy_binlog_bug;
-  // Group-commit the binlog too (a no-op when the legacy-bug knob re-enables
-  // the historical inline path — legacy wins; see BinlogOptions).
   options.group_commit = true;
   return options;
 }

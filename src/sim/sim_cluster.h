@@ -43,8 +43,9 @@ struct SimOptions {
   int kafka_brokers = 2;
   int espresso_nodes = 2;
   int espresso_partitions = 4;
-  /// TEST-ONLY: re-introduces the historical sqlstore binlog bug (see
-  /// BinlogOptions::legacy_advance_on_failed_write) so the harness can
+  /// TEST-ONLY: re-introduces the footprint of the historical sqlstore
+  /// binlog bug (FaultFsOptions::truncate_keeps_bytes on the primary's disk:
+  /// a failed write's torn bytes stay in the file) so the harness can
   /// demonstrate its no-acked-write-lost invariant re-finding a real,
   /// previously shipped defect.
   bool legacy_binlog_bug = false;

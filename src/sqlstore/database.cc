@@ -153,53 +153,25 @@ Status DecodeRecordView(Slice body, RecordView* record) {
 
 Binlog::Binlog(BinlogOptions options)
     : options_(std::move(options)),
-      fs_(options_.data_dir.empty()
-              ? nullptr
-              : (options_.fs != nullptr ? options_.fs : io::DefaultFs())) {
-  if (options_.metrics != nullptr) {
-    const obs::Labels labels{{"layer", "sqlstore.binlog"}};
-    sync_count_ = options_.metrics->GetCounter("io.sync.count", labels);
-    write_failed_ = options_.metrics->GetCounter("io.write.failed", labels);
-    torn_truncations_ =
-        options_.metrics->GetCounter("io.recovery.torn_truncations", labels);
-  }
-  if (fs_ != nullptr) {
+      log_(options_.data_dir.empty()
+               ? nullptr
+               : std::make_unique<io::SegmentLog>(
+                     io::SegmentLogOptions{
+                         options_.data_dir, options_.fs, options_.sync,
+                         options_.sync_interval_bytes, options_.group_commit,
+                         options_.metrics, "sqlstore.binlog"},
+                     &mu_,
+                     [this](const Status& s) { OnGroupSyncLocked(s); })) {
+  if (log_ != nullptr) {
     MutexLock lock(&mu_);
-    RecoverLocked();
-  }
-  if (fs_ != nullptr && options_.sync == io::SyncPolicy::kAlways &&
-      options_.group_commit && !options_.legacy_advance_on_failed_write) {
-    io::GroupCommitOptions group_options;
-    group_options.metrics = options_.metrics;
-    group_options.layer = "sqlstore.binlog";
-    group_ = std::make_unique<io::GroupCommitter>(
-        [this] { return GroupSyncNow(); }, group_options);
+    log_->Recover([this](int64_t, std::string* bytes) {
+      return ReplayLocked(*bytes);
+    });
+    durable_scn_ = next_scn_ - 1;  // everything replayed is on stable storage
   }
 }
 
-std::string Binlog::FilePath() const { return options_.data_dir + "/binlog.seg"; }
-
-/// Replays the binlog file: CRC-validated records that decode extend the
-/// in-memory log;
-/// the scan stops at the first torn or corrupt record (or an SCN breaking
-/// the dense order) and truncates the file there, so the next append lands
-/// right after the last intact transaction.
-void Binlog::RecoverLocked() {
-  Status s = fs_->CreateDirs(options_.data_dir);
-  if (!s.ok()) {
-    recovery_status_ = s;
-    damaged_ = true;
-    return;
-  }
-  const std::string path = FilePath();
-  if (!fs_->FileExists(path)) return;
-  std::string data;
-  s = fs_->ReadFile(path, &data);
-  if (!s.ok()) {
-    recovery_status_ = s;
-    damaged_ = true;  // the file has bytes we cannot see; never append blind
-    return;
-  }
+int64_t Binlog::ReplayLocked(Slice data) {
   size_t offset = 0;
   RecordView txn;
   while (true) {
@@ -219,18 +191,7 @@ void Binlog::RecoverLocked() {
     next_scn_++;
     offset += record.size();
   }
-  if (offset < data.size()) {
-    if (torn_truncations_ != nullptr) torn_truncations_->Increment();
-    Status t = fs_->TruncateFile(path, static_cast<int64_t>(offset));
-    if (!t.ok()) {
-      recovery_status_ = t;
-      if (write_failed_ != nullptr) write_failed_->Increment();
-      damaged_ = true;  // garbage stays past offset; appends must not follow
-    }
-  }
-  persisted_bytes_ = static_cast<int64_t>(offset);
-  synced_bytes_ = persisted_bytes_;
-  durable_scn_ = next_scn_ - 1;  // everything replayed is on stable storage
+  return static_cast<int64_t>(offset);
 }
 
 ByteBlocks::Span Binlog::EncodeLocked(const std::vector<Change>& changes) {
@@ -240,96 +201,26 @@ ByteBlocks::Span Binlog::EncodeLocked(const std::vector<Change>& changes) {
                         });
 }
 
-/// Write-only half of the persist: appends the record and advances
-/// persisted_bytes_ on full acceptance. On failure the file is rolled back
-/// to the last acknowledged byte (or, if even that fails, the binlog
-/// declares itself damaged and refuses all further appends — the loud
-/// alternative to silently burying an unacknowledged record).
-Status Binlog::StageLocked(const ByteBlocks::Span& record) {
-  if (damaged_) {
-    return Status::IOError("binlog damaged (unacked bytes on disk): " +
-                           recovery_status_.message());
-  }
-  if (file_ == nullptr) {
-    auto file = fs_->OpenAppend(FilePath());
-    if (!file.ok()) {
-      if (write_failed_ != nullptr) write_failed_->Increment();
-      return file.status();
-    }
-    file_ = std::move(file.value());
-  }
-  const int64_t record_bytes = record.size;
-  int64_t accepted = 0;
-  Status s = file_->Append(blocks_.Read(record), &accepted);
-  if (s.ok() && accepted < record_bytes) {
-    s = Status::IOError("short binlog write");
-  }
-  if (!s.ok()) {
-    if (write_failed_ != nullptr) write_failed_->Increment();
-    if (options_.legacy_advance_on_failed_write) {
-      // The re-introduced bug: pretend the record landed. The file holds a
-      // torn prefix that the next append will bury; recovery stops there.
-      persisted_bytes_ += record_bytes;
-      return s;
-    }
-    file_.reset();
-    Status t = fs_->TruncateFile(FilePath(), persisted_bytes_);
-    if (!t.ok()) {
-      damaged_ = true;
-      if (recovery_status_.ok()) recovery_status_ = t;
-    }
-    return s;
-  }
-  persisted_bytes_ += record_bytes;
-  return Status::OK();
-}
-
-/// All-or-nothing persist of one transaction record (non-group path): the
-/// write via StageLocked, then the policy-mandated inline sync. A failed
-/// sync rolls the freshly written record back off the file too — the record
-/// must not surface after a restart when its commit reported failure.
-Status Binlog::PersistLocked(const ByteBlocks::Span& record) {
-  if (fs_ == nullptr) return Status::OK();
-  const int64_t record_start = persisted_bytes_;
-  Status s = StageLocked(record);
-  if (!s.ok()) return s;
-  const bool sync_due =
-      options_.sync == io::SyncPolicy::kAlways ||
-      (options_.sync == io::SyncPolicy::kInterval &&
-       persisted_bytes_ - synced_bytes_ >= options_.sync_interval_bytes);
-  if (!sync_due) return Status::OK();
-  // sync-choke-point: inline per-commit fdatasync (non-group kAlways, and
-  // interval-policy threshold syncs).
-  s = file_->Sync();
-  if (s.ok()) {
-    if (sync_count_ != nullptr) sync_count_->Increment();
-    synced_bytes_ = persisted_bytes_;
-    durable_scn_ = next_scn_;
-    return Status::OK();
-  }
-  if (write_failed_ != nullptr) write_failed_->Increment();
-  if (options_.legacy_advance_on_failed_write) return s;
-  file_.reset();
-  persisted_bytes_ = record_start;
-  Status t = fs_->TruncateFile(FilePath(), persisted_bytes_);
-  if (!t.ok()) {
-    damaged_ = true;
-    if (recovery_status_.ok()) recovery_status_ = t;
-  }
-  return s;
-}
-
 Result<int64_t> Binlog::Append(const std::vector<Change>& changes) {
-  if (!group_mode()) {
+  if (log_ == nullptr || !log_->group_mode()) {
     MutexLock lock(&mu_);
     const ByteBlocks::Span record = EncodeLocked(changes);
-    Status s = PersistLocked(record);
-    if (!s.ok()) {
-      blocks_.DropFrom(record);
-      return s;
+    if (log_ != nullptr) {
+      // All or nothing: the record is written, then synced when the policy
+      // makes a sync due, and its commit waits on that sync. A failure takes
+      // the record back off the file.
+      const int64_t start = log_->written_end();
+      Status s = log_->Write(blocks_.Read(record));
+      if (s.ok()) s = log_->SyncIfDue(start);
+      if (!s.ok()) {
+        blocks_.DropFrom(record);
+        return s;
+      }
     }
     index_.push_back(record);
-    if (fs_ == nullptr) durable_scn_ = next_scn_;
+    if (log_ == nullptr || log_->synced_end() == log_->written_end()) {
+      durable_scn_ = next_scn_;
+    }
     return next_scn_++;
   }
   // Group commit: write the record under mu_, then hand the fdatasync to
@@ -339,76 +230,50 @@ Result<int64_t> Binlog::Append(const std::vector<Change>& changes) {
   // failed group sync rolls the file back at any point after this capture,
   // SyncTo refuses to acknowledge (see io/group_commit.h — false errors are
   // safe, false acks are not).
-  const uint64_t staged_epoch = group_->epoch();
+  const uint64_t staged_epoch = log_->epoch();
   int64_t scn = 0;
   int64_t target = 0;
   {
     MutexLock lock(&mu_);
     const ByteBlocks::Span record = EncodeLocked(changes);
-    Status s = StageLocked(record);
+    Status s = log_->Write(blocks_.Read(record));
     if (!s.ok()) {
       blocks_.DropFrom(record);
       return s;
     }
     scn = next_scn_++;
-    pending_.push_back(Pending{record, persisted_bytes_});
-    target = persisted_bytes_;
+    target = log_->written_end();
+    pending_.push_back(Pending{record, target});
   }
-  // SyncTo acknowledges only a frontier some successful GroupSyncNow
-  // returned, in the epoch this record was staged in; that call indexed
+  // SyncTo acknowledges only a frontier some successful group sync
+  // returned, in the epoch this record was staged in; that sync indexed
   // every pending record it covered.
-  Status s = group_->SyncTo(target, staged_epoch);
+  Status s = log_->SyncTo(target, staged_epoch);
   if (!s.ok()) return s;
   return scn;
 }
 
-Result<int64_t> Binlog::GroupSyncNow() {
-  std::shared_ptr<io::WritableFile> file;
-  int64_t covered = 0;
-  {
-    MutexLock lock(&mu_);
-    file = file_;
-    covered = persisted_bytes_;
-    if (file == nullptr || covered <= synced_bytes_) return synced_bytes_;
-  }
-  // sync-choke-point: the group leader's one covering fdatasync — the only
-  // sync the group-commit path ever issues, with mu_ released so committers
-  // keep staging the next batch.
-  Status s = file->Sync();
-  MutexLock lock(&mu_);
-  if (s.ok()) {
-    if (sync_count_ != nullptr) sync_count_->Increment();
-    synced_bytes_ = std::max(synced_bytes_, covered);
+void Binlog::OnGroupSyncLocked(const Status& synced) {
+  if (synced.ok()) {
     // Index covered pending records, in stage order — the index stays
     // dense and holds only durable commits.
     size_t promoted = 0;
     while (promoted < pending_.size() &&
-           pending_[promoted].end_bytes <= synced_bytes_) {
+           pending_[promoted].end_bytes <= log_->synced_end()) {
       index_.push_back(pending_[promoted].record);
       ++promoted;
     }
     pending_.erase(pending_.begin(),
                    pending_.begin() + static_cast<int64_t>(promoted));
     durable_scn_ = static_cast<int64_t>(index_.size());
-    return synced_bytes_;
+    return;
   }
-  // Failed group sync: every byte past the last covering sync is
-  // indeterminate on disk. Roll the file back to the durable frontier and
-  // drop the in-flight batch, whose records lie past every indexed one —
-  // the committer bumps its epoch, so every staged waiter gets an error
-  // instead of a false acknowledgement.
-  if (write_failed_ != nullptr) write_failed_->Increment();
-  file_.reset();
-  Status t = fs_->TruncateFile(FilePath(), synced_bytes_);
-  if (!t.ok()) {
-    damaged_ = true;
-    if (recovery_status_.ok()) recovery_status_ = t;
-  }
-  persisted_bytes_ = synced_bytes_;
+  // The file just rolled back to the synced frontier, past every indexed
+  // record: drop the in-flight batch in the same critical section, so no
+  // commit staged after it takes a rolled-back offset with a later SCN.
   if (!pending_.empty()) blocks_.DropFrom(pending_.front().record);
   pending_.clear();
   next_scn_ = static_cast<int64_t>(index_.size()) + 1;
-  return s;
 }
 
 int64_t Binlog::DurableScn() const {
@@ -418,7 +283,7 @@ int64_t Binlog::DurableScn() const {
 
 Status Binlog::recovery_status() const {
   MutexLock lock(&mu_);
-  return recovery_status_;
+  return log_ != nullptr ? log_->status() : Status::OK();
 }
 
 std::vector<Slice> Binlog::ReadAfter(int64_t from_scn,

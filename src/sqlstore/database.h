@@ -15,7 +15,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "io/file.h"
-#include "io/group_commit.h"
+#include "io/segment_log.h"
 #include "obs/metrics.h"
 
 namespace lidi::sqlstore {
@@ -75,10 +75,11 @@ Status DecodeRecordView(Slice body, RecordView* record);
 /// Durability knobs for the binlog (the MySQL-binlog stand-in the Databus
 /// pipeline tails, Section III.B).
 struct BinlogOptions {
-  /// When non-empty, every committed transaction is appended to
-  /// "<data_dir>/binlog.seg" before its SCN is acknowledged, and a new
-  /// Binlog replays the file on construction (torn trailing records are
-  /// truncated). Empty = in-memory only.
+  /// When non-empty, every committed transaction is appended to the log's
+  /// segment file, "<data_dir>/00000000000000000000.log" (io::SegmentLog),
+  /// before its SCN is acknowledged, and a new Binlog replays the file on
+  /// construction (torn trailing records are truncated). Empty = in-memory
+  /// only.
   std::string data_dir;
   /// Filesystem writes go through; null = the process-wide fd-based POSIX
   /// fs. Tests inject io::MemFs / io::FaultFs here.
@@ -93,21 +94,12 @@ struct BinlogOptions {
   /// the rest park and are acknowledged when the leader's sync covers their
   /// record (DESIGN.md §7). Acked-commit-loss semantics are unchanged: an
   /// SCN is still only acknowledged after a covering fdatasync. Ignored
-  /// unless sync == kAlways; incompatible with (and disabled by)
-  /// legacy_advance_on_failed_write.
+  /// unless sync == kAlways.
   bool group_commit = false;
   /// Registry for the durability instruments ("io.sync.count",
   /// "io.write.failed", "io.recovery.torn_truncations", labeled
   /// layer=sqlstore.binlog). Null = not instrumented.
   obs::MetricsRegistry* metrics = nullptr;
-  /// TEST-ONLY. Re-introduces the historical persisted_bytes bug (fixed in
-  /// the durable-I/O PR): a failed append advances the acknowledged-bytes
-  /// frontier without rolling the file back, so later appends bury the torn
-  /// record and crash recovery silently stops before every later acked
-  /// commit. Exists so the simulation harness can demonstrate its
-  /// no-acked-commit-lost invariant re-finding a real, previously shipped
-  /// bug (DESIGN.md §9). Never set outside tests.
-  bool legacy_advance_on_failed_write = false;
 };
 
 /// The commit-ordered replication log. Replayable from any SCN — the
@@ -141,7 +133,8 @@ class Binlog {
   /// Non-OK when construction-time replay hit a problem it refuses to paper
   /// over (unreadable file, failed torn-tail truncation), or when a failed
   /// append could not be rolled off the file — after which further appends
-  /// are refused rather than buried behind unacknowledged bytes.
+  /// are refused rather than buried behind unacknowledged bytes
+  /// (io::SegmentLog's failure rules).
   Status recovery_status() const;
 
   /// Bytes the record blocks and the SCN index hold.
@@ -154,44 +147,28 @@ class Binlog {
 
  private:
   /// One staged-but-not-yet-durable transaction (group mode): indexed when
-  /// a covering group sync lands, dropped (with the file rolled back) when
-  /// the sync fails.
+  /// a covering group sync lands, dropped when the sync fails.
   struct Pending {
     ByteBlocks::Span record;
-    /// File offset one past this transaction's record — durable once
-    /// synced_bytes_ reaches it.
+    /// Log offset one past this transaction's record — durable once the
+    /// synced frontier reaches it.
     int64_t end_bytes = 0;
   };
 
-  std::string FilePath() const;
-  bool group_mode() const { return group_ != nullptr; }
   /// Encodes the record of `changes` at next_scn_ into the blocks, past
   /// every record before it.
   ByteBlocks::Span EncodeLocked(const std::vector<Change>& changes)
       LIDI_REQUIRES(mu_);
-  /// Writes (no sync) `record`, advancing persisted_bytes_; on failure
-  /// rolls the file back to the last acknowledged byte.
-  Status StageLocked(const ByteBlocks::Span& record) LIDI_REQUIRES(mu_);
-  Status PersistLocked(const ByteBlocks::Span& record) LIDI_REQUIRES(mu_);
-  /// Group-commit sync body (called by the committer with mu_ free): one
-  /// covering fdatasync, then index covered pending transactions — or, on
-  /// failure, roll the file back to the durable frontier and drop the
-  /// in-flight batch so no waiter is falsely acknowledged.
-  Result<int64_t> GroupSyncNow() LIDI_EXCLUDES(mu_);
-  void RecoverLocked() LIDI_REQUIRES(mu_);
+  /// Recovery scan of a segment file: indexes each CRC-valid record that
+  /// decodes and carries the next dense SCN; returns the bytes they take.
+  int64_t ReplayLocked(Slice data) LIDI_REQUIRES(mu_);
+  /// Runs after each group sync, in the critical section that moved the
+  /// synced frontier (indexes the covered pending records) or rolled the
+  /// file back (drops the staged records and takes their SCNs back, so the
+  /// next commit's SCN follows the last durable one at the offset it takes).
+  void OnGroupSyncLocked(const Status& synced) LIDI_REQUIRES(mu_);
 
   const BinlogOptions options_;
-  // tsa-ok: set once during construction; null = in-memory only.
-  io::Fs* fs_ = nullptr;
-  obs::Counter* sync_count_ = nullptr;
-  obs::Counter* write_failed_ = nullptr;
-  obs::Counter* torn_truncations_ = nullptr;
-
-  /// Non-null iff group commit is active (fs-backed, kAlways, group_commit
-  /// set, legacy bug knob off). Its mutex is a leaf under mu_.
-  // tsa-ok: set once during construction; the committer is internally
-  // synchronized.
-  std::unique_ptr<io::GroupCommitter> group_;
 
   mutable Mutex mu_{"sqlstore.binlog"};
   /// Every record, as the file holds it. Nothing is dropped but a record
@@ -206,21 +183,10 @@ class Binlog {
   std::vector<Pending> pending_ LIDI_GUARDED_BY(mu_);
   int64_t next_scn_ LIDI_GUARDED_BY(mu_) = 1;
   int64_t durable_scn_ LIDI_GUARDED_BY(mu_) = 0;
-  /// Bytes of acknowledged records in the file (rollback target).
-  int64_t persisted_bytes_ LIDI_GUARDED_BY(mu_) = 0;
-  /// Bytes covered by a successful fdatasync (group-mode rollback target:
-  /// everything past it is indeterminate after a failed sync). The
-  /// interval policy syncs once persisted_bytes_ - synced_bytes_ reaches
-  /// sync_interval_bytes.
-  int64_t synced_bytes_ LIDI_GUARDED_BY(mu_) = 0;
-  /// Set when the file holds bytes we could not take back (failed rollback
-  /// truncate) — appending past them would bury unacknowledged data.
-  bool damaged_ LIDI_GUARDED_BY(mu_) = false;
-  Status recovery_status_ LIDI_GUARDED_BY(mu_);
-  /// shared_ptr: the group leader copies the handle under mu_ and syncs it
-  /// with mu_ released, racing rollback paths that file_.reset().
-  std::shared_ptr<io::WritableFile> file_ LIDI_GUARDED_BY(mu_);
   mutable int64_t read_calls_ LIDI_GUARDED_BY(mu_) = 0;
+  /// The segment file (persistent mode; null in memory). mu_ guards its
+  /// state; in group mode its leader syncs with mu_ released.
+  const std::unique_ptr<io::SegmentLog> log_;
 };
 
 /// A transactional, binlogged row store — the primary-database substrate

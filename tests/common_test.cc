@@ -408,6 +408,27 @@ TEST(CompressionTest, EmptyInput) {
   EXPECT_TRUE(output.empty());
 }
 
+// Inflation is capped: a deflate stream of exactly kMaxDecompressedBytes
+// inflates, one byte more is Corruption and appends nothing. Decompress used
+// to retry with a doubling buffer up to 8,192 times the input's size.
+TEST(CompressionTest, InflatingPastTheCapIsCorruption) {
+  for (const size_t size : {kMaxDecompressedBytes, kMaxDecompressedBytes + 1}) {
+    std::string compressed;
+    ASSERT_TRUE(Compress(CompressionCodec::kDeflate, std::string(size, '\0'),
+                         &compressed)
+                    .ok());
+    std::string output = "kept";
+    Status s = Decompress(CompressionCodec::kDeflate, compressed, &output);
+    if (size == kMaxDecompressedBytes) {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_EQ(output.size(), 4 + size);
+    } else {
+      EXPECT_EQ(s.code(), Code::kCorruption) << s.ToString();
+      EXPECT_EQ(output.size(), 4u) << "nothing is appended";
+    }
+  }
+}
+
 TEST(CompressionTest, CorruptInputRejected) {
   std::string output;
   Status s = Decompress(CompressionCodec::kDeflate, "not deflate data", &output);

@@ -619,9 +619,9 @@ TEST(FaultFsRegressionTest, KafkaFailedWritesDoNotAdvanceTheFrontier) {
   EXPECT_TRUE(ReadAllPayloads(&recovered).empty());
 }
 
-// Short writes leave the file shorter than the in-memory log; the honest
-// counter resumes from the accepted boundary and eventually completes the
-// entry, and recovery tolerates the shorter file at every point.
+// Short writes leave torn bytes in the file; each is truncated back off it,
+// the next flush rewrites the entry whole until a write completes it, and
+// recovery tolerates the file at every point.
 TEST(FaultFsRegressionTest, KafkaShortWritesResumeFromHonestBoundary) {
   auto mem = io::NewMemFs();
   io::FaultFsOptions fopts;
@@ -638,8 +638,8 @@ TEST(FaultFsRegressionTest, KafkaShortWritesResumeFromHonestBoundary) {
   {
     kafka::PartitionLog log(opts, &clock);
     log.Append(OneSet(payload), 1);
-    // Each flush retries from the honest boundary; a torn write advances it
-    // by what stuck. Never does the frontier pass unaccepted bytes.
+    // Each flush rewrites the entry from its chunk; a torn write is taken
+    // back. Never does the frontier pass unaccepted bytes.
     for (int i = 0; i < 400 && log.flushed_end_offset() == 0; ++i) {
       log.Flush();
       ASSERT_LE(log.flushed_end_offset(), fs.total_bytes_written());
@@ -648,6 +648,74 @@ TEST(FaultFsRegressionTest, KafkaShortWritesResumeFromHonestBoundary) {
   }
   kafka::PartitionLog recovered(opts, &clock);
   EXPECT_EQ(ReadAllPayloads(&recovered), std::vector<std::string>{payload});
+}
+
+// Kafka under sync=always, inline and under group commit: a spell in which
+// every sync fails, then a calm one with sporadic failures. A failed sync
+// takes the unsynced bytes back off the files and the next flush rewrites
+// them from the chunks, so a rolled segment keeps its chunks until its file
+// is synced (it used to drop them once written). After a restart every
+// acknowledged append, and every byte below the last durable frontier,
+// reads back.
+TEST(FaultFsRegressionTest, KafkaFailedSyncsKeepChunksAndLoseNoAck) {
+  for (const bool group : {false, true}) {
+    for (uint64_t seed : Seeds(40)) {
+      SCOPED_TRACE(std::string(group ? "group " : "inline ") +
+                   ReplayHint(seed));
+      auto mem = io::NewMemFs();
+      io::FaultFsOptions fopts;
+      fopts.seed = seed;
+      fopts.sync_error_probability = 1.0;
+      io::FaultFs fs(mem.get(), fopts);
+      kafka::LogOptions opts;
+      opts.data_dir = "/p0";
+      opts.fs = &fs;
+      opts.sync = io::SyncPolicy::kAlways;
+      opts.group_commit = group;
+      opts.segment_bytes = 200;
+      ManualClock clock;
+      Random rng(seed);
+      std::vector<std::string> appended;
+      std::vector<std::pair<int64_t, std::string>> acked;
+      int64_t durable = 0;
+      {
+        kafka::PartitionLog log(opts, &clock);
+        const auto append = [&](int i) {
+          appended.push_back("m" + std::to_string(i) + "-" +
+                             rng.Bytes(rng.Uniform(20)));
+          auto offset = log.AppendDurable(OneSet(appended.back()), 1);
+          if (offset.ok()) acked.emplace_back(offset.value(), appended.back());
+          return offset.ok();
+        };
+        for (int i = 0; i < 16; ++i) EXPECT_FALSE(append(i));
+        ASSERT_GT(log.segment_count(), 1);
+        EXPECT_EQ(log.durable_end_offset(), 0);
+        EXPECT_EQ(log.retained_bytes(), log.end_offset())
+            << "a rolled segment dropped chunks its file does not hold";
+        fs.SetFaultProbabilities(0, 0, 0.05 * static_cast<double>(seed % 5));
+        for (int i = 16; i < 60; ++i) append(i);
+        fs.SetFaultProbabilities(0, 0, 0);
+        EXPECT_TRUE(append(60));
+        durable = log.durable_end_offset();
+        EXPECT_EQ(durable, log.end_offset());
+        EXPECT_LT(log.retained_bytes(), opts.segment_bytes + 64)
+            << "synced rolled segments keep their chunks";
+      }
+      ASSERT_OK(fs.Restart());
+      kafka::PartitionLog recovered(opts, &clock);
+      EXPECT_OK(recovered.recovery_status());
+      EXPECT_GE(recovered.flushed_end_offset(), durable);
+      EXPECT_EQ(ReadAllPayloads(&recovered), appended);
+      for (const auto& [offset, payload] : acked) {
+        auto read = recovered.Read(offset, 1);
+        ASSERT_OK(read);
+        kafka::MessageSetIterator it(read.value(), offset);
+        kafka::Message message;
+        ASSERT_TRUE(it.Next(&message)) << "offset " << offset;
+        EXPECT_EQ(message.payload, payload);
+      }
+    }
+  }
 }
 
 // A flush with several pending chunks writes them in order and stops at the
@@ -968,7 +1036,7 @@ TEST(FaultFsRegressionTest, BinlogFailedAppendKeepsTheIntervalSyncOnTime) {
     probe.fs = probe_fs.get();
     sqlstore::Binlog binlog(probe);
     ASSERT_OK(binlog.Append(txn()));
-    auto size = probe_fs->FileSize("/db/binlog.seg");
+    auto size = probe_fs->FileSize("/db/00000000000000000000.log");
     ASSERT_TRUE(size.ok());
     record_bytes = size.value();
   }
@@ -1090,7 +1158,7 @@ TEST(PersistentBinlogTest, TornTailTruncatedOnRecovery) {
   }
   {
     // A torn record: plausible length, missing body.
-    auto file = mem->OpenAppend("/db/binlog.seg");
+    auto file = mem->OpenAppend("/db/00000000000000000000.log");
     ASSERT_TRUE(file.ok());
     ASSERT_TRUE(
         file.value()->Append(std::string("\x40\x00\x00\x00\x01\x02", 6),

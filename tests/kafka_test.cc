@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <set>
 
@@ -138,6 +141,246 @@ TEST(MessageSetTest, CountMessagesRejectsPartialTrailingEntry) {
 // ---------------------------------------------------------------------------
 // Partition log
 // ---------------------------------------------------------------------------
+
+/// A deflate stream of a valid message set: `count` entries, each carrying
+/// `payload` zero bytes, built without holding them. The shape of a
+/// decompression bomb: 64 entries of 1 MiB deflate to about 65 KB.
+std::string DeflatedEntries(int count, size_t payload) {
+  static const std::string zeros(64 << 10, '\0');
+  uint32_t crc = 0;
+  for (size_t left = payload; left > 0;) {
+    const size_t take = std::min(left, zeros.size());
+    crc = Crc32Extend(crc, Slice(zeros.data(), take));
+    left -= take;
+  }
+  std::string header;
+  PutFixed32(&header, static_cast<uint32_t>(payload + 5));
+  header.push_back(static_cast<char>(CompressionCodec::kNone));
+  PutFixed32(&header, crc);
+
+  z_stream stream{};
+  EXPECT_EQ(deflateInit(&stream, Z_BEST_COMPRESSION), Z_OK);
+  std::string out;
+  char buffer[16 << 10];
+  const auto feed = [&](Slice in, int flush) {
+    stream.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(in.data()));
+    stream.avail_in = static_cast<uInt>(in.size());
+    do {
+      stream.next_out = reinterpret_cast<Bytef*>(buffer);
+      stream.avail_out = sizeof(buffer);
+      deflate(&stream, flush);
+      out.append(buffer, sizeof(buffer) - stream.avail_out);
+    } while (stream.avail_out == 0);
+  };
+  for (int i = 0; i < count; ++i) {
+    feed(header, Z_NO_FLUSH);
+    for (size_t left = payload; left > 0;) {
+      const size_t take = std::min(left, zeros.size());
+      feed(Slice(zeros.data(), take), Z_NO_FLUSH);
+      left -= take;
+    }
+  }
+  feed(Slice(), Z_FINISH);
+  deflateEnd(&stream);
+  return out;
+}
+
+/// One deflate wrapper entry around `compressed`, with a valid CRC.
+std::string Wrapper(Slice compressed) {
+  std::string entry;
+  AppendMessageEntry(compressed, CompressionCodec::kDeflate, &entry);
+  return entry;
+}
+
+/// Offsets of the entries a set's length prefixes chain through.
+std::vector<size_t> EntryStarts(const std::string& set) {
+  std::vector<size_t> starts;
+  size_t pos = 0;
+  while (pos + 4 <= set.size()) {
+    starts.push_back(pos);
+    pos += 4 + DecodeFixed32(set.data() + pos);
+  }
+  return starts;
+}
+
+/// Damages `bytes` in place: a truncation, flipped bytes, or a length
+/// prefix rewritten (2^32-1, a tiny value, or a random one).
+void Damage(Random* rng, std::string* bytes) {
+  if (bytes->empty()) return;
+  switch (rng->Uniform(3)) {
+    case 0:
+      bytes->resize(rng->Uniform(bytes->size()));
+      break;
+    case 1:
+      for (uint64_t n = 1 + rng->Uniform(8); n > 0; --n) {
+        (*bytes)[rng->Uniform(bytes->size())] ^=
+            static_cast<char>(1 + rng->Uniform(255));
+      }
+      break;
+    default: {
+      const std::vector<size_t> starts = EntryStarts(*bytes);
+      if (starts.empty()) return;
+      const uint32_t lengths[] = {0xffffffffu, 0, 4, 5,
+                                  static_cast<uint32_t>(rng->Next())};
+      EncodeFixed32(bytes->data() + starts[rng->Uniform(starts.size())],
+                    lengths[rng->Uniform(5)]);
+      break;
+    }
+  }
+}
+
+// Seeded mutation harness for Kafka message sets: a set of plain entries
+// and deflate wrappers, then one mutation (a truncation, flipped bytes, a
+// length prefix rewritten up to 2^32-1, an attributes byte rewritten, a
+// wrapper whose deflate stream is damaged, a wrapper whose inner set is
+// damaged, or, every 50th seed, a wrapper of whole entries inflating past
+// the cap). For every mutant: CountMessages is Corruption or counts exactly the
+// messages the iterator yields; every view lies inside the input, or is a
+// whole inner entry of its wrapper's inflation, which stays within the cap;
+// and the iterator ends OK only at an entry boundary with no whole entry
+// after it. Replay one seed with LIDI_KAFKA_MSGSET_SEED=<seed>.
+TEST(MessageSetTest, SeededMutationsStayInsideTheInputAndTheCap) {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("LIDI_KAFKA_MSGSET_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    for (uint64_t seed = 1; seed <= 500; ++seed) seeds.push_back(seed);
+  }
+  // 16 entries of 1 MiB: a valid set, 144 bytes past the cap.
+  const std::string bomb = Wrapper(DeflatedEntries(16, 1 << 20));
+  for (uint64_t seed : seeds) {
+    const std::string seed_text = std::to_string(seed);
+    SCOPED_TRACE("seed=" + seed_text + " (replay: LIDI_KAFKA_MSGSET_SEED=" +
+                 seed_text + ")");
+    Random rng(seed);
+    std::string set;
+    for (uint64_t n = 1 + rng.Uniform(6); n > 0; --n) {
+      if (rng.Bernoulli(0.4)) {
+        MessageSetBuilder inner(CompressionCodec::kDeflate);
+        for (uint64_t k = 1 + rng.Uniform(4); k > 0; --k) {
+          inner.Add(rng.Bytes(rng.Uniform(30)));
+        }
+        set += inner.Build();
+      } else {
+        AppendMessageEntry(rng.Bytes(rng.Uniform(40)), CompressionCodec::kNone,
+                           &set);
+      }
+    }
+    const std::vector<size_t> starts = EntryStarts(set);
+    std::string mutant = set;
+    const uint64_t kind = seed % 50 == 0 ? 6 : rng.Uniform(6);
+    switch (kind) {
+      case 0:  // truncation
+        mutant.resize(rng.Uniform(mutant.size()));
+        break;
+      case 1:  // flipped bytes
+        for (uint64_t n = 1 + rng.Uniform(8); n > 0; --n) {
+          mutant[rng.Uniform(mutant.size())] ^=
+              static_cast<char>(1 << rng.Uniform(8));
+        }
+        break;
+      case 2:  // a length prefix rewritten
+        EncodeFixed32(mutant.data() + starts[rng.Uniform(starts.size())],
+                      rng.Bernoulli(0.5) ? 0xffffffffu
+                                         : static_cast<uint32_t>(rng.Next()));
+        break;
+      case 3:  // an attributes byte rewritten
+        mutant[starts[rng.Uniform(starts.size())] + 4] =
+            static_cast<char>(rng.Uniform(256));
+        break;
+      case 4:    // a wrapper whose deflate stream is damaged
+      case 5: {  // a wrapper whose inner set is damaged
+        std::string inner;
+        for (uint64_t k = 1 + rng.Uniform(4); k > 0; --k) {
+          AppendMessageEntry(rng.Bytes(rng.Uniform(30)),
+                             CompressionCodec::kNone, &inner);
+        }
+        std::string compressed;
+        if (kind == 5) Damage(&rng, &inner);
+        ASSERT_OK(Compress(CompressionCodec::kDeflate, inner, &compressed));
+        if (kind == 4) Damage(&rng, &compressed);
+        const size_t at = starts[rng.Uniform(starts.size())];
+        mutant.insert(at, Wrapper(compressed));
+        break;
+      }
+      default:  // a wrapper inflating one byte past the cap
+        mutant.insert(starts[rng.Uniform(starts.size())], bomb);
+        break;
+    }
+
+    const Slice input(mutant);
+    const auto count = CountMessages(input);
+    MessageSetIterator it(input, 0);
+    MessageView view;
+    int64_t views = 0;
+    int64_t wrapper = -1;  // offset of the wrapper the last view came from
+    std::string inflated;  // its reference inflation
+    size_t inner_pos = 0;  // where its next inner entry starts
+    while (it.NextView(&view)) {
+      ++views;
+      if (view.offset != wrapper && wrapper >= 0) {
+        ASSERT_EQ(inner_pos, inflated.size()) << "wrapper left half read";
+        wrapper = -1;
+      }
+      const char* p = view.payload.data();
+      if (p >= input.data() && p <= input.data() + input.size()) {
+        // A plain entry: its payload, 9 bytes into the entry.
+        ASSERT_EQ(p, input.data() + view.offset + 9);
+        ASSERT_LE(view.offset + 9 + static_cast<int64_t>(view.payload.size()),
+                  static_cast<int64_t>(input.size()));
+        continue;
+      }
+      if (wrapper < 0) {
+        wrapper = view.offset;
+        ASSERT_LE(wrapper + 9, static_cast<int64_t>(input.size()));
+        const uint32_t length = DecodeFixed32(input.data() + wrapper);
+        ASSERT_LE(wrapper + 4 + static_cast<int64_t>(length),
+                  static_cast<int64_t>(input.size()));
+        inflated.clear();
+        inner_pos = 0;
+        ASSERT_OK(Decompress(CompressionCodec::kDeflate,
+                             Slice(input.data() + wrapper + 9, length - 5),
+                             &inflated));
+        ASSERT_LE(inflated.size(), kMaxDecompressedBytes);
+      }
+      // The next whole inner entry of the wrapper's inflation.
+      ASSERT_LE(inner_pos + 9 + view.payload.size(), inflated.size());
+      ASSERT_EQ(DecodeFixed32(inflated.data() + inner_pos),
+                view.payload.size() + 5);
+      ASSERT_EQ(std::memcmp(p, inflated.data() + inner_pos + 9,
+                            view.payload.size()),
+                0);
+      inner_pos += 9 + view.payload.size();
+    }
+    const int64_t size = static_cast<int64_t>(input.size());
+    const int64_t end = it.next_fetch_offset();
+    ASSERT_LE(end, size);
+    if (it.status().ok()) {
+      if (wrapper >= 0) {
+        EXPECT_EQ(inner_pos, inflated.size());
+      }
+      // Stopped at an entry boundary, with no whole entry after it.
+      const int64_t rest = size - end;
+      EXPECT_TRUE(rest < 4 ||
+                  4 + static_cast<int64_t>(DecodeFixed32(input.data() + end)) >
+                      rest);
+    } else {
+      EXPECT_EQ(it.status().code(), Code::kCorruption)
+          << it.status().ToString();
+    }
+    if (count.ok()) {
+      EXPECT_TRUE(it.status().ok());
+      EXPECT_EQ(count.value(), views);
+      EXPECT_EQ(end, size);
+    } else {
+      EXPECT_EQ(count.status().code(), Code::kCorruption)
+          << count.status().ToString();
+    }
+    if (kind == 6) {
+      EXPECT_FALSE(count.ok()) << "the bomb inflated";
+    }
+  }
+}
 
 class LogTest : public ::testing::Test {
  protected:
@@ -833,6 +1076,20 @@ TEST_F(KafkaClusterTest, TornProduceIsRejectedAndPartitionStaysUsable) {
   EXPECT_EQ(message.payload, "next message");
   EXPECT_FALSE(it.Next(&message));
   EXPECT_TRUE(it.status().ok());
+}
+
+// A produce whose wrapper inflates past the cap is Corruption and appends
+// nothing: a valid set of 64 MiB of zero payloads, about 65 KB on the wire.
+// The broker used to inflate it in full on the request path, and append it.
+TEST_F(KafkaClusterTest, ProduceOfAWrapperInflatingPastTheCapIsCorruption) {
+  StartCluster();
+  Broker& broker = *brokers_[0];
+  const std::string set = Wrapper(DeflatedEntries(64, 1 << 20));
+  ASSERT_LT(set.size(), 70000u);
+  auto reply = broker.Produce("activity", 0, set);
+  EXPECT_EQ(reply.status().code(), Code::kCorruption)
+      << reply.status().ToString();
+  EXPECT_EQ(broker.GetLog("activity", 0)->end_offset(), 0);
 }
 
 // A produce naming a partition outside int is Corruption. The decoder used

@@ -1,6 +1,5 @@
 namespace lidi::databus {
 inline Status SyncCheckpoint(io::WritableFile& file) {
-  // sync-choke-point: the checkpoint is synced once per poll.
-  return file.Sync();
+  return file.Sync();  // sync-choke-point: once per poll, the last in the cap.
 }
 }  // namespace lidi::databus

@@ -241,7 +241,7 @@ TEST(BinlogTest, GoldenRecordBytes) {
   ASSERT_OK(txn.Commit());
 
   std::string file;
-  ASSERT_OK(fs->ReadFile("/db/binlog.seg", &file));
+  ASSERT_OK(fs->ReadFile("/db/00000000000000000000.log", &file));
   EXPECT_EQ(file, GoldenRecord());
 }
 
@@ -320,7 +320,7 @@ TEST(BinlogTest, RetainedBytesAreTheRecordsAndOneIndexEntryEach) {
   constexpr int64_t kCommits = 20000;
   constexpr int64_t kBlock = static_cast<int64_t>(ByteBlocks::kBlockBytes);
   constexpr int64_t kIndexEntry = sizeof(ByteBlocks::Span);
-  const std::string path = "/db/binlog.seg";
+  const std::string path = "/db/00000000000000000000.log";
   auto fs = io::NewMemFs();
   BinlogOptions options;
   options.data_dir = "/db";
@@ -362,7 +362,7 @@ std::string KeyOf(int64_t i) {
 // them. Replay one seed with LIDI_BINLOG_SEED=<seed>.
 TEST(BinlogRecoveryTest, SeededMutatedFilesKeepADenseCleanPrefix) {
   constexpr int kCommits = 20;
-  const std::string path = "/db/binlog.seg";
+  const std::string path = "/db/00000000000000000000.log";
   std::vector<uint64_t> seeds;
   if (const char* env = std::getenv("LIDI_BINLOG_SEED")) {
     seeds.push_back(std::strtoull(env, nullptr, 10));
